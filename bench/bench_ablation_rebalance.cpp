@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
   mapping::ExperimentSetup setup = bench::make_setup(topo, bundle, 0);
   setup.horizon = kHorizon;
   setup.emulator.sync_mode = des::SyncMode::ChannelLookahead;
-  const des::KernelTuning tuning = setup.emulator.tuning;
   mapping::Experiment experiment(std::move(setup));
 
   std::vector<ApproachResult> all;
@@ -229,7 +228,7 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   // No fault plan in this ablation, so the recorded fault seed is 0.
   write_json(out, all, bench::context_json(topo.engines, "  "),
-             bench::run_config_json(tuning, 0, "  "),
+             bench::run_config_json(0, "  "),
              seg2_ratio, total_ratio, ok);
   std::cout << "wrote " << out_path << "\n";
   if (!ok)

@@ -198,8 +198,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"lb_policies\",\n"
       << "  \"context\": " << massf::bench::context_json(kEngines, "  ")
       << ",\n"
-      << "  \"run_config\": "
-      << massf::bench::run_config_json(massf::des::KernelTuning{}, 0, "  ")
+      << "  \"run_config\": " << massf::bench::run_config_json(0, "  ")
       << ",\n"
       << "  \"scenario\": {\n"
       << "    \"users\": " << users << ",\n"

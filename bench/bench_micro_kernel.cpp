@@ -1,13 +1,11 @@
 // Microbenchmarks of the DES kernel hot path (google-benchmark, matching
-// bench_micro_partitioner style): events/sec for packet-hop workloads in
-// the legacy closure (std::function) event representation vs the typed
-// allocation-free packet-event path, for local hops, remote hops, and a
-// mixed workload, in both execution modes.
+// bench_micro_partitioner style): events/sec for packet-hop workloads on
+// the kernel's allocation-free packet-event path, for local hops, remote
+// hops, and a mixed workload, in both execution modes.
 // bench/run_kernel_bench.sh records the results to BENCH_kernel.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "des/kernel.hpp"
@@ -31,62 +29,6 @@ SimTime workload_end(int chains, int hops) {
   // Chains start staggered by 1 ms and hop at most one lookahead apart.
   return 0.001 * chains + 1.0 * hops + 10.0;
 }
-
-// The pre-refactor emulator shipped every hop as a closure capturing a
-// Packet whose own std::function delivery callback pushed the capture well
-// past any small-buffer optimization — one heap allocation per hop. This
-// struct reproduces that payload shape for the closure workloads.
-struct FatPacket {
-  std::int32_t src = 0;
-  std::int32_t dst = 0;
-  double bytes = 1500;
-  int packets = 4;
-  int ttl = 255;
-  std::uint64_t flow = 0;
-  std::uint64_t probe_id = 0;
-  std::function<void(double)> on_delivered;
-};
-
-// --- closure path ---------------------------------------------------------
-
-void closure_hop(Kernel& kernel, int lp, int lp_count, FatPacket packet,
-                 int hops_left, int mode) {
-  if (hops_left <= 0) return;
-  const double now = kernel.now();
-  const bool remote = hop_is_remote(mode, hops_left) && lp_count > 1;
-  const int next = remote ? (lp + 1) % lp_count : lp;
-  auto fn = [&kernel, next, lp_count, packet = std::move(packet), hops_left,
-             mode]() mutable {
-    closure_hop(kernel, next, lp_count, std::move(packet), hops_left - 1,
-                mode);
-  };
-  if (remote)
-    kernel.schedule_remote(next, now + kernel.lookahead(), std::move(fn));
-  else
-    kernel.schedule(lp, now + kLocalDt, std::move(fn));
-}
-
-std::uint64_t run_closure(int lp_count, int chains, int hops,
-                          ExecutionMode exec, int mode) {
-  Kernel kernel(lp_count, 1.0);
-  for (int c = 0; c < chains; ++c) {
-    const int lp = c % lp_count;
-    FatPacket packet;
-    packet.flow = static_cast<std::uint64_t>(c);
-    kernel.schedule(lp, 0.001 * c,
-                    [&kernel, lp, lp_count, packet = std::move(packet), hops,
-                     mode]() mutable {
-                      closure_hop(kernel, lp, lp_count, std::move(packet),
-                                  hops, mode);
-                    });
-  }
-  kernel.run_until(workload_end(chains, hops), exec);
-  std::uint64_t events = 0;
-  for (auto e : kernel.stats().events_per_lp) events += e;
-  return events;
-}
-
-// --- typed packet-event path ----------------------------------------------
 
 // Per-chain hop state. The vector holding these plays the role the
 // emulator's PacketPool plays: stable pre-owned storage referenced by the
@@ -144,14 +86,6 @@ std::uint64_t run_packet(int lp_count, int chains, int hops,
 constexpr int kChains = 64;
 constexpr int kHops = 256;
 
-void bench_closure(benchmark::State& state, int lp_count, ExecutionMode exec,
-                   int mode) {
-  std::uint64_t events = 0;
-  for (auto _ : state)
-    events += run_closure(lp_count, kChains, kHops, exec, mode);
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-
 void bench_packet(benchmark::State& state, int lp_count, ExecutionMode exec,
                   int mode) {
   std::uint64_t events = 0;
@@ -160,30 +94,15 @@ void bench_packet(benchmark::State& state, int lp_count, ExecutionMode exec,
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 
-void BM_LocalHop_Closure(benchmark::State& state) {
-  bench_closure(state, 1, ExecutionMode::Sequential, kLocal);
-}
-BENCHMARK(BM_LocalHop_Closure);
-
 void BM_LocalHop_Packet(benchmark::State& state) {
   bench_packet(state, 1, ExecutionMode::Sequential, kLocal);
 }
 BENCHMARK(BM_LocalHop_Packet);
 
-void BM_RemoteHop_Closure(benchmark::State& state) {
-  bench_closure(state, 4, ExecutionMode::Sequential, kRemote);
-}
-BENCHMARK(BM_RemoteHop_Closure);
-
 void BM_RemoteHop_Packet(benchmark::State& state) {
   bench_packet(state, 4, ExecutionMode::Sequential, kRemote);
 }
 BENCHMARK(BM_RemoteHop_Packet);
-
-void BM_MixedHop_Closure_Sequential(benchmark::State& state) {
-  bench_closure(state, 4, ExecutionMode::Sequential, kMixed);
-}
-BENCHMARK(BM_MixedHop_Closure_Sequential);
 
 void BM_MixedHop_Packet_Sequential(benchmark::State& state) {
   bench_packet(state, 4, ExecutionMode::Sequential, kMixed);
@@ -192,11 +111,6 @@ BENCHMARK(BM_MixedHop_Packet_Sequential);
 
 // Threaded benches measure wall clock: worker threads do the event work,
 // so the main thread's CPU time is meaningless.
-void BM_MixedHop_Closure_Threaded(benchmark::State& state) {
-  bench_closure(state, 4, ExecutionMode::Threaded, kMixed);
-}
-BENCHMARK(BM_MixedHop_Closure_Threaded)->UseRealTime();
-
 void BM_MixedHop_Packet_Threaded(benchmark::State& state) {
   bench_packet(state, 4, ExecutionMode::Threaded, kMixed);
 }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -108,13 +109,27 @@ constexpr double kDumbbellEnd = 5.0;
 
 // A chain bounces a message between two LPs, each hop exactly one channel
 // lookahead ahead — the densest traffic the channel admits.
-void bounce(des::Kernel& kernel, int here, int peer, double la, double end) {
-  const double t = kernel.now() + la;
-  if (t >= end) return;
-  kernel.schedule_remote(peer, t, [&kernel, here, peer, la, end] {
-    bounce(kernel, peer, here, la, end);
-  });
-}
+struct Bounce {
+  int here;
+  int peer;
+  double la;
+};
+
+class BounceSink : public des::EventSink {
+ public:
+  explicit BounceSink(des::Kernel& kernel) : kernel_(kernel) {}
+
+  void on_packet_event(const des::PacketEvent& event) override {
+    auto* chain = static_cast<Bounce*>(event.payload);
+    const double t = kernel_.now() + chain->la;
+    if (t >= kDumbbellEnd) return;
+    std::swap(chain->here, chain->peer);
+    kernel_.schedule_packet_remote(chain->here, t, {chain, chain->here});
+  }
+
+ private:
+  des::Kernel& kernel_;
+};
 
 ConfigResult run_dumbbell(des::SyncMode sync, des::ExecutionMode exec) {
   des::Kernel kernel(4, kFastLa);
@@ -131,14 +146,15 @@ ConfigResult run_dumbbell(des::SyncMode sync, des::ExecutionMode exec) {
 
   // Two fast chains per site (staggered half a lookahead apart) plus one
   // slow cross-site chain.
-  for (auto [a, b] : sites) {
-    kernel.schedule(a, kFastLa,
-                    [&kernel, a, b] { bounce(kernel, a, b, kFastLa, kDumbbellEnd); });
-    kernel.schedule(b, 1.5 * kFastLa,
-                    [&kernel, a, b] { bounce(kernel, b, a, kFastLa, kDumbbellEnd); });
-  }
-  kernel.schedule(0, kSlowLa,
-                  [&kernel] { bounce(kernel, 0, 2, kSlowLa, kDumbbellEnd); });
+  BounceSink sink(kernel);
+  kernel.set_event_sink(&sink);
+  Bounce chains[] = {{0, 1, kFastLa}, {1, 0, kFastLa}, {2, 3, kFastLa},
+                     {3, 2, kFastLa}, {0, 2, kSlowLa}};
+  const double starts[] = {kFastLa, 1.5 * kFastLa, kFastLa, 1.5 * kFastLa,
+                           kSlowLa};
+  for (std::size_t c = 0; c < std::size(chains); ++c)
+    kernel.schedule_packet(chains[c].here, starts[c],
+                           {&chains[c], chains[c].here});
 
   const auto t0 = std::chrono::steady_clock::now();
   kernel.run_until(kDumbbellEnd, exec);
@@ -214,9 +230,8 @@ void write_json(std::ostream& out, const std::vector<ScenarioResult>& all) {
   // Widest worker pool: the 4-LP dumbbell's threaded configs.
   out << "{\n  \"benchmark\": \"bench_micro_sync\",\n"
       << "  \"context\": " << bench::context_json(4, "  ") << ",\n"
-      // Both scenarios run default tuning and inject no faults.
-      << "  \"run_config\": "
-      << bench::run_config_json(des::KernelTuning{}, 0, "  ") << ",\n"
+      // Neither scenario injects faults.
+      << "  \"run_config\": " << bench::run_config_json(0, "  ") << ",\n"
       << "  \"headline\": \"sequential modeled-time ratio global/channel\",\n"
       << "  \"scenarios\": [\n";
   for (std::size_t s = 0; s < all.size(); ++s) {

@@ -158,9 +158,8 @@ int main(int argc, char** argv) {
   out << "{\n  \"bench\": \"scale\",\n"
       << "  \"context\": " << massf::bench::context_json(0, "  ") << ",\n"
       // Setup-phase bench: no kernel runs and no fault plan, so the run
-      // config records the default tuning and a zero fault seed.
-      << "  \"run_config\": "
-      << massf::bench::run_config_json(massf::des::KernelTuning{}, 0, "  ")
+      // config records a zero fault seed.
+      << "  \"run_config\": " << massf::bench::run_config_json(0, "  ")
       << ",\n"
       << "  \"scales\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

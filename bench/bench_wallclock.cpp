@@ -1,6 +1,6 @@
 // Wall-clock events/sec benchmark for the threaded execution path: does
-// Threaded mode actually beat Sequential once the batched outbox handoff
-// and spin-then-park idle protocol are in (DESIGN.md §11)?
+// Threaded mode, with its batched outbox handoff and spin-then-park idle
+// protocol (DESIGN.md §11), actually beat Sequential?
 //
 // Workload: a ring of n LPs ({2,4,8}) with one message token per LP
 // circulating hop-by-hop at exactly the channel lookahead (the densest
@@ -9,18 +9,14 @@
 // event performs ~2 us of deterministic compute: emulation kernel events
 // model packet processing (the paper's calibration charges 2 ms per train
 // event on period hardware), and an events/sec race between empty
-// callbacks would measure nothing but synchronization overhead — a race a
+// events would measure nothing but synchronization overhead — a race a
 // conservative-parallel runtime can never win against a single thread.
 // Every configuration of one ring executes the identical event history —
 // the history hash must match bit-for-bit across all of them.
 //
-// Per ring, three execution shapes are timed under both sync protocols:
-//   * sequential        — single-threaded reference (tuned defaults);
-//   * threaded          — tuned defaults (batched outboxes, park on idle);
-//   * threaded_legacy   — KernelTuning{outbox_flush_events=1,
-//                         park_on_idle=false}: one release-store per event
-//                         and yield-spinning idle loops, i.e. the pre-batch
-//                         handoff protocol kept in-tree as the A/B baseline.
+// Per ring, two execution shapes are timed under both sync protocols:
+//   * sequential — one worker owning every LP on the calling thread;
+//   * threaded   — one worker thread per LP.
 //
 // Wall time is the best of MASSF_BENCH_REPLICAS runs (default 3; best-of
 // suppresses scheduler noise better than the mean on shared machines).
@@ -29,11 +25,9 @@
 //
 // Acceptance gate (exit status):
 //   * always: history hashes identical across every config of every ring;
-//   * on hosts with >= 4 CPUs, for each ring with >= 4 LPs:
-//       - best threaded tuned events/sec >= 1.0x sequential events/sec,
-//       - best threaded tuned events/sec >= 2.0x its legacy baseline
-//         (same sync mode).
-//     On narrower hosts the throughput clauses are recorded as skipped in
+//   * on hosts with >= 4 CPUs, for each ring with >= 4 LPs: best threaded
+//     events/sec >= 1.0x sequential events/sec (same sync mode).
+//     On narrower hosts the throughput clause is recorded as skipped in
 //     the JSON ("gate" object) — a 1-core container cannot falsify a
 //     parallelism claim.
 //
@@ -87,28 +81,53 @@ double horizon_scale() {
   return 1.0;
 }
 
-// One ring token: execute the hop at `at`, schedule the next hop one
-// lookahead ahead on the successor LP, and drop same-LP filler events in
-// between so handoff is not the only work an engine ever does.
-void hop(des::Kernel& kernel, int n, int at, double end) {
-  event_work(static_cast<std::uint64_t>(at) + 1);
-  const double t = kernel.now() + kRingLa;
-  if (t >= end) return;
-  const int next = (at + 1) % n;
-  kernel.schedule_remote(next, t, [&kernel, n, next, end] {
-    hop(kernel, n, next, end);
-  });
-  for (int j = 1; j <= kFillerPerHop; ++j) {
-    const double local = kernel.now() + kRingLa * 0.15 * j;
-    if (local < end)
-      kernel.schedule(at, local, [j] { event_work(static_cast<std::uint64_t>(j)); });
+/// Payload of a ring event: a circulating token (one per LP, updated in
+/// place as it moves — each token is a single chain of events) or one of
+/// the sink's read-only filler records.
+struct RingEvent {
+  bool token;
+  int value;  // token: the LP it is at; filler: its work seed
+};
+
+// A ring token executes its hop, schedules the next hop one lookahead ahead
+// on the successor LP, and drops same-LP filler events in between so
+// handoff is not the only work an engine ever does.
+class RingSink : public des::EventSink {
+ public:
+  RingSink(des::Kernel& kernel, int n, double end)
+      : kernel_(kernel), n_(n), end_(end) {
+    for (int j = 0; j < kFillerPerHop; ++j) fillers_[j] = {false, j + 1};
   }
-}
+
+  void on_packet_event(const des::PacketEvent& event) override {
+    auto* ev = static_cast<RingEvent*>(event.payload);
+    if (!ev->token) {
+      event_work(static_cast<std::uint64_t>(ev->value));
+      return;
+    }
+    const int at = ev->value;
+    event_work(static_cast<std::uint64_t>(at) + 1);
+    const double t = kernel_.now() + kRingLa;
+    if (t >= end_) return;
+    ev->value = (at + 1) % n_;
+    kernel_.schedule_packet_remote(ev->value, t, {ev, ev->value});
+    for (int j = 1; j <= kFillerPerHop; ++j) {
+      const double local = kernel_.now() + kRingLa * 0.15 * j;
+      if (local < end_)
+        kernel_.schedule_packet(at, local, {&fillers_[j - 1], at});
+    }
+  }
+
+ private:
+  des::Kernel& kernel_;
+  const int n_;
+  const double end_;
+  RingEvent fillers_[kFillerPerHop];
+};
 
 struct ConfigResult {
-  std::string exec;  // "sequential" | "threaded" | "threaded_legacy"
+  std::string exec;  // "sequential" | "threaded"
   des::SyncMode sync = des::SyncMode::GlobalWindow;
-  des::KernelTuning tuning;
   double wall_time = 0;  // best-of-replicas seconds
   double events_per_sec = 0;
   std::uint64_t events = 0;
@@ -121,27 +140,29 @@ struct ConfigResult {
 };
 
 ConfigResult run_ring(int n, des::SyncMode sync, des::ExecutionMode exec,
-                      const des::KernelTuning& tuning, const char* label) {
+                      const char* label) {
   const double end = kRingEnd * horizon_scale();
   ConfigResult r;
   r.exec = label;
   r.sync = sync;
-  r.tuning = tuning;
   const int replicas = bench::replica_count();
   for (int rep = 0; rep < replicas; ++rep) {
     des::Kernel kernel(n, kRingLa);
     kernel.set_sync_mode(sync);
-    kernel.set_tuning(tuning);
+    RingSink sink(kernel, n, end);
+    kernel.set_event_sink(&sink);
     for (int i = 0; i < n; ++i) {
       kernel.set_channel_lookahead(i, (i + 1) % n, kRingLa);
       // Reverse channels keep the validation surface symmetric (and give
       // ChannelLookahead a ring to advance in both directions).
       kernel.set_channel_lookahead((i + 1) % n, i, kRingLa);
     }
+    std::vector<RingEvent> tokens(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
+      RingEvent& token = tokens[static_cast<std::size_t>(i)];
+      token = {true, i};
       const double stagger = kRingLa * (1.0 + 0.25 * i);
-      kernel.schedule(i, stagger,
-                      [&kernel, n, i, end] { hop(kernel, n, i, end); });
+      kernel.schedule_packet(i, stagger, {&token, i});
     }
     const auto t0 = std::chrono::steady_clock::now();
     kernel.run_until(end, exec);
@@ -188,8 +209,8 @@ struct RingResult {
       if (c.history_hash != configs.front().history_hash) return false;
     return true;
   }
-  /// Best tuned-threaded throughput relative to sequential, across sync
-  /// modes (each threaded config against the sequential run of its own
+  /// Best threaded throughput relative to sequential, across sync modes
+  /// (each threaded config against the sequential run of its own
   /// protocol).
   double best_vs_sequential() const {
     double best = 0;
@@ -201,36 +222,18 @@ struct RingResult {
     }
     return best;
   }
-  /// Best tuned-threaded throughput relative to the legacy threaded
-  /// baseline of the same sync mode.
-  double best_vs_legacy() const {
-    double best = 0;
-    for (auto sync :
-         {des::SyncMode::GlobalWindow, des::SyncMode::ChannelLookahead}) {
-      const double legacy = find(sync, "threaded_legacy").events_per_sec;
-      if (legacy > 0)
-        best = std::max(best, find(sync, "threaded").events_per_sec / legacy);
-    }
-    return best;
-  }
 };
 
 RingResult run_ring_suite(int n) {
   RingResult ring;
   ring.lps = n;
-  const des::KernelTuning tuned;  // defaults: batched flush + park on idle
-  des::KernelTuning legacy;
-  legacy.outbox_flush_events = 1;   // pre-batch: one handoff per event
-  legacy.park_on_idle = false;      // pre-park: yield-spin idle loops
   for (auto sync :
        {des::SyncMode::GlobalWindow, des::SyncMode::ChannelLookahead}) {
     std::cerr << "  ring/" << n << " " << des::to_string(sync) << "...\n";
-    ring.configs.push_back(run_ring(n, sync, des::ExecutionMode::Sequential,
-                                    tuned, "sequential"));
-    ring.configs.push_back(run_ring(n, sync, des::ExecutionMode::Threaded,
-                                    tuned, "threaded"));
-    ring.configs.push_back(run_ring(n, sync, des::ExecutionMode::Threaded,
-                                    legacy, "threaded_legacy"));
+    ring.configs.push_back(
+        run_ring(n, sync, des::ExecutionMode::Sequential, "sequential"));
+    ring.configs.push_back(
+        run_ring(n, sync, des::ExecutionMode::Threaded, "threaded"));
   }
   return ring;
 }
@@ -239,11 +242,9 @@ void write_json(std::ostream& out, const std::vector<RingResult>& all,
                 bool gate_enforced, const std::string& gate_reason) {
   out << "{\n  \"benchmark\": \"bench_wallclock\",\n"
       << "  \"context\": " << bench::context_json(8, "  ") << ",\n"
-      // Tuning varies per config (tuned vs legacy) and is recorded on each
-      // entry below; the rings inject no faults.
+      // The rings inject no faults.
       << "  \"fault_seed\": 0,\n"
-      << "  \"headline\": \"tuned threaded events/sec vs sequential and vs "
-         "legacy threaded baseline\",\n"
+      << "  \"headline\": \"threaded events/sec vs sequential\",\n"
       << "  \"gate\": {\"throughput_enforced\": "
       << (gate_enforced ? "true" : "false") << ", \"reason\": \""
       << gate_reason << "\"},\n"
@@ -256,8 +257,6 @@ void write_json(std::ostream& out, const std::vector<RingResult>& all,
         << "      \"hash_identical\": "
         << (ring.hashes_identical() ? "true" : "false") << ",\n"
         << "      \"best_threaded_vs_sequential\": " << ring.best_vs_sequential()
-        << ",\n"
-        << "      \"best_threaded_vs_legacy\": " << ring.best_vs_legacy()
         << ",\n"
         << "      \"configs\": [\n";
     for (std::size_t c = 0; c < ring.configs.size(); ++c) {
@@ -272,7 +271,6 @@ void write_json(std::ostream& out, const std::vector<RingResult>& all,
           << ", \"channel_advances\": " << r.channel_advances
           << ", \"handoff_runs\": " << r.handoff_runs
           << ", \"parks\": " << r.parks
-          << ", \"tuning\": " << bench::tuning_json(r.tuning)
           << ", \"history_hash\": \"" << r.history_hash << "\"}"
           << (c + 1 < ring.configs.size() ? "," : "") << "\n";
     }
@@ -300,16 +298,15 @@ int main(int argc, char** argv) {
   const bool gate_enforced = num_cpus >= 4;
   const std::string gate_reason =
       gate_enforced
-          ? "num_cpus >= 4: throughput clauses enforced at rings >= 4 LPs"
-          : "num_cpus < 4: throughput clauses recorded but not enforced "
+          ? "num_cpus >= 4: throughput clause enforced at rings >= 4 LPs"
+          : "num_cpus < 4: throughput clause recorded but not enforced "
             "(cannot falsify a parallelism claim on a narrow host)";
 
   bool ok = true;
   for (const RingResult& ring : all) {
     const double vs_seq = ring.best_vs_sequential();
-    const double vs_legacy = ring.best_vs_legacy();
     std::cout << "ring/" << ring.lps << ": threaded vs sequential " << vs_seq
-              << "x, vs legacy baseline " << vs_legacy << "x, hashes "
+              << "x, hashes "
               << (ring.hashes_identical() ? "identical" : "DIFFER") << "\n";
     if (!ring.hashes_identical()) ok = false;
     if (gate_enforced && ring.lps >= 4) {
@@ -317,12 +314,6 @@ int main(int argc, char** argv) {
         std::cerr << "bench_wallclock: ring/" << ring.lps
                   << " threaded slower than sequential (" << vs_seq
                   << "x < 1.0x)\n";
-        ok = false;
-      }
-      if (vs_legacy < 2.0) {
-        std::cerr << "bench_wallclock: ring/" << ring.lps
-                  << " tuned threaded did not double the legacy baseline ("
-                  << vs_legacy << "x < 2.0x)\n";
         ok = false;
       }
     }

@@ -174,23 +174,11 @@ std::string context_json(int max_threads, const std::string& indent) {
   return out.str();
 }
 
-std::string tuning_json(const des::KernelTuning& tuning) {
-  std::ostringstream out;
-  out << "{\"outbox_flush_events\": " << tuning.outbox_flush_events
-      << ", \"spin_iterations\": " << tuning.spin_iterations
-      << ", \"park_on_idle\": " << (tuning.park_on_idle ? "true" : "false")
-      << ", \"pin_threads\": " << (tuning.pin_threads ? "true" : "false")
-      << "}";
-  return out.str();
-}
-
-std::string run_config_json(const des::KernelTuning& tuning,
-                            std::uint64_t fault_seed,
+std::string run_config_json(std::uint64_t fault_seed,
                             const std::string& indent) {
   std::ostringstream out;
   out << "{\n"
-      << indent << "  \"fault_seed\": " << fault_seed << ",\n"
-      << indent << "  \"tuning\": " << tuning_json(tuning) << "\n"
+      << indent << "  \"fault_seed\": " << fault_seed << "\n"
       << indent << "}";
   return out.str();
 }

@@ -79,18 +79,12 @@ std::size_t peak_rss_bytes();
 /// prefixes every line after the first so the block nests at any depth.
 std::string context_json(int max_threads, const std::string& indent);
 
-/// Single-line JSON object of the kernel tuning knobs a run executed with.
-/// Tuning changes wall time without changing results, so recorded numbers
-/// need it alongside sync/exec to be comparable across commits.
-std::string tuning_json(const des::KernelTuning& tuning);
-
 /// JSON block of the reproducibility-relevant run configuration shared by
-/// every config in a bench: kernel tuning plus the fault-plan RNG seed
-/// (0 = the run injected no faults). Per-config sync/exec modes stay in
-/// the per-config entries; this block carries what they all share.
-/// `indent` prefixes every line after the first, like context_json.
-std::string run_config_json(const des::KernelTuning& tuning,
-                            std::uint64_t fault_seed,
+/// every config in a bench: the fault-plan RNG seed (0 = the run injected
+/// no faults). Per-config sync/exec modes stay in the per-config entries;
+/// this block carries what they all share. `indent` prefixes every line
+/// after the first, like context_json.
+std::string run_config_json(std::uint64_t fault_seed,
                             const std::string& indent);
 
 /// Averaged measurements of one (topology, app, approach) cell.

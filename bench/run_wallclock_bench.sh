@@ -7,9 +7,8 @@
 # build: the binary itself also refuses to run without NDEBUG), verifies
 # the cache really says Release, then runs bench_wallclock. The binary
 # exits non-zero unless the history hash is identical across every
-# sync x exec x tuning configuration, and — on hosts with >= 4 CPUs —
-# tuned threaded execution reaches >= 1.0x sequential events/sec and
-# >= 2.0x the legacy threaded baseline at rings of >= 4 LPs.
+# sync x exec configuration, and — on hosts with >= 4 CPUs — threaded
+# execution reaches >= 1.0x sequential events/sec at rings of >= 4 LPs.
 # MASSF_WALLCLOCK_SCALE scales the simulated horizon (CI smoke: 0.25).
 set -euo pipefail
 

@@ -222,7 +222,6 @@ RunMetrics Experiment::collect(emu::Emulator& emulator) const {
   metrics.events_rehomed = rb.events_rehomed;
   metrics.rebalance_epoch = rb.epoch;
   metrics.exec_mode = setup_.mode;
-  metrics.tuning = setup_.emulator.tuning;
   metrics.fault_seed =
       setup_.faults != nullptr ? setup_.faults->plan_seed() : 0;
   metrics.history_hash = ks.history_hash;

@@ -99,11 +99,9 @@ struct RunMetrics {
   std::uint64_t events_rehomed = 0;
   std::uint64_t rebalance_epoch = 0;
   // ---- Run configuration provenance (so a metrics record alone identifies
-  //      the exact run: mode, tuning, and the fault plan's RNG seed) -------
+  //      the exact run: mode and the fault plan's RNG seed) ---------------
   /// Kernel execution mode the run used.
   des::ExecutionMode exec_mode = des::ExecutionMode::Sequential;
-  /// Kernel wall-clock tuning knobs the run used.
-  des::KernelTuning tuning{};
   /// Seed of the random fault plan behind the run's fault timeline (0 when
   /// the run had no fault timeline or a hand-built plan).
   std::uint64_t fault_seed = 0;

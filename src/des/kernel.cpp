@@ -9,6 +9,7 @@
 #include <memory>
 #include <thread>
 #include <type_traits>
+#include <utility>
 
 #include "ckpt/ckpt.hpp"
 #include "util/spinwait.hpp"
@@ -94,23 +95,17 @@ std::vector<double> KernelStats::loads() const {
 }
 
 struct Kernel::Impl {
-  /// One scheduled event, 48 trivially-copyable bytes. Tagged by `cb`:
-  /// null marks a typed packet event whose POD payload is dispatched to
-  /// the registered EventSink; otherwise `cb` boxes the generic Callback
-  /// fallback used for app/endpoint work. The box is a raw owning pointer,
-  /// not unique_ptr, so the struct stays trivially copyable — heap sifts
-  /// (the single hottest operation in the kernel) then move events by
-  /// plain memcpy. Ownership is simple because every event has exactly one
-  /// terminal: execute_event() deletes the box after invoking it, and
-  /// ~Impl() sweeps events still sitting in queues/outboxes.
+  /// One scheduled event: 40 trivially-copyable bytes, so heap sifts (the
+  /// single hottest operation in the kernel) move events by plain memcpy.
+  /// The kernel owns nothing inside it; the payload belongs to the sink.
   struct Event {
     SimTime t;
     std::uint32_t origin;
     std::uint64_t seq;
     PacketEvent packet;
-    Callback* cb;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) == 40);
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.t != b.t) return a.t > b.t;
@@ -163,9 +158,9 @@ struct Kernel::Impl {
 
   /// Per-destination staging slot for cross-LP sends. Under ChannelLookahead
   /// events accumulate here until the run is big enough to publish
-  /// (KernelTuning::outbox_flush_events) or a flush is forced; min_t tracks
-  /// the earliest held timestamp so the sender's published clock can be
-  /// capped while it hoards (see flush_channels). GlobalWindow hands whole
+  /// (kOutboxFlushEvents) or a flush is forced; min_t tracks the earliest
+  /// held timestamp so the sender's published clock can be capped while it
+  /// hoards (see flush_channels). GlobalWindow hands whole
   /// windows off at the barrier and ignores min_t.
   struct Outbox {
     std::vector<Event> events;
@@ -194,16 +189,16 @@ struct Kernel::Impl {
     std::uint64_t remote_received = 0;
     std::uint64_t history = kHashSeed;
     SimTime max_time = 0;
-    SimTime published_next = Kernel::never();
     /// Reused staging buffer for inbox/mailbox merges (this LP only).
     std::vector<Event> scratch;
     /// ChannelLookahead: advance-loop iterations that executed something.
     std::uint64_t advances = 0;
     /// ChannelLookahead + Threaded: wall seconds spent stalled.
     double idle_wait = 0;
-    /// Doorbell for the threaded stall/park protocol: senders ring it after
-    /// publishing a run or advancing their clock (run_channel_threaded).
-    util::WaitSlot wake;
+    /// Wait slot of the worker that owns this LP: senders ring it after
+    /// publishing a run or advancing their clock. Null when one worker
+    /// owns every LP (it never waits on anyone).
+    util::WaitSlot* doorbell = nullptr;
     /// Batched outbox runs this LP published (ChannelLookahead only;
     /// deterministic in Sequential mode — the outbox-threshold observable).
     std::uint64_t handoff_runs = 0;
@@ -263,8 +258,6 @@ struct Kernel::Impl {
   /// Per-LP outbound channel indices (doorbell fan-out after a clock
   /// publish; order is irrelevant, only membership matters).
   std::vector<std::vector<std::uint32_t>> outbound;
-  /// KernelTuning::outbox_flush_events, latched by run_until.
-  std::uint32_t flush_threshold = 1;
 
   explicit Impl(int lp_count) : lps(static_cast<std::size_t>(lp_count)) {
     for (Lp& lp : lps) {
@@ -279,29 +272,22 @@ struct Kernel::Impl {
     channel_of.assign(lps.size() * lps.size(), -1);
   }
 
-  ~Impl() {
-    // Events still pending when the kernel dies (end_time cutoffs) own
-    // their callback boxes; executed events already deleted theirs.
-    for (Lp& lp : lps) {
-      for (Event& e : lp.queue.v) delete e.cb;  // massf-lint: allow(raw-new)
-      for (Outbox& box : lp.outbox)
-        for (Event& e : box.events) delete e.cb;  // massf-lint: allow(raw-new)
-    }
-    // Channel run nodes: the live queue (tail through head — the workers
-    // are joined, plain loads suffice), the recycled stack, and the sender
-    // cache. Only live-queue nodes can still hold events.
+  ~Impl() { free_run_nodes(); }
+
+  /// Free every channel's run nodes: the live queue (tail through head —
+  /// the workers are joined, plain loads suffice), the recycled stack, and
+  /// the sender cache.
+  void free_run_nodes() {
     for (auto& ch : channels) {
-      auto sweep = [](Channel::RunNode* node) {
+      for (Channel::RunNode* node :
+           {ch->tail, ch->recycled.load(std::memory_order_relaxed),
+            ch->free_cache}) {
         while (node != nullptr) {
           Channel::RunNode* next = node->next.load(std::memory_order_relaxed);
-          for (Event& e : node->events) delete e.cb;  // massf-lint: allow(raw-new)
           delete node;  // massf-lint: allow(raw-new)
           node = next;
         }
-      };
-      sweep(ch->tail);
-      sweep(ch->recycled.load(std::memory_order_relaxed));
-      sweep(ch->free_cache);
+      }
     }
   }
 
@@ -311,22 +297,8 @@ struct Kernel::Impl {
 
   /// Drop the whole channel graph so restore_checkpoint can rebuild it from
   /// the snapshot (registration order and per-channel stats included).
-  /// Pre-run only: setup-time channels hold no events, so the sweep frees
-  /// just the stub/recycled nodes.
   void clear_channels() {
-    for (auto& ch : channels) {
-      auto sweep = [](Channel::RunNode* node) {
-        while (node != nullptr) {
-          Channel::RunNode* next = node->next.load(std::memory_order_relaxed);
-          for (Event& e : node->events) delete e.cb;  // massf-lint: allow(raw-new)
-          delete node;  // massf-lint: allow(raw-new)
-          node = next;
-        }
-      };
-      sweep(ch->tail);
-      sweep(ch->recycled.load(std::memory_order_relaxed));
-      sweep(ch->free_cache);
-    }
+    free_run_nodes();
     channels.clear();
     // massf-lint: allow(quadratic-reserve) — engine-count², not node-count².
     channel_of.assign(lps.size() * lps.size(), -1);
@@ -380,11 +352,8 @@ struct Kernel::Impl {
     }
   }
 
-  /// Shared per-event accounting + dispatch (sink for packet events,
-  /// callback otherwise). `inv_bucket_width` is the precomputed reciprocal:
-  /// a multiply here instead of a divide per event.
-  // massf-analyze: hot-path-root (the per-event dispatch loop)
-  // massf-analyze: determinism-root (mixes lp.history via hash_mix)
+  /// Per-event accounting + dispatch to the sink. `inv_bucket_width` is the
+  /// precomputed reciprocal: a multiply here instead of a divide per event.
   void execute_event(Lp& lp, Event& e, double per_event_cost,
                      double inv_bucket_width, EventSink* sink) {
     tl_now = e.t;
@@ -397,12 +366,7 @@ struct Kernel::Impl {
     const auto bucket = static_cast<std::size_t>(e.t * inv_bucket_width);
     if (lp.series.size() <= bucket) lp.series.resize(bucket + 1, 0.0);
     lp.series[bucket] += 1;
-    if (e.cb) {
-      const std::unique_ptr<Callback> owned(e.cb);  // delete even on throw
-      (*owned)();
-    } else {
-      sink->on_packet_event(e.packet);
-    }
+    sink->on_packet_event(e.packet);
   }
 
   /// Route every sender's dirty destination list into the receivers'
@@ -519,26 +483,31 @@ struct Kernel::Impl {
     ch.head->next.store(node, std::memory_order_release);
     ch.head = node;
     ++sender.handoff_runs;
-    lps[dst].wake.signal();
+    ring(dst);
+  }
+
+  /// Wake the worker that owns `lp`, if it can be waiting.
+  void ring(std::size_t lp) {
+    if (util::WaitSlot* bell = lps[lp].doorbell) bell->signal();
   }
 
   /// ChannelLookahead sender flush at a publish point. Slots holding at
-  /// least flush_threshold events (all of them when `force`) are published;
-  /// smaller runs stay hoarded to amortize the cross-core handoff. Returns
-  /// the hoard cap: min over still-held slots of (earliest held event −
-  /// that channel's lookahead). Capping the sender's published clock there
-  /// keeps hoarding conservative-safe — a receiver's bound through a
-  /// hoarded channel never reaches the earliest event the hoard still owes
-  /// it. Runners force-flush whenever an advance executes nothing (the
-  /// prelude to every stall, rendezvous, and safepoint), so hoards never
-  /// outlive the sender's attention.
+  /// least kOutboxFlushEvents events (all of them when `force`) are
+  /// published; smaller runs stay hoarded to amortize the cross-core
+  /// handoff. Returns the hoard cap: min over still-held slots of (earliest
+  /// held event − that channel's lookahead). Capping the sender's published
+  /// clock there keeps hoarding conservative-safe — a receiver's bound
+  /// through a hoarded channel never reaches the earliest event the hoard
+  /// still owes it. Kernel::step force-flushes whenever an advance executes
+  /// nothing (the prelude to every stall, rendezvous, and safepoint), so
+  /// hoards never outlive the sender's attention.
   SimTime flush_channels(std::size_t src, bool force) {
     Lp& sender = lps[src];
     SimTime cap = Kernel::never();
     auto keep = sender.dirty_dsts.begin();
     for (std::uint32_t dst : sender.dirty_dsts) {
       Outbox& box = sender.outbox[dst];
-      if (force || box.events.size() >= flush_threshold) {
+      if (force || box.events.size() >= kOutboxFlushEvents) {
         flush_box(src, dst);
       } else {
         const Channel& ch =
@@ -578,13 +547,12 @@ struct Kernel::Impl {
   /// hoarded outbox, then force-drain every channel queue into its
   /// receiver's queue, so the hook — and rehome_events — sees the complete
   /// pending-event set in LP queues. A queue can legitimately be non-empty
-  /// at quiescence in both renditions (the receiver stalls on its bound
-  /// without polling runs it cannot use yet); draining in channel index
-  /// order charges the per-message receive cost exactly once and
-  /// identically in Sequential and Threaded mode. Runs single-threaded
-  /// with every worker parked. Receive costs are folded straight into
-  /// busy_total, which both renditions keep folded at their quiescent
-  /// points (window_busy is 0 on entry).
+  /// at quiescence (the receiver stalls on its bound without polling runs
+  /// it cannot use yet); draining in channel index order charges the
+  /// per-message receive cost exactly once and identically in Sequential
+  /// and Threaded mode. Runs single-threaded with every worker parked.
+  /// Receive costs are folded straight into busy_total, which every step
+  /// keeps folded (window_busy is 0 on entry).
   // massf-analyze: hot-path-root (channel drain, runs once per window)
   void drain_all_channels(double per_remote_cost) {
     for (std::size_t s = 0; s < lps.size(); ++s) flush_channels(s, true);
@@ -629,14 +597,6 @@ void Kernel::set_sync_mode(SyncMode mode) {
   sync_mode_ = mode;
 }
 
-void Kernel::set_tuning(const KernelTuning& tuning) {
-  MASSF_REQUIRE(!ran_, "set tuning before running");
-  MASSF_REQUIRE(tuning.outbox_flush_events >= 1,
-                "outbox flush threshold must be >= 1 (1 = publish every "
-                "iteration-end flush)");
-  tuning_ = tuning;
-}
-
 void Kernel::set_channel_lookahead(int src, int dst, double la) {
   MASSF_REQUIRE(!ran_ || in_safepoint_,
                 "register channel lookaheads before running or from inside "
@@ -667,7 +627,8 @@ double Kernel::channel_lookahead(int src, int dst) const {
 
 double Kernel::remote_lookahead(int to_lp) const {
   MASSF_REQUIRE(tl_current_lp >= 0,
-                "schedule_remote may only be called from an executing event");
+                "schedule_packet_remote may only be called from an "
+                "executing event");
   MASSF_REQUIRE(to_lp >= 0 && to_lp < lp_count_, "LP index out of range");
   if (impl_->channels.empty()) return lookahead_;
   const std::int32_t c =
@@ -683,25 +644,22 @@ double Kernel::remote_lookahead(int to_lp) const {
 
 namespace {
 
-/// Shared validation for local scheduling (schedule / schedule_packet).
+/// Validation for local scheduling.
 void check_local_target(int lp, int lp_count, SimTime t) {
   MASSF_REQUIRE(lp >= 0 && lp < lp_count, "LP index out of range");
   MASSF_REQUIRE(std::isfinite(t) && t >= 0, "event time must be finite, >=0");
   if (tl_current_lp >= 0) {
     MASSF_REQUIRE(lp == tl_current_lp,
-                  "during execution, schedule() may only target the "
-                  "executing LP (use schedule_remote)");
+                  "during execution, schedule_packet() may only target the "
+                  "executing LP (use schedule_packet_remote)");
     MASSF_REQUIRE(t >= tl_now, "cannot schedule into the past (t="
                                    << t << " < now=" << tl_now << ")");
   }
 }
 
-/// Shared validation for remote scheduling.
-void check_remote_target(int to_lp, int lp_count, SimTime t,
-                         double lookahead) {
-  MASSF_REQUIRE(tl_current_lp >= 0,
-                "schedule_remote may only be called from an executing event");
-  MASSF_REQUIRE(to_lp >= 0 && to_lp < lp_count, "LP index out of range");
+/// Validation for remote scheduling (remote_lookahead already checked that
+/// an event is executing and the target is in range).
+void check_remote_time(SimTime t, double lookahead) {
   // Conservative safety: the receiver may already be executing events up to
   // now + lookahead. A tiny epsilon absorbs floating-point latency sums.
   MASSF_REQUIRE(t >= tl_now + lookahead - 1e-12,
@@ -712,49 +670,19 @@ void check_remote_target(int to_lp, int lp_count, SimTime t,
 
 }  // namespace
 
-void Kernel::schedule(int lp, SimTime t, Callback fn, std::int32_t key) {
-  check_local_target(lp, lp_count_, t);
-  MASSF_REQUIRE(fn, "event callback must be callable");
-  Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
-  // Event callback box: single terminal owner (execute_event / ~Impl).
-  // Callback events carry the rehome key in the otherwise-unused
-  // PacketEvent::node slot — the 48-byte layout is load-bearing (memcpy
-  // heap sifts), so no new field.
-  state.queue.push({t, static_cast<std::uint32_t>(lp), state.seq_counter++,
-                    PacketEvent{nullptr, key},
-                    new Callback(std::move(fn))});  // massf-lint: allow(raw-new)
-}
-
 // massf-analyze: hot-path-root (per-packet local enqueue)
 void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
   check_local_target(lp, lp_count_, t);
   MASSF_REQUIRE(sink_ != nullptr,
                 "register an EventSink before scheduling packet events");
   Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
-  state.queue.push({t, static_cast<std::uint32_t>(lp), state.seq_counter++,
-                    event, nullptr});
-}
-
-void Kernel::schedule_remote(int to_lp, SimTime t, Callback fn,
-                             std::int32_t key) {
-  check_remote_target(to_lp, lp_count_, t, remote_lookahead(to_lp));
-  MASSF_REQUIRE(fn, "event callback must be callable");
-  Impl::Lp& sender = impl_->lps[static_cast<std::size_t>(tl_current_lp)];
-  Impl::Outbox& box = sender.outbox[static_cast<std::size_t>(to_lp)];
-  if (box.events.empty())
-    sender.dirty_dsts.push_back(static_cast<std::uint32_t>(to_lp));
-  box.min_t = std::min(box.min_t, t);
-  // Event callback box: single terminal owner (execute_event / ~Impl).
-  box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp),
-                        sender.seq_counter++, PacketEvent{nullptr, key},
-                        new Callback(std::move(fn))});  // massf-lint: allow(raw-new)
-  sender.window_busy += cost_.per_remote_message;
-  ++sender.remote_sent;
+  state.queue.push(
+      {t, static_cast<std::uint32_t>(lp), state.seq_counter++, event});
 }
 
 // massf-analyze: hot-path-root (per-packet cross-engine enqueue)
 void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
-  check_remote_target(to_lp, lp_count_, t, remote_lookahead(to_lp));
+  check_remote_time(t, remote_lookahead(to_lp));
   MASSF_REQUIRE(sink_ != nullptr,
                 "register an EventSink before scheduling packet events");
   Impl::Lp& sender = impl_->lps[static_cast<std::size_t>(tl_current_lp)];
@@ -763,7 +691,7 @@ void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
     sender.dirty_dsts.push_back(static_cast<std::uint32_t>(to_lp));
   box.min_t = std::min(box.min_t, t);
   box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp),
-                        sender.seq_counter++, event, nullptr});
+                        sender.seq_counter++, event});
   sender.window_busy += cost_.per_remote_message;
   ++sender.remote_sent;
 }
@@ -786,35 +714,6 @@ SimTime Kernel::next_safepoint() const {
   return next_sp_ < safepoints_.size() ? safepoints_[next_sp_] : never();
 }
 
-void Kernel::run_safepoint_hook(SimTime sp) {
-  ++stats_.safepoints;
-  if (!safepoint_hook_) return;
-  // The hook runs outside any event: current_lp() is -1, now() reports the
-  // safepoint time. in_safepoint_ gates the migration mutators.
-  in_safepoint_ = true;
-  tl_now = sp;
-  try {
-    safepoint_hook_(sp);
-  } catch (...) {
-    in_safepoint_ = false;
-    tl_now = 0;
-    throw;
-  }
-  in_safepoint_ = false;
-  tl_now = 0;
-}
-
-void Kernel::fire_global_safepoint(SimTime sp) {
-  run_safepoint_hook(sp);
-  // One cluster-wide rendezvous per safepoint, charged identically in the
-  // Sequential and Threaded renditions (test_faults pins GlobalWindow
-  // modeled_time to near-equality across execution modes). Channel-mode
-  // runs charge theirs inside finalize_channel_run instead.
-  stats_.modeled_time += cost_.per_window_sync;
-  stats_.coupled_time += cost_.per_window_sync;
-  ++next_sp_;
-}
-
 std::uint64_t Kernel::rehome_events(
     const std::function<int(std::int32_t)>& target_of) {
   MASSF_REQUIRE(in_safepoint_,
@@ -823,7 +722,7 @@ std::uint64_t Kernel::rehome_events(
   auto& lps = impl_->lps;
   // Extract every keyed event whose target LP differs from its current
   // home. The moved set is determined purely by keys and the pending-event
-  // set — identical across renditions at a safepoint — and push() restores
+  // set — identical in every mode at a safepoint — and push() restores
   // the (t, origin, seq) order at the destination, so per-LP pop order
   // (and with it history_hash) is unaffected by the traversal order here.
   std::vector<std::pair<int, Impl::Event>> moved;
@@ -886,7 +785,7 @@ void Kernel::save_checkpoint(
   MASSF_REQUIRE(save_payload, "packet payload serializer must be callable");
 
   // Quiescence audit. The safepoint protocol guarantees all of this (see
-  // drain_all_channels and the run_sequential loop structure); a violation
+  // drain_all_channels and the worker loop structure); a violation
   // here means pending events would be silently dropped from the snapshot.
   for (const Impl::Lp& lp : impl_->lps) {
     MASSF_CHECK(lp.dirty_dsts.empty() && lp.pending_sources.empty(),
@@ -911,7 +810,7 @@ void Kernel::save_checkpoint(
   w.f64(now());  // the safepoint time — the restored run resumes here
 
   // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
-  // *after* the hook returns (fire_global_safepoint), and the restored run
+  // *after* the hook returns (Kernel::quiesce), and the restored run
   // skips this safepoint entirely, so the charge is folded into the
   // snapshot here. Channel mode recomputes both times in
   // finalize_channel_run from counters that are all saved below.
@@ -967,13 +866,6 @@ void Kernel::save_checkpoint(
               });
     w.u64(pending.size());
     for (const Impl::Event& e : pending) {
-      MASSF_REQUIRE(
-          e.cb == nullptr,
-          "cannot checkpoint a pending callback event (origin LP "
-              << e.origin << ", t=" << e.t
-              << "): closures are not serializable — schedule application "
-                 "work through typed control packets (AppApi::set_timer) "
-                 "instead of raw Kernel::schedule/AppApi::after");
       w.f64(e.t);
       w.u32(e.origin);
       w.u64(e.seq);
@@ -1035,12 +927,8 @@ void Kernel::restore_checkpoint(
   // scratch, so every event scheduled so far (endpoint starts, epoch
   // boundaries) is superseded by the checkpointed queues.
   for (Impl::Lp& lp : impl_->lps) {
-    for (Impl::Event& e : lp.queue.v) {
-      if (e.cb != nullptr)
-        delete e.cb;  // massf-lint: allow(raw-new)
-      else if (e.packet.payload != nullptr)
-        drop_payload(e.packet.payload);
-    }
+    for (Impl::Event& e : lp.queue.v)
+      if (e.packet.payload != nullptr) drop_payload(e.packet.payload);
     lp.queue.v.clear();
     lp.queue.sorted = false;
   }
@@ -1087,7 +975,6 @@ void Kernel::restore_checkpoint(
       e.seq = r.u64();
       e.packet.node = static_cast<std::int32_t>(r.i64());
       e.packet.payload = load_payload(r);
-      e.cb = nullptr;
       lp.queue.v.push_back(e);
     }
     // Saved ascending; the sorted representation pops descending arrays
@@ -1105,7 +992,6 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
   ran_ = true;
   stats_.sync_mode = sync_mode_;
   stats_.idle_wait_per_lp.assign(static_cast<std::size_t>(lp_count_), 0.0);
-  impl_->flush_threshold = tuning_.outbox_flush_events;
 
   // Canonical safepoint schedule: ascending, duplicates coalesced (two
   // registrations at the same time are one quiescent pause).
@@ -1129,7 +1015,8 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
     lp.pending_sources.reserve(static_cast<std::size_t>(lp_count_));
   }
 
-  if (sync_mode_ == SyncMode::ChannelLookahead) {
+  const bool channel_mode = sync_mode_ == SyncMode::ChannelLookahead;
+  if (channel_mode) {
     // No channels registered → every LP pair is implicitly coupled at the
     // global lookahead, so the protocol degrades to per-pair advancement
     // with uniform bounds (still barrier-free).
@@ -1138,16 +1025,11 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
         for (int d = 0; d < lp_count_; ++d)
           if (s != d) impl_->ensure_channel(s, d, lookahead_);
     impl_->build_inbound();
-    if (mode == ExecutionMode::Sequential)
-      run_channel_sequential(end_time);
-    else
-      run_channel_threaded(end_time);
-    finalize_channel_run(end_time);
-  } else if (mode == ExecutionMode::Sequential) {
-    run_sequential(end_time);
-  } else {
-    run_threaded(end_time);
   }
+  run_workers(end_time, mode == ExecutionMode::Sequential
+                            ? 1
+                            : static_cast<std::size_t>(lp_count_));
+  if (channel_mode) finalize_channel_run(end_time);
 
   // Fold per-LP results into stats_.
   std::size_t max_buckets = 0;
@@ -1173,553 +1055,395 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
   }
 }
 
-void Kernel::run_sequential(SimTime end_time) {
-  auto& lps = impl_->lps;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  auto earliest_pending = [&]() {
-    SimTime m = never();
-    for (auto& lp : lps)
-      if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-    return m;
-  };
-
-  while (true) {
-    // Publish phase: earliest pending event across all LPs.
-    SimTime global_min = earliest_pending();
-    // Fire every safepoint the run has fully caught up to: all events
-    // before it executed, outboxes drained (end of the previous loop
-    // iteration) — the globally quiescent state the hook contract promises.
-    while (next_safepoint() < end_time && global_min >= next_safepoint()) {
-      fire_global_safepoint(next_safepoint());
-      global_min = earliest_pending();
-    }
-    if (global_min >= end_time || global_min == never()) break;
-
-    // Windows never cross a pending safepoint.
-    const SimTime window_end =
-        std::min({global_min + lookahead_, end_time, next_safepoint()});
-
-    // Process phase.
-    for (std::size_t i = 0; i < k; ++i) {
-      tl_current_lp = static_cast<int>(i);
-      Impl::Lp& lp = lps[i];
-      try {
-        Impl::process_window(lp, window_end, [&](Impl::Event& e) {
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-      } catch (...) {
-        // Reset the execution context before propagating, or later kernels
-        // on this thread would inherit a stale current_lp/now.
-        tl_current_lp = -1;
-        throw;
-      }
-    }
-    tl_current_lp = -1;
-
-    // Account the window: critical path = max busy + barrier cost; the
-    // coupled (application) time additionally floors each window at the
-    // simulated-time advance (live apps execute in real time).
-    double max_busy = 0;
-    for (auto& lp : lps) max_busy = std::max(max_busy, lp.window_busy);
-    const double engine_time = max_busy + cost_.per_window_sync;
-    stats_.modeled_time += engine_time;
-    stats_.coupled_time +=
-        std::max(engine_time, window_end - sim_position_);
-    sim_position_ = window_end;
-    ++stats_.windows;
-    for (auto& lp : lps) {
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-    }
-
-    // Drain phase: deliver outboxes (the receive cost lands in the next
-    // window's busy time — that is where the work happens). Only pairs
-    // with actual traffic are visited.
-    impl_->flush_dirty_senders();
-    for (std::size_t dst = 0; dst < k; ++dst)
-      impl_->drain_inboxes(dst, cost_.per_remote_message);
-  }
-}
-
-void Kernel::run_threaded(SimTime end_time) {
-  auto& lps = impl_->lps;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  std::atomic<bool> stop{false};
-  SimTime window_end = 0;
-  FailureBox failure;
-
-  // Barrier A (after publish/drain): pick the next window or stop. Runs
-  // single-threaded as the barrier completion with every worker parked —
-  // exactly the quiescent state the safepoint hook requires, so due
-  // safepoints fire here, mirroring the sequential loop top. The completion
-  // is noexcept; a throwing hook is routed through the FailureBox like any
-  // worker exception.
-  auto decide = [&]() noexcept {
-    auto recompute = [&]() {
-      SimTime m = never();
-      for (auto& lp : lps) m = std::min(m, lp.published_next);
-      return m;
-    };
-    SimTime global_min = recompute();
-    try {
-      while (next_safepoint() < end_time && global_min >= next_safepoint() &&
-             !failure.failed.load(std::memory_order_relaxed)) {
-        fire_global_safepoint(next_safepoint());
-        // The hook may have rehomed events between queues: republish every
-        // LP's head before re-deciding.
-        for (auto& lp : lps)
-          lp.published_next = lp.queue.empty() ? never() : lp.queue.top().t;
-        global_min = recompute();
-      }
-    } catch (...) {
-      failure.record(std::current_exception());
-    }
-    if (global_min >= end_time || global_min == never() ||
-        failure.failed.load(std::memory_order_relaxed))
-      stop.store(true, std::memory_order_relaxed);
-    else
-      window_end =
-          std::min({global_min + lookahead_, end_time, next_safepoint()});
-  };
-  // Barrier B (after processing): account the finished window and route
-  // dirty sender/destination pairs for the drain that follows.
-  auto account = [&]() noexcept {
-    double max_busy = 0;
-    for (auto& lp : lps) max_busy = std::max(max_busy, lp.window_busy);
-    const double engine_time = max_busy + cost_.per_window_sync;
-    stats_.modeled_time += engine_time;
-    stats_.coupled_time +=
-        std::max(engine_time, window_end - sim_position_);
-    sim_position_ = window_end;
-    ++stats_.windows;
-    for (auto& lp : lps) {
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-    }
-    impl_->flush_dirty_senders();
-  };
-
-  // Spin-then-park barriers (util::SpinBarrier): same completion-step
-  // semantics as the std::barrier they replace, but the idle policy is the
-  // kernel's own — bounded cpu_relax spin bridging the usual sub-µs window
-  // turnaround, futex parking for genuinely idle spans.
-  util::SpinBarrier barrier_a(static_cast<int>(k), decide,
-                              tuning_.spin_iterations, tuning_.park_on_idle);
-  util::SpinBarrier barrier_b(static_cast<int>(k), account,
-                              tuning_.spin_iterations, tuning_.park_on_idle);
-
-  auto worker = [&](std::size_t i) {
-    if (tuning_.pin_threads)
-      util::pin_current_thread(static_cast<unsigned>(i));
-    Impl::Lp& lp = lps[i];
-    // Which barrier this thread owes next — lets the recovery path keep the
-    // phase protocol intact even when a callback throws mid-window.
-    bool owes_barrier_b = false;
-    try {
-      lp.published_next = lp.queue.empty() ? never() : lp.queue.top().t;
-      while (true) {
-        barrier_a.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) break;
-        owes_barrier_b = true;
-        const SimTime limit = window_end;
-        tl_current_lp = static_cast<int>(i);
-        Impl::process_window(lp, limit, [&](Impl::Event& e) {
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-        tl_current_lp = -1;
-        barrier_b.arrive_and_wait();
-        owes_barrier_b = false;
-        impl_->drain_inboxes(i, cost_.per_remote_message);
-        lp.published_next = lp.queue.empty() ? never() : lp.queue.top().t;
-      }
-    } catch (...) {
-      tl_current_lp = -1;
-      failure.record(std::current_exception());
-      // Keep participating in barriers (publishing "idle") until everyone
-      // observes the stop flag, so no thread deadlocks waiting for us.
-      lp.published_next = never();
-      if (owes_barrier_b) barrier_b.arrive_and_wait();
-      while (!stop.load(std::memory_order_relaxed)) {
-        barrier_a.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) break;
-        barrier_b.arrive_and_wait();
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) threads.emplace_back(worker, i);
-  for (auto& t : threads) t.join();
-  if (auto first = failure.take()) std::rethrow_exception(first);
-}
-
 // ---------------------------------------------------------------------------
-// SyncMode::ChannelLookahead — CMB-style per-channel safe-time advancement.
+// The worker loop.
 //
-// Invariant shared by both renditions below: LP i may execute events with
-// t < bound_i, where bound_i = min over inbound channels (src → i) of
-// clock_src + lookahead(src → i). A sender's published clock never exceeds
-// min(its queue head, its own bound), so everything it executes later — and
-// therefore everything it can still send — has t >= clock + channel
-// lookahead >= the receiver's bound. Since every LP still executes its
-// events in the unique (t, origin, seq) order, per-LP histories (and thus
-// history_hash) are bit-identical to GlobalWindow runs in either execution
-// mode.
+// W workers each own a contiguous block of LPs: Sequential is W = 1 on the
+// calling thread, Threaded one worker per LP. A worker's round gives each
+// owned LP one step (drain → limit → execute → throttle stat → flush →
+// publish) and then takes its protocol's sync step:
 //
-// Idle spans are the protocol's weakness (clocks creep by one lookahead per
-// exchange — the classic null-message avalanche), so when nothing is
-// executable anywhere the run takes one rendezvous barrier, computes the
-// global earliest pending event, and jumps every clock there (or stops).
+//   * GlobalWindow — every LP executes up to the window end. The two-phase
+//     window barrier then closes the window (account it, route the
+//     outboxes), lets each worker drain its own LPs' inboxes, and opens the
+//     next window at the quiescent barrier. Windows start at the globally
+//     earliest pending event, so idle spans are skipped.
+//   * ChannelLookahead — CMB-style per-channel safe-time advancement. LP i
+//     may execute events with t < bound_i, where bound_i = min over inbound
+//     channels (src → i) of clock_src + lookahead(src → i). A sender's
+//     published clock never exceeds min(its queue head, its own bound), so
+//     everything it executes later — and therefore everything it can still
+//     send — has t >= clock + channel lookahead >= the receiver's bound. A
+//     worker whose round executed nothing stalls. Idle spans are the
+//     protocol's weakness (clocks creep by one lookahead per exchange — the
+//     classic null-message avalanche), so once every worker is stalled
+//     they meet at the quiescent barrier, which jumps every clock to the
+//     global earliest pending event (or stops the run).
+//
+// Every LP executes its events in the unique (t, origin, seq) order under
+// both protocols and for any W, so per-LP histories (and history_hash) are
+// bit-identical across all four sync × exec combinations. With W = 1 every
+// barrier completes on arrival, and the loop is the canonical
+// single-threaded rendition of each protocol.
+//
+// Failures: a worker whose step (or drain) throws records the exception in
+// the run's FailureBox and wakes every parked worker. From then on no
+// worker executes anything; each keeps taking its sync step until the next
+// quiescent barrier stops the run, and run_workers rethrows the first
+// exception on the calling thread.
 // ---------------------------------------------------------------------------
 
-void Kernel::run_channel_sequential(SimTime end_time) {
-  auto& lps = impl_->lps;
-  auto& channels = impl_->channels;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  // Published clocks as plain doubles: Sequential is the canonical
-  // single-threaded rendition of the protocol — same advancement rule as
-  // the threaded atomics, same per-LP event order, same history hash.
-  std::vector<SimTime> clock(k, 0.0);
-
-  // Earliest pending event anywhere (queues and in-flight channel runs):
-  // the rendezvous GVT used for idle-jumps and termination. Outboxes need
-  // no scan — an all-idle round force-flushed every one of them.
-  auto global_next = [&]() {
-    SimTime m = never();
-    for (auto& lp : lps)
-      if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-    for (auto& ch : channels)
-      for (Impl::Channel::RunNode* n =
-               ch->tail->next.load(std::memory_order_acquire);
-           n != nullptr; n = n->next.load(std::memory_order_acquire))
-        for (const Impl::Event& e : n->events) m = std::min(m, e.t);
-    return m;
-  };
-
-  while (true) {
-    bool any_executed = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      Impl::Lp& lp = lps[i];
-      SimTime bound = never();
-      Impl::Channel* limiter = nullptr;
-      for (std::uint32_t ci : impl_->inbound[i]) {
-        Impl::Channel& ch = *channels[ci];
-        impl_->drain_channel(ch, lp, cost_.per_remote_message);
-        const SimTime b = clock[ch.src] + ch.lookahead;
-        if (b < bound) {
-          bound = b;
-          limiter = &ch;
-        }
-      }
-      // Execution never crosses a pending safepoint (the clip, not the
-      // bound: throttle attribution below stays a per-channel property).
-      const SimTime limit = std::min({bound, end_time, next_safepoint()});
-      bool executed = false;
-      tl_current_lp = static_cast<int>(i);
-      try {
-        Impl::process_window(lp, limit, [&](Impl::Event& e) {
-          executed = true;
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-      } catch (...) {
-        // Reset the execution context before propagating, or later kernels
-        // on this thread would inherit a stale current_lp/now.
-        tl_current_lp = -1;
-        throw;
-      }
-      tl_current_lp = -1;
-      if (executed) {
-        ++lp.advances;
-        any_executed = true;
-      }
-      // Throttle observability: a pending event this LP cares about is held
-      // unsafe by the binding channel; record who and by how much.
-      if (limiter != nullptr && !lp.queue.empty() &&
-          lp.queue.top().t < end_time && lp.queue.top().t >= bound) {
-        ++limiter->throttled;
-        limiter->max_lag =
-            std::max(limiter->max_lag, lp.queue.top().t - bound);
-      }
-      // Flush eligible outbox runs; forced when this LP executed nothing
-      // (mirrors the threaded stall rule), so an all-idle round reaches the
-      // rendezvous below with every outbox empty.
-      const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-      // Publish: nothing this LP will ever execute — hence send — precedes
-      // min(queue head, bound); hoarded runs additionally cap the promise
-      // at (earliest hoarded event − that channel's lookahead). Clocks are
-      // monotone.
-      const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
-      clock[i] = std::max(clock[i], std::min({next, bound, cap}));
-    }
-    if (!any_executed) {
-      // A full round executed nothing anywhere: rendezvous. Safepoints the
-      // run has caught up to (gvt >= sp means every event before sp has
-      // executed — nothing anywhere executes at or past a pending
-      // safepoint) fire here, after force-draining the mailboxes so the
-      // hook sees the full pending set in LP queues. Clocks then restart
-      // from the safepoint time: migration may have handed an LP events
-      // earlier than its published clock, and sp is a valid promise for
-      // every LP because nothing pending precedes sp.
-      SimTime gvt = global_next();
-      while (next_safepoint() < end_time && gvt >= next_safepoint()) {
-        const SimTime sp = next_safepoint();
-        impl_->drain_all_channels(cost_.per_remote_message);
-        run_safepoint_hook(sp);
-        ++next_sp_;
-        for (std::size_t i = 0; i < k; ++i) clock[i] = sp;
-        gvt = global_next();
-      }
-      if (gvt >= end_time || gvt == never()) break;
-      for (std::size_t i = 0; i < k; ++i) clock[i] = std::max(clock[i], gvt);
-      ++stats_.idle_jumps;
-    }
-  }
-}
-
-void Kernel::run_channel_threaded(SimTime end_time) {
-  auto& lps = impl_->lps;
-  auto& channels = impl_->channels;
-  const auto k = static_cast<std::size_t>(lp_count_);
-  const double inv_bucket = 1.0 / stats_.bucket_width;
-
-  // Lock-free published clocks, one cache line each so a publish never
-  // invalidates a neighbour LP's slot.
+struct alignas(64) Kernel::Run {
+  /// Published ChannelLookahead clock, one cache line each so a publish
+  /// never invalidates a neighbour LP's slot.
   struct alignas(64) ClockSlot {
     std::atomic<SimTime> v{0.0};
   };
-  const auto clocks = std::make_unique<ClockSlot[]>(k);
 
-  // Stall accounting: an LP with nothing safely executable parks a token
-  // here and waits — bounded spin first, then a futex park on its wait
-  // slot. When all k tokens are present every worker heads into the
-  // rendezvous barrier, whose completion step — running with the whole
-  // kernel quiescent — either stops the run or jumps all clocks over the
-  // idle span. Exactly the "barrier only for termination detection and
-  // end-of-run" fallback.
-  std::atomic<int> stalled{0};
-  std::atomic<bool> stop{false};
+  Run(Kernel& kernel, SimTime end, std::size_t worker_count)
+      : end_time(end),
+        workers(worker_count),
+        lps(kernel.impl_->lps.size()),
+        inv_bucket(1.0 / kernel.stats_.bucket_width),
+        clocks(std::make_unique<ClockSlot[]>(lps)),
+        quiescent(static_cast<int>(worker_count),
+                  [&kernel, this] { kernel.quiesce(*this); },
+                  kSpinIterationsBeforePark),
+        window_close(static_cast<int>(worker_count),
+                     [&kernel, this] { kernel.close_window(*this); },
+                     kSpinIterationsBeforePark) {}
+
+  /// Worker w owns LPs [first_lp(w), first_lp(w + 1)).
+  std::size_t first_lp(std::size_t w) const { return w * lps / workers; }
+
+  /// Ring every worker's wait slot (global transitions a parked worker
+  /// cannot observe through its own inbound channels).
+  void wake_all() {
+    if (doorbells)
+      for (std::size_t w = 0; w < workers; ++w) doorbells[w].signal();
+  }
+
+  const SimTime end_time;
+  const std::size_t workers;
+  const std::size_t lps;
+  /// Reciprocal load-series bucket width (a multiply per event, not a
+  /// divide).
+  const double inv_bucket;
   FailureBox failure;
+  /// Set by the quiescent step that ends the run.
+  std::atomic<bool> stop{false};
+  /// GlobalWindow: end of the open window (written by quiesce).
+  SimTime window_end = 0;
+  /// ChannelLookahead: published clocks.
+  const std::unique_ptr<ClockSlot[]> clocks;
+  /// ChannelLookahead: stall tokens of the workers that found nothing to
+  /// execute; reset by every quiescent step.
+  alignas(64) std::atomic<std::size_t> stalled{0};
+  /// Per-worker wait slots; absent when one worker owns every LP.
+  std::unique_ptr<util::WaitSlot[]> doorbells;
+  /// GlobalWindow opens each window here; ChannelLookahead rendezvouses
+  /// here once every worker is stalled.
+  util::SpinBarrier quiescent;
+  /// GlobalWindow: closes each window.
+  util::SpinBarrier window_close;
+};
 
-  // Ring every LP's doorbell — used on the global transitions (all-k stall,
-  // worker failure) that parked workers cannot observe through their own
-  // inbound channels.
-  auto signal_all = [&]() {
-    for (auto& lp : lps) lp.wake.signal();
-  };
+void Kernel::run_workers(SimTime end_time, std::size_t workers) {
+  Run run(*this, end_time, workers);
+  auto& lps = impl_->lps;
+  if (workers > 1) {
+    run.doorbells = std::make_unique<util::WaitSlot[]>(workers);
+    for (std::size_t w = 0; w < workers; ++w)
+      for (std::size_t i = run.first_lp(w); i < run.first_lp(w + 1); ++i)
+        lps[i].doorbell = &run.doorbells[w];
+  }
+  // Worker 0 runs on the calling thread.
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w)
+    threads.emplace_back([this, &run, w] { work(run, w); });
+  work(run, 0);
+  for (auto& t : threads) t.join();
+  for (auto& lp : lps) lp.doorbell = nullptr;  // the slots die with `run`
+  if (auto first = run.failure.take()) std::rethrow_exception(first);
+}
 
-  auto rendezvous_step = [&]() noexcept {
-    stalled.store(0, std::memory_order_relaxed);
-    if (failure.failed.load(std::memory_order_relaxed)) {
-      stop.store(true, std::memory_order_relaxed);
-      return;
-    }
-    auto global_next = [&]() {
-      SimTime m = never();
-      for (auto& lp : lps)
-        if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-      // Every worker is parked in this barrier and stalled only after a
-      // forced flush, so the outboxes are empty and the channel run queues
-      // are quiescent: walking them unsynchronized is safe and complete.
-      for (auto& ch : channels)
-        for (Impl::Channel::RunNode* n =
-                 ch->tail->next.load(std::memory_order_acquire);
-             n != nullptr; n = n->next.load(std::memory_order_acquire))
-          for (const Impl::Event& e : n->events) m = std::min(m, e.t);
-      return m;
-    };
-    SimTime gvt = global_next();
-    // Safepoints fire here exactly as in the sequential rendezvous branch:
-    // with every worker parked, gvt >= sp certifies that all pre-safepoint
-    // events have executed (execution is clipped at sp), mailboxes are
-    // force-drained in the same channel order, and clocks restart from sp.
-    // The completion is noexcept; a throwing hook becomes a recorded
-    // failure and a stop, like any worker exception.
+// massf-analyze: hot-path-root (the worker loop: per-LP steps and sync)
+// massf-analyze: determinism-root (executes events into lp.history)
+void Kernel::work(Run& run, std::size_t worker) {
+  const std::size_t lo = run.first_lp(worker);
+  const std::size_t hi = run.first_lp(worker + 1);
+  const bool windows = sync_mode_ == SyncMode::GlobalWindow;
+  std::vector<SimTime> snapshot;  // stall scratch, reused across stalls
+  auto guarded = [&](auto&& body) {
     try {
-      while (next_safepoint() < end_time && gvt >= next_safepoint()) {
-        const SimTime sp = next_safepoint();
-        impl_->drain_all_channels(cost_.per_remote_message);
-        run_safepoint_hook(sp);
-        ++next_sp_;
-        for (std::size_t i = 0; i < k; ++i)
-          clocks[i].v.store(sp, std::memory_order_relaxed);
-        gvt = global_next();
-      }
+      body();
     } catch (...) {
-      failure.record(std::current_exception());
-      stop.store(true, std::memory_order_relaxed);
-      return;
-    }
-    if (gvt >= end_time || gvt == never()) {
-      stop.store(true, std::memory_order_relaxed);
-    } else {
-      for (std::size_t i = 0; i < k; ++i)
-        if (clocks[i].v.load(std::memory_order_relaxed) < gvt)
-          clocks[i].v.store(gvt, std::memory_order_relaxed);
-      ++stats_.idle_jumps;
+      // Reset the execution context, or later kernels on this thread would
+      // inherit a stale current_lp/now.
+      tl_current_lp = -1;
+      run.failure.record(std::current_exception());
+      run.wake_all();
     }
   };
-  util::SpinBarrier rendezvous(static_cast<int>(k), rendezvous_step,
-                               tuning_.spin_iterations, tuning_.park_on_idle);
 
-  auto worker = [&](std::size_t i) {
-    if (tuning_.pin_threads)
-      util::pin_current_thread(static_cast<unsigned>(i));
-    Impl::Lp& lp = lps[i];
-    const auto& in = impl_->inbound[i];
-    const auto& out = impl_->outbound[i];
-    std::vector<SimTime> snapshot(in.size(), 0.0);
-    try {
-      while (!stop.load(std::memory_order_acquire)) {
-        // Drain + bound. Loading the sender's clock with acquire *before*
-        // touching the run queue pairs with the sender's flush-then-
-        // release-publish: any run not yet visible here must carry events
-        // with t >= clock + lookahead, i.e. >= our bound.
-        SimTime bound = never();
-        Impl::Channel* limiter = nullptr;
-        for (std::uint32_t ci : in) {
-          Impl::Channel& ch = *channels[ci];
-          const SimTime c = clocks[ch.src].v.load(std::memory_order_acquire);
-          impl_->drain_channel(ch, lp, cost_.per_remote_message);
-          const SimTime b = c + ch.lookahead;
-          if (b < bound) {
-            bound = b;
-            limiter = &ch;
-          }
-        }
-        // next_safepoint() is only mutated inside the rendezvous completion
-        // while this thread is parked in the same barrier — safe to read.
-        const SimTime limit = std::min({bound, end_time, next_safepoint()});
-        bool executed = false;
-        tl_current_lp = static_cast<int>(i);
-        Impl::process_window(lp, limit, [&](Impl::Event& e) {
-          executed = true;
-          impl_->execute_event(lp, e, cost_.per_event, inv_bucket, sink_);
-        });
-        tl_current_lp = -1;
-        if (executed) ++lp.advances;
-        if (limiter != nullptr && !lp.queue.empty() &&
-            lp.queue.top().t < end_time && lp.queue.top().t >= bound) {
-          ++limiter->throttled;
-          limiter->max_lag =
-              std::max(limiter->max_lag, lp.queue.top().t - bound);
-        }
-        // Flush before the release publish (see drain comment above); the
-        // flush is forced when nothing ran — this LP is about to stall, and
-        // a parked receiver must never wait on a hoarded run.
-        const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
-        lp.busy_total += lp.window_busy;
-        lp.window_busy = 0;
-        const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
-        const SimTime published = std::min({next, bound, cap});
-        if (published > clocks[i].v.load(std::memory_order_relaxed)) {
-          clocks[i].v.store(published, std::memory_order_release);
-          // Doorbell every receiver whose bound may have grown.
-          for (std::uint32_t ci : out) lps[channels[ci]->dst].wake.signal();
-        }
-        if (executed) continue;
+  if (windows) run.quiescent.arrive_and_wait();  // opens the first window
+  while (!run.stop.load(std::memory_order_acquire)) {
+    bool executed = false;
+    if (!run.failure.failed.load(std::memory_order_relaxed)) {
+      guarded([&] {
+        for (std::size_t i = lo; i < hi; ++i) executed |= step(run, i);
+      });
+    }
+    if (windows) {
+      // The drained receive cost lands in the next window's busy time —
+      // that is where the work happens.
+      run.window_close.arrive_and_wait();
+      guarded([&] {
+        for (std::size_t i = lo; i < hi; ++i)
+          impl_->drain_inboxes(i, cost_.per_remote_message);
+      });
+      run.quiescent.arrive_and_wait();
+    } else if (!executed) {
+      stall(run, worker, snapshot);
+    }
+  }
+}
 
-        // Stall: nothing safely executable. Spin, then park on the wait
-        // slot until an inbound clock moves, a run arrives, or the k-th
-        // staller rings everyone into the rendezvous. A safepoint may have
-        // registered new inbound channels since the last stall, so the
-        // snapshot buffer is re-sized to the live list each time.
-        snapshot.resize(in.size());
-        for (std::size_t c = 0; c < in.size(); ++c)
-          snapshot[c] =
-              clocks[channels[in[c]]->src].v.load(std::memory_order_relaxed);
-        auto has_work = [&]() {
-          for (std::size_t c = 0; c < in.size(); ++c) {
-            Impl::Channel& ch = *channels[in[c]];
-            if (ch.tail->next.load(std::memory_order_relaxed) != nullptr ||
-                clocks[ch.src].v.load(std::memory_order_relaxed) !=
-                    snapshot[c])
-              return true;
-          }
-          return false;
-        };
-        const auto wait_start = std::chrono::steady_clock::now();
-        if (stalled.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            static_cast<int>(k))
-          signal_all();
-        util::SpinWait spin(tuning_.spin_iterations, tuning_.park_on_idle);
-        while (true) {
-          if (stalled.load(std::memory_order_acquire) ==
-              static_cast<int>(k)) {
-            rendezvous.arrive_and_wait();  // consumes our stall token
-            break;
-          }
-          if (has_work()) {
-            stalled.fetch_sub(1, std::memory_order_acq_rel);
-            break;
-          }
-          if (spin.should_park()) {
-            // Eventcount handshake: snapshot the epoch, re-check both wake
-            // conditions, park. Every state change we could miss here is
-            // followed by a signal() to this slot, which either bumps the
-            // epoch before we sleep or wakes us after.
-            const std::uint32_t epoch = lp.wake.prepare();
-            if (stalled.load(std::memory_order_acquire) !=
-                    static_cast<int>(k) &&
-                !has_work()) {
-              lp.wake.park(epoch);
-              ++lp.parks;
-            }
-            spin.reset();
-          }
-        }
-        lp.idle_wait += std::chrono::duration<double>(
+bool Kernel::step(Run& run, std::size_t i) {
+  Impl::Lp& lp = impl_->lps[i];
+  const bool channel_mode = sync_mode_ == SyncMode::ChannelLookahead;
+  SimTime limit = run.window_end;
+  SimTime bound = never();
+  Impl::Channel* limiter = nullptr;
+  if (channel_mode) {
+    // Drain + bound. Loading the sender's clock with acquire *before*
+    // touching the run queue pairs with the sender's flush-then-release-
+    // publish: any run not yet visible here must carry events with
+    // t >= clock + lookahead, i.e. >= our bound.
+    for (std::uint32_t ci : impl_->inbound[i]) {
+      Impl::Channel& ch = *impl_->channels[ci];
+      const SimTime c = run.clocks[ch.src].v.load(std::memory_order_acquire);
+      impl_->drain_channel(ch, lp, cost_.per_remote_message);
+      const SimTime b = c + ch.lookahead;
+      if (b < bound) {
+        bound = b;
+        limiter = &ch;
+      }
+    }
+    // Execution never crosses a pending safepoint (the clip, not the bound:
+    // throttle attribution below stays a per-channel property).
+    // next_safepoint() only moves inside the quiescent step, while every
+    // worker is parked.
+    limit = std::min({bound, run.end_time, next_safepoint()});
+  }
+
+  const std::uint64_t before = lp.events;
+  tl_current_lp = static_cast<int>(i);
+  Impl::process_window(lp, limit, [&](Impl::Event& e) {
+    impl_->execute_event(lp, e, cost_.per_event, run.inv_bucket, sink_);
+  });
+  tl_current_lp = -1;
+  const bool executed = lp.events != before;
+  if (!channel_mode) return executed;
+
+  if (executed) ++lp.advances;
+  // Throttle observability: a pending event this LP cares about is held
+  // unsafe by the binding channel; record who and by how much.
+  if (limiter != nullptr && !lp.queue.empty() &&
+      lp.queue.top().t < run.end_time && lp.queue.top().t >= bound) {
+    ++limiter->throttled;
+    limiter->max_lag = std::max(limiter->max_lag, lp.queue.top().t - bound);
+  }
+  // Flush before the release publish (see the drain comment above); the
+  // flush is forced when nothing ran — the worker may be about to stall,
+  // and a parked receiver must never wait on a hoarded run.
+  const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
+  lp.busy_total += lp.window_busy;
+  lp.window_busy = 0;
+  // Publish: nothing this LP will ever execute — hence send — precedes
+  // min(queue head, bound); hoarded runs additionally cap the promise at
+  // (earliest hoarded event − that channel's lookahead). Clocks are
+  // monotone.
+  const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
+  const SimTime published = std::min({next, bound, cap});
+  if (published > run.clocks[i].v.load(std::memory_order_relaxed)) {
+    run.clocks[i].v.store(published, std::memory_order_release);
+    // Doorbell every receiver whose bound may have grown.
+    for (std::uint32_t ci : impl_->outbound[i])
+      impl_->ring(impl_->channels[ci]->dst);
+  }
+  return executed;
+}
+
+void Kernel::stall(Run& run, std::size_t worker,
+                   std::vector<SimTime>& snapshot) {
+  if (run.stalled.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      run.workers) {
+    // Last worker to stall: nothing is executable anywhere.
+    run.wake_all();
+    run.quiescent.arrive_and_wait();  // consumes our stall token
+    return;
+  }
+  // Spin, then park on the worker's wait slot until an inbound clock of an
+  // owned LP moves, a run arrives, or the last staller rings everyone into
+  // the rendezvous. A safepoint may have registered new inbound channels
+  // since the last stall, so the snapshot is rebuilt from the live lists.
+  const std::size_t lo = run.first_lp(worker);
+  const std::size_t hi = run.first_lp(worker + 1);
+  const auto& channels = impl_->channels;
+  snapshot.reserve((hi - lo) * run.lps);  // one slot per (owned LP, sender)
+  snapshot.clear();
+  for (std::size_t i = lo; i < hi; ++i)
+    for (std::uint32_t ci : impl_->inbound[i])
+      snapshot.push_back(
+          run.clocks[channels[ci]->src].v.load(std::memory_order_relaxed));
+  auto has_work = [&]() {
+    // After a failure nothing executes again: only the rendezvous remains.
+    if (run.failure.failed.load(std::memory_order_relaxed)) return false;
+    std::size_t c = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (std::uint32_t ci : impl_->inbound[i]) {
+        const Impl::Channel& ch = *channels[ci];
+        if (ch.tail->next.load(std::memory_order_relaxed) != nullptr ||
+            run.clocks[ch.src].v.load(std::memory_order_relaxed) !=
+                snapshot[c++])
+          return true;
+      }
+    }
+    return false;
+  };
+
+  util::WaitSlot& bell = run.doorbells[worker];
+  util::SpinWait spin(kSpinIterationsBeforePark);
+  const auto wait_start = std::chrono::steady_clock::now();
+  while (true) {
+    if (run.stalled.load(std::memory_order_acquire) == run.workers) {
+      run.quiescent.arrive_and_wait();  // consumes our stall token
+      break;
+    }
+    if (has_work()) {
+      run.stalled.fetch_sub(1, std::memory_order_acq_rel);
+      break;
+    }
+    if (spin.should_park()) {
+      // Eventcount handshake: snapshot the epoch, re-check both wake
+      // conditions, park. Every state change we could miss here is
+      // followed by a signal() to this slot, which either bumps the epoch
+      // before we sleep or wakes us after.
+      const std::uint32_t epoch = bell.prepare();
+      if (run.stalled.load(std::memory_order_acquire) != run.workers &&
+          !has_work()) {
+        bell.park(epoch);
+        ++impl_->lps[lo].parks;
+      }
+      spin.reset();
+    }
+  }
+  const double waited = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wait_start)
                             .count();
-      }
-    } catch (...) {
-      tl_current_lp = -1;
-      failure.record(std::current_exception());
-      // Publish an infinite clock — this LP executes nothing further, so no
-      // event it could still send undercuts any receiver's bound — ring
-      // every doorbell, then keep the stall/rendezvous protocol alive until
-      // everyone sees stop. The token is re-parked every round because each
-      // rendezvous completion resets the counter.
-      clocks[i].v.store(never(), std::memory_order_release);
-      signal_all();
-      while (!stop.load(std::memory_order_acquire)) {
-        if (stalled.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            static_cast<int>(k))
-          signal_all();
-        util::SpinWait spin(tuning_.spin_iterations, tuning_.park_on_idle);
-        while (!stop.load(std::memory_order_acquire) &&
-               stalled.load(std::memory_order_acquire) !=
-                   static_cast<int>(k)) {
-          if (spin.should_park()) {
-            const std::uint32_t epoch = lp.wake.prepare();
-            if (!stop.load(std::memory_order_acquire) &&
-                stalled.load(std::memory_order_acquire) !=
-                    static_cast<int>(k)) {
-              lp.wake.park(epoch);
-              ++lp.parks;
-            }
-            spin.reset();
-          }
-        }
-        if (stop.load(std::memory_order_acquire)) break;
-        rendezvous.arrive_and_wait();
-      }
-    }
-  };
+  for (std::size_t i = lo; i < hi; ++i) impl_->lps[i].idle_wait += waited;
+}
 
-  std::vector<std::thread> threads;
-  threads.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) threads.emplace_back(worker, i);
-  for (auto& t : threads) t.join();
-  if (auto first = failure.take()) std::rethrow_exception(first);
+void Kernel::close_window(Run& run) noexcept {
+  // Critical path = max busy + barrier cost; the coupled (application)
+  // time additionally floors each window at the simulated-time advance
+  // (live apps execute in real time).
+  auto& lps = impl_->lps;
+  double max_busy = 0;
+  for (const Impl::Lp& lp : lps) max_busy = std::max(max_busy, lp.window_busy);
+  const double engine_time = max_busy + cost_.per_window_sync;
+  stats_.modeled_time += engine_time;
+  stats_.coupled_time +=
+      std::max(engine_time, run.window_end - sim_position_);
+  sim_position_ = run.window_end;
+  ++stats_.windows;
+  for (Impl::Lp& lp : lps) {
+    lp.busy_total += lp.window_busy;
+    lp.window_busy = 0;
+  }
+  impl_->flush_dirty_senders();
+}
+
+SimTime Kernel::earliest_pending() const {
+  SimTime m = never();
+  for (const Impl::Lp& lp : impl_->lps)
+    if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
+  // Outboxes need no scan: GlobalWindow drains them before the quiescent
+  // barrier, and a ChannelLookahead worker stalls only after force-flushing
+  // its own. Channel runs are quiescent while every worker is parked.
+  for (const auto& ch : impl_->channels)
+    for (const Impl::Channel::RunNode* n =
+             ch->tail->next.load(std::memory_order_acquire);
+         n != nullptr; n = n->next.load(std::memory_order_acquire))
+      for (const Impl::Event& e : n->events) m = std::min(m, e.t);
+  return m;
+}
+
+void Kernel::quiesce(Run& run) noexcept {
+  const bool windows = sync_mode_ == SyncMode::GlobalWindow;
+  run.stalled.store(0, std::memory_order_relaxed);
+  SimTime gvt = never();
+  try {
+    if (!run.failure.failed.load(std::memory_order_relaxed))
+      gvt = earliest_pending();
+    // Fire every safepoint the run has caught up to. Nothing executes at
+    // or past a pending safepoint, so gvt >= sp certifies that every event
+    // before sp has executed: the globally quiescent state the hook
+    // contract promises.
+    while (!run.failure.failed.load(std::memory_order_relaxed) &&
+           next_safepoint() < run.end_time && gvt >= next_safepoint()) {
+      const SimTime sp = next_safepoint();
+      // ChannelLookahead: flush the hoards and drain the in-flight runs so
+      // the hook (and rehome_events) sees the whole pending set in LP
+      // queues. GlobalWindow drained its inboxes before this barrier.
+      if (!windows) impl_->drain_all_channels(cost_.per_remote_message);
+      ++stats_.safepoints;
+      if (safepoint_hook_) {
+        // The hook runs outside any event: current_lp() is -1, now()
+        // reports the safepoint time. in_safepoint_ gates the migration
+        // mutators.
+        in_safepoint_ = true;
+        tl_now = sp;
+        safepoint_hook_(sp);
+        in_safepoint_ = false;
+        tl_now = 0;
+      }
+      ++next_sp_;
+      if (windows) {
+        // One cluster-wide rendezvous per safepoint. ChannelLookahead
+        // charges its rendezvous in finalize_channel_run instead.
+        stats_.modeled_time += cost_.per_window_sync;
+        stats_.coupled_time += cost_.per_window_sync;
+      } else {
+        // Clocks restart from sp: migration may have handed an LP events
+        // earlier than its published clock, and sp is a valid promise for
+        // every LP because nothing pending precedes it.
+        for (std::size_t i = 0; i < run.lps; ++i)
+          run.clocks[i].v.store(sp, std::memory_order_relaxed);
+      }
+      gvt = earliest_pending();
+    }
+  } catch (...) {
+    in_safepoint_ = false;
+    tl_now = 0;
+    run.failure.record(std::current_exception());
+  }
+
+  if (run.failure.failed.load(std::memory_order_relaxed) ||
+      gvt >= run.end_time || gvt == never()) {
+    run.stop.store(true, std::memory_order_relaxed);
+  } else if (windows) {
+    // Windows never cross a pending safepoint.
+    run.window_end =
+        std::min({gvt + lookahead_, run.end_time, next_safepoint()});
+  } else {
+    for (std::size_t i = 0; i < run.lps; ++i)
+      if (run.clocks[i].v.load(std::memory_order_relaxed) < gvt)
+        run.clocks[i].v.store(gvt, std::memory_order_relaxed);
+    ++stats_.idle_jumps;
+  }
 }
 
 void Kernel::finalize_channel_run(SimTime end_time) {

@@ -20,8 +20,9 @@
 //
 // The kernel runs in two modes that produce bit-identical event histories:
 // Sequential (default; benches use it for determinism) and Threaded (one
-// std::thread per LP with std::barrier synchronization, demonstrating real
-// parallel execution).
+// std::thread per LP, synchronized through util::SpinBarrier and
+// util::WaitSlot). Both run the same worker loop: Sequential is one worker
+// owning every LP on the calling thread, Threaded one worker per LP.
 //
 // Two synchronization protocols are available (SyncMode):
 //
@@ -66,22 +67,22 @@ class Reader;
 namespace massf::des {
 
 using SimTime = double;
-using Callback = std::function<void()>;
 
-/// POD payload of a packet-hop event: an opaque pool-owned record plus the
-/// node it arrives at. The kernel never inspects `payload`; it hands the
-/// record to the registered EventSink when the event fires. Carrying this
-/// inline keeps the per-hop hot path free of std::function heap churn —
-/// the paper's per-engine load is "essentially one kernel event per packet"
-/// (§4.1.1), so this is the cost that bounds emulation scale.
+/// The kernel's one event type: an opaque pool-owned record plus the node
+/// it arrives at. The kernel never inspects `payload`; it hands the event
+/// to the registered EventSink when it fires. `node` doubles as the rehome
+/// key (see rehome_events); -1 pins the event to the LP it was scheduled
+/// on. Carrying this POD inline keeps the per-hop hot path free of heap
+/// churn — the paper's per-engine load is "essentially one kernel event per
+/// packet" (§4.1.1), so this is the cost that bounds emulation scale.
 struct PacketEvent {
   void* payload = nullptr;
   std::int32_t node = -1;
 };
 
-/// Receiver of packet-hop events (the emulator). Registered once before
-/// run_until(); invoked on the executing LP's thread with now() and
-/// current_lp() set, exactly like a Callback event. Must outlive the run.
+/// Receiver of every kernel event (the emulator). Registered once before
+/// the first schedule_packet; invoked on the executing LP's thread with
+/// now() and current_lp() set. Must outlive the run.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -116,7 +117,7 @@ const char* to_string(SyncMode mode);
 /// usually rides the bulk-heapify path (kBulkHeapifyThreshold) at the
 /// receiver. Exposed so tests can pin both sides of the threshold
 /// (KernelStats::handoff_runs is the observable). GlobalWindow mode always
-/// hands off whole windows and ignores this knob.
+/// hands off whole windows and ignores it.
 inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 
 /// Iterations a threaded worker spends in the cpu_relax() spin loop —
@@ -124,27 +125,8 @@ inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 /// on its futex-backed wait slot. ~2k pause iterations is on the order of
 /// a microsecond: long enough to bridge a neighbour's typical publish
 /// cadence without a syscall, short enough that a genuinely idle span
-/// costs one park instead of a burned scheduler quantum. Both sides are
-/// pinned by tests through KernelTuning (0 = park immediately; huge =
-/// never park within the test's horizon).
+/// costs one park instead of a burned scheduler quantum.
 inline constexpr std::uint32_t kSpinIterationsBeforePark = 2048;
-
-/// Wall-clock execution knobs (never affect the event history — only how
-/// fast the threaded runners get through it). Defaults are the tuned fast
-/// path; bench_wallclock selects pre-change-shaped baselines through this
-/// struct for its A/B gate.
-struct KernelTuning {
-  /// Outbox-run publish threshold (see kOutboxFlushEvents). Minimum 1:
-  /// every iteration-end flush publishes whatever accumulated.
-  std::uint32_t outbox_flush_events = kOutboxFlushEvents;
-  /// Spin budget before parking (see kSpinIterationsBeforePark).
-  std::uint32_t spin_iterations = kSpinIterationsBeforePark;
-  /// false = never park: exhausted spins degrade to sched_yield polling
-  /// (the pre-change idle protocol, kept selectable for A/B benchmarks).
-  bool park_on_idle = true;
-  /// Round-robin-pin worker i to CPU (i mod cores) in threaded runs.
-  bool pin_threads = false;
-};
 
 /// Bulk inbox appends below this size go through ordinary heap pushes; at
 /// or above it — and only when the batch is a sizable fraction of the queue
@@ -198,8 +180,8 @@ struct KernelStats {
   /// ChannelLookahead only: batched outbox runs published to channel
   /// mailboxes (each is one release-store regardless of how many events it
   /// carries). Deterministic in Sequential mode — the branch-pinning
-  /// observable for KernelTuning::outbox_flush_events; in Threaded mode a
-  /// diagnostic (stall-forced flushes depend on timing).
+  /// observable for kOutboxFlushEvents; in Threaded mode a diagnostic
+  /// (stall-forced flushes depend on timing).
   std::uint64_t handoff_runs = 0;
   /// Threaded only: times a worker exhausted its spin budget and parked on
   /// its wait slot (futex). Timing-dependent diagnostic, like idle_wait.
@@ -269,11 +251,6 @@ class Kernel {
   void set_sync_mode(SyncMode mode);
   SyncMode sync_mode() const { return sync_mode_; }
 
-  /// Wall-clock execution knobs (batching/idle policy; never affects the
-  /// event history). Set before run_until.
-  void set_tuning(const KernelTuning& tuning);
-  const KernelTuning& tuning() const { return tuning_; }
-
   /// Register a directed channel src → dst with its own lookahead (the
   /// minimum latency of cut links between that engine pair — at least the
   /// global lookahead, which is the min over *all* pairs). Semantics:
@@ -282,8 +259,8 @@ class Kernel {
   ///     the global lookahead (ChannelLookahead then degrades gracefully;
   ///     GlobalWindow is unaffected).
   ///   * Any channel registered: the channel graph is exactly the
-  ///     registered pairs. schedule_remote / schedule_packet_remote to an
-  ///     unregistered pair is rejected, and remote sends validate against
+  ///     registered pairs. schedule_packet_remote to an unregistered pair
+  ///     is rejected, and remote sends validate against
   ///     the *channel's* lookahead rather than the global one (this also
   ///     tightens GlobalWindow-mode validation — safe, since per-pair
   ///     lookaheads are >= the global minimum by construction).
@@ -302,35 +279,21 @@ class Kernel {
   /// rejected).
   double channel_lookahead(int src, int dst) const;
 
-  /// Schedule an event on LP `lp` at absolute time `t`.
-  /// Before run_until(): any LP may be targeted (initial event population).
-  /// During execution: only the currently executing LP may be targeted
-  /// (same-engine hop); use schedule_remote for other LPs.
-  ///
-  /// `key` is the event's rehome key (see rehome_events): callers that want
-  /// the event to follow a migratable entity (the emulator passes the
-  /// owning virtual-node id) set it; the default -1 pins the event to the
-  /// LP it was scheduled on. Packet events are keyed implicitly by
-  /// PacketEvent::node.
-  void schedule(int lp, SimTime t, Callback fn, std::int32_t key = -1);
-
-  /// Schedule onto another LP from inside an executing event. Requires
-  /// t >= now() + lookahead() (conservative safety; the emulator satisfies
-  /// this because cross-partition link latencies are >= lookahead).
-  /// `key`: rehome key, as in schedule().
-  void schedule_remote(int to_lp, SimTime t, Callback fn,
-                       std::int32_t key = -1);
-
-  /// Register the sink that receives packet events. Required before any
+  /// Register the sink that receives every event. Required before any
   /// schedule_packet/schedule_packet_remote call; the sink is not owned.
   void set_event_sink(EventSink* sink);
   EventSink* event_sink() const { return sink_; }
 
-  /// Allocation-free variants of schedule/schedule_remote: the event
-  /// carries the POD PacketEvent inline instead of a heap-backed closure
-  /// and is dispatched to the registered EventSink. Same targeting and
-  /// lookahead rules as the Callback variants.
+  /// Schedule an event on LP `lp` at absolute time `t`.
+  /// Before run_until(): any LP may be targeted (initial event population).
+  /// During execution: only the currently executing LP may be targeted
+  /// (same-engine hop); use schedule_packet_remote for other LPs.
   void schedule_packet(int lp, SimTime t, PacketEvent event);
+
+  /// Schedule onto another LP from inside an executing event. Requires
+  /// t >= now() + the channel's lookahead (conservative safety; the
+  /// emulator satisfies this because cross-partition link latencies are
+  /// >= lookahead).
   void schedule_packet_remote(int to_lp, SimTime t, PacketEvent event);
 
   /// The LP whose event is currently executing on this thread (-1 outside
@@ -344,7 +307,7 @@ class Kernel {
   // ---- Safepoints (live rebalancing) ------------------------------------
   //
   // A safepoint is a globally quiescent pause at simulation time `sp`:
-  // every runner (both SyncModes × both ExecutionModes) clips event
+  // the worker loop (both SyncModes × both ExecutionModes) clips event
   // execution strictly below the next pending safepoint, and once every
   // event with t < sp has executed — and, under ChannelLookahead, every
   // in-flight mailbox has been force-drained into its receiver's queue —
@@ -371,11 +334,10 @@ class Kernel {
   /// True while a safepoint hook is executing (gates the mutators below).
   bool in_safepoint() const { return in_safepoint_; }
 
-  /// Move every pending keyed event to the LP `target_of(key)` (keys are
-  /// PacketEvent::node for packet events, the schedule() key otherwise;
-  /// key -1 events are pinned and never move). target_of must return a
-  /// valid LP index for every key it is shown. Returns the number of events
-  /// moved. Hook-only.
+  /// Move every pending keyed event to the LP `target_of(key)` (the key is
+  /// PacketEvent::node; key -1 events are pinned and never move).
+  /// target_of must return a valid LP index for every key it is shown.
+  /// Returns the number of events moved. Hook-only.
   std::uint64_t rehome_events(const std::function<int(std::int32_t)>& target_of);
 
   /// Lower the global lookahead to `la` (0 < la <= current). Migration can
@@ -392,7 +354,7 @@ class Kernel {
   // ---- Checkpoint / restore ---------------------------------------------
   //
   // A checkpoint captures the complete kernel run state at a safepoint —
-  // per-LP event queues (packet events only), counters, history-hash
+  // per-LP event queues, counters, history-hash
   // streams, load series, the channel graph with its per-channel stats, and
   // the live aggregate counters — such that a freshly built kernel restored
   // from it and run to the same end_time produces a bit-identical
@@ -404,9 +366,7 @@ class Kernel {
   /// Serialize the kernel run state into `w`. Hook-only (the quiescent
   /// single-threaded pause is what makes the state well defined).
   /// `save_payload` serializes one PacketEvent payload (the emulator writes
-  /// the pool-owned Packet record). Pending Callback events are rejected
-  /// with an actionable error — closures cannot be serialized; emulator-
-  /// internal control flow uses typed control packets instead.
+  /// the pool-owned Packet record).
   void save_checkpoint(
       ckpt::Writer& w,
       const std::function<void(ckpt::Writer&, const PacketEvent&)>&
@@ -441,21 +401,35 @@ class Kernel {
 
  private:
   struct Impl;
+  /// Coordination state of one run_until, shared by its workers.
+  struct Run;
 
-  void run_sequential(SimTime end_time);
-  void run_threaded(SimTime end_time);
-  void run_channel_sequential(SimTime end_time);
-  void run_channel_threaded(SimTime end_time);
+  /// Run `workers` workers, each owning a contiguous block of LPs; one
+  /// worker runs on the calling thread.
+  void run_workers(SimTime end_time, std::size_t workers);
+  /// The worker loop: rounds of per-LP steps, each followed by the sync
+  /// step of the protocol.
+  void work(Run& run, std::size_t worker);
+  /// One LP's share of a round; returns whether it executed anything.
+  bool step(Run& run, std::size_t lp);
+  /// ChannelLookahead: wait until an owned LP may have work, or join the
+  /// rendezvous once every worker is stalled.
+  void stall(Run& run, std::size_t worker, std::vector<SimTime>& snapshot);
+  /// GlobalWindow completion step after every window: account it and route
+  /// the outboxes to their receivers.
+  void close_window(Run& run) noexcept;
+  /// Completion step of the quiescent barrier (every worker parked): fire
+  /// due safepoints, then stop, open the next window (GlobalWindow) or jump
+  /// every clock over an idle span (ChannelLookahead).
+  void quiesce(Run& run) noexcept;
+  /// Earliest pending event anywhere (queues and in-flight channel runs).
+  /// Only meaningful with every worker parked.
+  SimTime earliest_pending() const;
   void finalize_channel_run(SimTime end_time);
   double remote_lookahead(int to_lp) const;
 
   /// Next pending safepoint time, or never() when the schedule is spent.
   SimTime next_safepoint() const;
-  /// Run the hook (if any) with the in_safepoint gate raised; counts the
-  /// safepoint. Shared by all four runners.
-  void run_safepoint_hook(SimTime sp);
-  /// GlobalWindow firing: hook + per-safepoint sync charge + advance.
-  void fire_global_safepoint(SimTime sp);
 
   int lp_count_;
   double lookahead_;
@@ -466,7 +440,6 @@ class Kernel {
   bool ran_ = false;
   bool in_safepoint_ = false;
   SyncMode sync_mode_ = SyncMode::GlobalWindow;
-  KernelTuning tuning_;
   std::vector<SimTime> safepoints_;  // sorted + deduped at run_until
   std::size_t next_sp_ = 0;          // index of the next unfired safepoint
   SimTime resume_time_ = 0;          // checkpoint time restored from (0 = fresh)

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "emu/packet.hpp"
@@ -51,13 +50,7 @@ class AppApi {
   std::uint64_t send_reliable(NodeId dst, double bytes, int tag = 0,
                               std::uint64_t corr = 0);
 
-  /// Model a compute phase: run `fn` on this host after `delay` seconds of
-  /// simulated computation. Closure-based and therefore NOT serializable: a
-  /// checkpoint taken while such an event is pending is rejected with an
-  /// actionable error. Checkpoint-safe endpoints use set_timer instead.
-  void after(double delay, std::function<void()> fn);
-
-  /// Checkpoint-safe compute phase: after `delay` seconds of simulated
+  /// Model a compute phase: after `delay` seconds of simulated
   /// computation, the endpoint's on_timer(api, tag) upcall runs on this
   /// host. The pending timer is a typed control event, so it survives
   /// checkpoint/restore bit-identically.

@@ -56,11 +56,6 @@ void AppApi::record_latency(int series, double seconds) {
   emulator_.record_latency(series, seconds);
 }
 
-void AppApi::after(double delay, std::function<void()> fn) {
-  MASSF_REQUIRE(delay >= 0, "compute delay must be non-negative");
-  emulator_.schedule_on_host(host_, now() + delay, std::move(fn));
-}
-
 void AppApi::set_timer(double delay, std::int64_t tag) {
   MASSF_REQUIRE(delay >= 0, "timer delay must be non-negative");
   emulator_.schedule_timer(host_, now() + delay, tag);
@@ -94,7 +89,6 @@ Emulator::Emulator(const topology::Network& network,
   kernel_->set_bucket_width(config_.bucket_width);
   kernel_->set_event_sink(this);
   kernel_->set_sync_mode(config_.sync_mode);
-  kernel_->set_tuning(config_.tuning);
   register_channel_lookaheads();
   if (config_.collect_netflow)
     netflow_ = std::make_unique<NetFlowCollector>(
@@ -172,11 +166,6 @@ void Emulator::install_endpoint(NodeId host,
   // checkpoint; keyed by host so it follows the host if it migrates.
   Packet* start = make_control(PacketKind::CtrlStart, host, 0);
   kernel_->schedule_packet(engine_of(host), start_at, {start, host});
-}
-
-void Emulator::schedule_on_host(NodeId host, SimTime t, des::Callback fn) {
-  // Keyed by host so a pending callback follows the host if it migrates.
-  kernel_->schedule(engine_of(host), t, std::move(fn), /*key=*/host);
 }
 
 Packet* Emulator::make_control(PacketKind kind, NodeId host,

@@ -81,10 +81,6 @@ struct EmulatorConfig {
   /// are scheduled engine-locally), so per-pair cut minima are valid
   /// channel lookaheads by construction.
   des::SyncMode sync_mode = des::SyncMode::GlobalWindow;
-  /// Kernel wall-clock execution knobs (outbox batching, spin-then-park
-  /// idle policy, thread pinning). Never affects the emulated history —
-  /// bench_wallclock drives its A/B baselines through this.
-  des::KernelTuning tuning{};
 };
 
 /// Aggregate emulator counters (folded from per-node slots after a run).
@@ -388,14 +384,9 @@ class Emulator : private des::EventSink {
   /// count when recycling works (the allocation-free hot-path invariant).
   std::size_t packet_pool_size() const { return pool_.allocated(); }
 
-  /// Schedule arbitrary work on a host's engine (used by AppApi::after and
-  /// the replayer). At setup time any host is allowed; during execution the
-  /// host must live on the executing engine. Closure-based — a checkpoint
-  /// cannot serialize it (see AppApi::set_timer for the serializable form).
-  void schedule_on_host(NodeId host, SimTime t, des::Callback fn);
-
   /// Arm a serializable timer: the endpoint on `host` gets on_timer(api,
-  /// tag) at time `at`. Same call-site rules as schedule_on_host.
+  /// tag) at time `at`. At setup time any host is allowed; during execution
+  /// the host must live on the executing engine.
   void schedule_timer(NodeId host, SimTime at, std::int64_t tag);
 
  private:

@@ -1,29 +1,26 @@
 // Adaptive spin-then-park waiting primitives shared by the DES kernel's
-// threaded runners (both SyncMode protocols — DESIGN.md §11).
+// worker loop (both SyncMode protocols — DESIGN.md §11).
 //
-// The pre-batching idle protocol burned a scheduler quantum per poll
-// (std::this_thread::yield loops) or paid a futex syscall per window
-// (std::barrier). Both are wrong defaults for a conservative DES: idle
-// spans are usually *short* (a neighbour LP publishes its clock within a
-// few hundred nanoseconds) but occasionally *long* (a genuinely idle
-// simulation span that only a rendezvous can jump). The primitives here
-// split the difference:
+// Yield-polling burns a scheduler quantum per poll and a futex-backed
+// barrier pays a syscall per window. Both are wrong defaults for a
+// conservative DES: idle spans are usually *short* (a neighbour LP
+// publishes its clock within a few hundred nanoseconds) but occasionally
+// *long* (a genuinely idle simulation span that only a rendezvous can
+// jump). The primitives here split the difference:
 //
 //   * SpinWait — a bounded cpu_relax() spin that escalates: for the first
 //     `spin_budget` iterations it executes a pause instruction (cheap,
 //     keeps the core's load port free for the line it is polling); past
-//     the budget it either tells the caller to park (park allowed) or
-//     degrades to sched_yield (park disallowed — the pre-change behaviour,
-//     kept selectable so benchmarks can A/B the old protocol).
+//     the budget it tells the caller to park.
 //   * WaitSlot — a one-waiter eventcount: the waiter snapshots an epoch,
 //     re-checks its predicate, and parks on the epoch word via C++20
 //     atomic wait (futex on Linux); signalers bump the epoch and issue the
 //     wake syscall only when a waiter actually announced itself, so the
 //     signal fast path is one uncontended fetch_add + load.
 //   * SpinBarrier — a sense-reversing centralized barrier over the same
-//     spin-then-park policy, with a single-threaded completion step
-//     (replaces std::barrier in both threaded runners so the idle policy
-//     is uniform and tunable).
+//     spin-then-park policy, with a single-threaded completion step. With
+//     one participant it completes on arrival, so a single-worker run pays
+//     a few uncontended atomics per phase and never waits.
 //
 // Every busy-wait loop in src/ must go through this header — massf-lint's
 // busy-wait rule flags raw yield/empty-while polls elsewhere.
@@ -32,12 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <thread>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include <utility>
 
 namespace massf::util {
 
@@ -53,38 +45,18 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Round-robin-pin the calling thread to `cpu` (mod the online set).
-/// Returns false when unsupported; pinning is a locality hint, never a
-/// correctness requirement.
-inline bool pin_current_thread(unsigned cpu) noexcept {
-#if defined(__linux__)
-  const unsigned n = std::thread::hardware_concurrency();
-  if (n == 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % n), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
 /// Bounded-spin policy object. Usage:
 ///
-///   SpinWait spin(budget, park_allowed);
+///   SpinWait spin(budget);
 ///   while (!predicate()) {
 ///     if (spin.should_park()) { <announce + park>; spin.reset(); }
 ///   }
 ///
 /// should_park() burns one cpu_relax() per call while the budget lasts and
-/// returns false; once exhausted it returns true when parking is allowed,
-/// or yields the scheduler quantum and returns false when it is not (the
-/// caller then stays in its poll loop — the legacy protocol).
+/// returns false; once exhausted it returns true.
 class SpinWait {
  public:
-  explicit SpinWait(std::uint32_t spin_budget, bool park_allowed = true)
-      : budget_(spin_budget), park_(park_allowed) {}
+  explicit SpinWait(std::uint32_t spin_budget) : budget_(spin_budget) {}
 
   bool should_park() noexcept {
     if (spun_ < budget_) {
@@ -92,9 +64,7 @@ class SpinWait {
       cpu_relax();
       return false;
     }
-    if (park_) return true;
-    std::this_thread::yield();  // massf-lint: allow(busy-wait)
-    return false;
+    return true;
   }
 
   /// Re-arm the spin budget (after a park or a successful poll).
@@ -105,7 +75,6 @@ class SpinWait {
  private:
   std::uint32_t spun_ = 0;
   const std::uint32_t budget_;
-  const bool park_;
 };
 
 /// One-waiter eventcount. The waiter side:
@@ -161,11 +130,10 @@ class alignas(64) WaitSlot {
 class SpinBarrier {
  public:
   SpinBarrier(int participants, std::function<void()> completion,
-              std::uint32_t spin_budget, bool park_allowed = true)
+              std::uint32_t spin_budget)
       : n_(participants),
         completion_(std::move(completion)),
-        spin_budget_(spin_budget),
-        park_(park_allowed) {}
+        spin_budget_(spin_budget) {}
 
   SpinBarrier(const SpinBarrier&) = delete;
   SpinBarrier& operator=(const SpinBarrier&) = delete;
@@ -181,7 +149,7 @@ class SpinBarrier {
       if (parked_.load(std::memory_order_seq_cst) > 0) phase_.notify_all();
       return;
     }
-    SpinWait spin(spin_budget_, park_);
+    SpinWait spin(spin_budget_);
     while (phase_.load(std::memory_order_acquire) == phase) {
       if (spin.should_park()) {
         parked_.fetch_add(1, std::memory_order_seq_cst);
@@ -197,7 +165,6 @@ class SpinBarrier {
   const int n_;
   const std::function<void()> completion_;
   const std::uint32_t spin_budget_;
-  const bool park_;
   alignas(64) std::atomic<int> arrived_{0};
   alignas(64) std::atomic<std::uint32_t> phase_{0};
   alignas(64) std::atomic<int> parked_{0};

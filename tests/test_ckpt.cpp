@@ -330,23 +330,6 @@ TEST(SafepointEdge, DuplicateSafepointsCoalesceIntoOnePause) {
 // Checkpoint content errors and retention
 // ---------------------------------------------------------------------------
 
-TEST(Checkpoint, RejectsPendingClosuresWithActionableError) {
-  TinyNet fx;
-  emu::Emulator emu = fx.make({0, 0, 1, 1}, 2);
-  emu.send_message(fx.a, fx.b, 4000, 0, 0.5);
-  // A raw closure pending at the snapshot instant cannot be serialized.
-  emu.schedule_on_host(fx.a, 7.0, [] {});
-  emu.set_checkpoint_schedule(schedule(fresh_dir("closure"), 5.0), 10.0);
-  try {
-    emu.run(10.0);
-    FAIL() << "expected the pending closure to be rejected";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("closure"), std::string::npos) << what;
-    EXPECT_NE(what.find("set_timer"), std::string::npos) << what;
-  }
-}
-
 TEST(Checkpoint, PruneKeepsOnlyTheNewestSnapshots) {
   TinyNet fx;
   const std::string dir = fresh_dir("prune");

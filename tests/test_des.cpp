@@ -6,20 +6,24 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <vector>
 
 #include "des/kernel.hpp"
+#include "kernel_script.hpp"
 
 namespace massf::des {
 namespace {
 
 TEST(Kernel, EventsRunInTimestampOrderPerLp) {
   Kernel kernel(1, 0.5);
+  ScriptSink script(kernel);
   std::vector<double> order;
-  kernel.schedule(0, 3.0, [&] { order.push_back(3.0); });
-  kernel.schedule(0, 1.0, [&] { order.push_back(1.0); });
-  kernel.schedule(0, 2.0, [&] { order.push_back(2.0); });
+  script.at(0, 3.0, [&] { order.push_back(3.0); });
+  script.at(0, 1.0, [&] { order.push_back(1.0); });
+  script.at(0, 2.0, [&] { order.push_back(2.0); });
   kernel.run_until(10.0);
   EXPECT_EQ(order, (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(kernel.stats().events_per_lp[0], 3u);
@@ -27,48 +31,55 @@ TEST(Kernel, EventsRunInTimestampOrderPerLp) {
 
 TEST(Kernel, SameTimeEventsRunInScheduleOrder) {
   Kernel kernel(1, 0.5);
+  ScriptSink script(kernel);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i)
-    kernel.schedule(0, 1.0, [&order, i] { order.push_back(i); });
+    script.at(0, 1.0, [&order, i] { order.push_back(i); });
   kernel.run_until(10.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(Kernel, ChildEventsInSameWindowRun) {
   Kernel kernel(1, 1.0);
+  ScriptSink script(kernel);
   std::vector<double> times;
-  kernel.schedule(0, 0.5, [&] {
+  script.at(0, 0.5, [&] {
     times.push_back(0.5);
-    // Schedules within the current window: must still execute.
-    // (now=0.5, window end >= 1.5 > 0.9)
+    // A child inside the current window (now=0.5, window end 1.5) must
+    // still execute in it.
+    script.at(0, 0.9, [&] { times.push_back(0.9); });
   });
   kernel.run_until(10.0);
-  EXPECT_EQ(times.size(), 1u);
+  EXPECT_EQ(times, (std::vector<double>{0.5, 0.9}));
+  EXPECT_EQ(kernel.stats().windows, 1u);
 }
 
 TEST(Kernel, NowReflectsEventTime) {
   Kernel kernel(1, 0.5);
+  ScriptSink script(kernel);
   double seen = -1;
-  kernel.schedule(0, 2.25, [&] { seen = kernel.now(); });
+  script.at(0, 2.25, [&] { seen = kernel.now(); });
   kernel.run_until(10.0);
   EXPECT_DOUBLE_EQ(seen, 2.25);
 }
 
 TEST(Kernel, EndTimeExcludesLaterEvents) {
   Kernel kernel(1, 0.5);
+  ScriptSink script(kernel);
   int ran = 0;
-  kernel.schedule(0, 1.0, [&] { ++ran; });
-  kernel.schedule(0, 5.0, [&] { ++ran; });
+  script.at(0, 1.0, [&] { ++ran; });
+  script.at(0, 5.0, [&] { ++ran; });
   kernel.run_until(5.0);  // strictly-before semantics
   EXPECT_EQ(ran, 1);
 }
 
 TEST(Kernel, RemoteNeedsLookahead) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   bool violated_caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  script.at(0, 1.0, [&] {
     try {
-      kernel.schedule_remote(1, 1.5, [] {});  // < now + lookahead
+      script.remote(1, 1.5, [] {});  // < now + lookahead
     } catch (const std::invalid_argument&) {
       violated_caught = true;
     }
@@ -79,9 +90,10 @@ TEST(Kernel, RemoteNeedsLookahead) {
 
 TEST(Kernel, RemoteDeliveryExecutes) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   double delivered_at = -1;
-  kernel.schedule(0, 1.0, [&] {
-    kernel.schedule_remote(1, 2.5, [&] { delivered_at = kernel.now(); });
+  script.at(0, 1.0, [&] {
+    script.remote(1, 2.5, [&] { delivered_at = kernel.now(); });
   });
   kernel.run_until(10.0);
   EXPECT_DOUBLE_EQ(delivered_at, 2.5);
@@ -91,10 +103,11 @@ TEST(Kernel, RemoteDeliveryExecutes) {
 
 TEST(Kernel, ScheduleDuringRunOnlyTargetsOwnLp) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   bool caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  script.at(0, 1.0, [&] {
     try {
-      kernel.schedule(1, 5.0, [] {});
+      kernel.schedule_packet(1, 5.0, {});
     } catch (const std::invalid_argument&) {
       caught = true;
     }
@@ -105,10 +118,11 @@ TEST(Kernel, ScheduleDuringRunOnlyTargetsOwnLp) {
 
 TEST(Kernel, CannotScheduleIntoPast) {
   Kernel kernel(1, 1.0);
+  ScriptSink script(kernel);
   bool caught = false;
-  kernel.schedule(0, 2.0, [&] {
+  script.at(0, 2.0, [&] {
     try {
-      kernel.schedule(0, 1.0, [] {});
+      kernel.schedule_packet(0, 1.0, {});
     } catch (const std::invalid_argument&) {
       caught = true;
     }
@@ -120,8 +134,9 @@ TEST(Kernel, CannotScheduleIntoPast) {
 TEST(Kernel, IdleSpansAreSkipped) {
   // Two events 1000 lookaheads apart must not cost 1000 windows.
   Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.0, [] {});
-  kernel.schedule(0, 1000.0, [] {});
+  ScriptSink script(kernel);
+  kernel.schedule_packet(0, 0.0, {});
+  kernel.schedule_packet(0, 1000.0, {});
   kernel.run_until(2000.0);
   EXPECT_LE(kernel.stats().windows, 4u);
 }
@@ -132,7 +147,8 @@ TEST(Kernel, ModeledTimeTracksCostModel) {
   cost.per_remote_message = 0;
   cost.per_window_sync = 1e-2;
   Kernel kernel(1, 1.0, cost);
-  for (int i = 0; i < 10; ++i) kernel.schedule(0, 0.5, [] {});
+  ScriptSink script(kernel);
+  for (int i = 0; i < 10; ++i) kernel.schedule_packet(0, 0.5, {});
   kernel.run_until(10.0);
   // One window: 10 events * 1ms + 1 sync * 10ms.
   EXPECT_NEAR(kernel.stats().modeled_time, 10 * 1e-3 + 1e-2, 1e-12);
@@ -141,10 +157,11 @@ TEST(Kernel, ModeledTimeTracksCostModel) {
 
 TEST(Kernel, LoadSeriesBucketsBySimTime) {
   Kernel kernel(1, 10.0);
+  ScriptSink script(kernel);
   kernel.set_bucket_width(1.0);
-  kernel.schedule(0, 0.5, [] {});
-  kernel.schedule(0, 2.5, [] {});
-  kernel.schedule(0, 2.75, [] {});
+  kernel.schedule_packet(0, 0.5, {});
+  kernel.schedule_packet(0, 2.5, {});
+  kernel.schedule_packet(0, 2.75, {});
   kernel.run_until(10.0);
   const auto& series = kernel.stats().load_series[0];
   ASSERT_GE(series.size(), 3u);
@@ -155,63 +172,22 @@ TEST(Kernel, LoadSeriesBucketsBySimTime) {
 
 TEST(Kernel, RunTwiceRejected) {
   Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.5, [] {});
+  ScriptSink script(kernel);
+  kernel.schedule_packet(0, 0.5, {});
   kernel.run_until(1.0);
   EXPECT_THROW(kernel.run_until(2.0), std::invalid_argument);
 }
 
 TEST(Kernel, ThreadedExceptionPropagates) {
   Kernel kernel(2, 1.0);
-  kernel.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
-  kernel.schedule(1, 0.5, [] {});
+  ScriptSink script(kernel);
+  script.at(0, 0.5, [] { throw std::runtime_error("boom"); });
+  kernel.schedule_packet(1, 0.5, {});
   EXPECT_THROW(kernel.run_until(10.0, ExecutionMode::Threaded),
                std::runtime_error);
 }
 
-/// Build a deterministic ping-pong workload across `lps` LPs and return the
-/// kernel stats after running in the given mode.
-KernelStats pingpong(int lps, ExecutionMode mode,
-                     SyncMode sync = SyncMode::GlobalWindow,
-                     const KernelTuning& tuning = KernelTuning{}) {
-  Kernel kernel(lps, 1.0);
-  kernel.set_sync_mode(sync);
-  kernel.set_tuning(tuning);
-  // Self-perpetuating chains: each LP forwards a token around the ring,
-  // also scheduling local work.
-  std::function<void(int, int)> hop = [&](int lp, int hops_left) {
-    if (hops_left == 0) return;
-    const double now = kernel.now();
-    kernel.schedule(lp, now + 0.25, [] {});  // local filler
-    const int next = (lp + 1) % lps;
-    auto continuation = [&hop, next, hops_left] { hop(next, hops_left - 1); };
-    if (next == lp)
-      kernel.schedule(lp, now + 1.0, continuation);
-    else
-      kernel.schedule_remote(next, now + 1.0, continuation);
-  };
-  for (int lp = 0; lp < lps; ++lp)
-    kernel.schedule(lp, 0.1 * (lp + 1), [&hop, lp] { hop(lp, 40); });
-  kernel.run_until(1e6, mode);
-  return kernel.stats();
-}
-
-class ModeEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(ModeEquivalence, SequentialAndThreadedIdentical) {
-  const int lps = GetParam();
-  const KernelStats seq = pingpong(lps, ExecutionMode::Sequential);
-  const KernelStats thr = pingpong(lps, ExecutionMode::Threaded);
-  EXPECT_EQ(seq.history_hash, thr.history_hash);
-  EXPECT_EQ(seq.events_per_lp, thr.events_per_lp);
-  EXPECT_EQ(seq.remote_messages, thr.remote_messages);
-  EXPECT_EQ(seq.windows, thr.windows);
-  EXPECT_NEAR(seq.modeled_time, thr.modeled_time, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(LpCounts, ModeEquivalence,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
-// ---- Typed packet-event path ---------------------------------------------
+// ---- Packet ping-pong ------------------------------------------------------
 
 /// Pool-like stable storage for hop records referenced by PacketEvents.
 struct HopRecord {
@@ -220,19 +196,27 @@ struct HopRecord {
 };
 
 /// Sink that forwards each hop to the next LP (remote) or reschedules
-/// locally, mimicking the emulator's packet-train hop chains.
+/// locally, mimicking the emulator's packet-train hop chains. Every hop
+/// also schedules a local filler event (null payload) and `fanout` filler
+/// events on the next LP alongside the hop.
 class ForwardingSink : public EventSink {
  public:
-  ForwardingSink(Kernel& kernel, int lps) : kernel_(kernel), lps_(lps) {}
+  ForwardingSink(Kernel& kernel, int lps, int fanout)
+      : kernel_(kernel), lps_(lps), fanout_(fanout) {}
 
   void on_packet_event(const PacketEvent& event) override {
     auto* rec = static_cast<HopRecord*>(event.payload);
-    if (--rec->hops_left <= 0) return;
+    if (rec == nullptr || --rec->hops_left <= 0) return;
     const double now = kernel_.now();
-    // Local filler through the Callback fallback: packet and callback
-    // events must interleave deterministically.
-    kernel_.schedule(rec->lp, now + 0.25, [] {});
+    kernel_.schedule_packet(rec->lp, now + 0.25, {});
     const int next = (rec->lp + 1) % lps_;
+    for (int f = 0; f < fanout_; ++f) {
+      const double t = now + 1.0 + 0.01 * (f + 1);
+      if (next == rec->lp)
+        kernel_.schedule_packet(next, t, {});
+      else
+        kernel_.schedule_packet_remote(next, t, {});
+    }
     if (next == rec->lp) {
       kernel_.schedule_packet(rec->lp, now + 1.0, {rec, rec->lp});
     } else {
@@ -244,7 +228,182 @@ class ForwardingSink : public EventSink {
  private:
   Kernel& kernel_;
   int lps_;
+  int fanout_;
 };
+
+/// Two 40-hop chains per LP forwarded around the LP ring by the sink.
+/// `fanout` 0 is sparse cross-LP traffic (outbox runs stay below
+/// kOutboxFlushEvents); fanout >= kOutboxFlushEvents sends bursts that
+/// reach the flush threshold within one advance.
+KernelStats pingpong(int lps, ExecutionMode mode,
+                     SyncMode sync = SyncMode::GlobalWindow, int fanout = 0) {
+  Kernel kernel(lps, 1.0);
+  kernel.set_sync_mode(sync);
+  ForwardingSink sink(kernel, lps, fanout);
+  kernel.set_event_sink(&sink);
+  std::vector<HopRecord> records(static_cast<std::size_t>(2 * lps));
+  for (int lp = 0; lp < lps; ++lp) {
+    for (int c = 0; c < 2; ++c) {
+      auto* rec = &records[static_cast<std::size_t>(2 * lp + c)];
+      *rec = {lp, 40};
+      kernel.schedule_packet(lp, 0.1 * (lp + 1) + 0.05 * c, {rec, lp});
+    }
+  }
+  kernel.run_until(1e6, mode);
+  return kernel.stats();
+}
+
+constexpr int kBurst = static_cast<int>(kOutboxFlushEvents);
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+/// Exact Sequential counters of the ping-pong. Any drift in the window
+/// schedule, round order, flush branch or cost accounting shows up here
+/// even when the history hash survives.
+struct GoldenRun {
+  int lps;
+  SyncMode sync;
+  int fanout;
+  std::uint64_t windows;
+  std::uint64_t idle_jumps;
+  std::uint64_t channel_advances;
+  std::uint64_t handoff_runs;
+  std::uint64_t remote_messages;
+  std::uint64_t history_hash;
+  std::uint64_t modeled_time_bits;
+};
+
+constexpr SyncMode kGW = SyncMode::GlobalWindow;
+constexpr SyncMode kCL = SyncMode::ChannelLookahead;
+
+const GoldenRun kGolden[] = {
+    {1, kGW, 0, 40u, 0u, 0u, 0u, 0u,
+     0x898fd43d4213b2cull, 0x3f82007dd4413552ull},
+    {1, kCL, 0, 0u, 0u, 1u, 0u, 0u,
+     0x898fd43d4213b2cull, 0x3f50385c67dfe332ull},
+    {2, kGW, 0, 40u, 0u, 0u, 0u, 156u,
+     0x6f7031151845ac59ull, 0x3f88644523f67f4dull},
+    {2, kCL, 0, 0u, 20u, 42u, 40u, 156u,
+     0x6f7031151845ac59ull, 0x3f809bf9c62a1b5eull},
+    {3, kGW, 0, 40u, 0u, 0u, 0u, 234u,
+     0x7db58848b3d15af6ull, 0x3f88644523f67f4dull},
+    {3, kCL, 0, 0u, 12u, 119u, 42u, 234u,
+     0x7db58848b3d15af6ull, 0x3f7aaa3ad18d25f2ull},
+    {4, kGW, 0, 40u, 0u, 0u, 0u, 312u,
+     0x3e8c864ecb30e096ull, 0x3f88644523f67f4dull},
+    {4, kCL, 0, 0u, 10u, 195u, 80u, 312u,
+     0x3e8c864ecb30e096ull, 0x3f7906cca2db61beull},
+    {8, kGW, 0, 40u, 0u, 0u, 0u, 624u,
+     0x49c188ac6a673258ull, 0x3f88ca8198f1d3eaull},
+    {8, kCL, 0, 0u, 4u, 393u, 215u, 624u,
+     0x49c188ac6a673258ull, 0x3f741c8216c61525ull},
+    {4, kGW, kBurst, 40u, 0u, 0u, 0u, 5304u,
+     0xb936aa5b0dfacdfeull, 0x3fb16d0917d6b665ull},
+    {4, kCL, kBurst, 0u, 0u, 121u, 118u, 5304u,
+     0xb936aa5b0dfacdfeull, 0x3faedbb59ddc1e73ull},
+};
+
+TEST(GoldenSequential, PingPongCountersArePinned) {
+  for (const GoldenRun& g : kGolden) {
+    const KernelStats got = pingpong(g.lps, ExecutionMode::Sequential, g.sync,
+                                     g.fanout);
+    SCOPED_TRACE(::testing::Message()
+                 << "{" << g.lps << ", "
+                 << (g.sync == kGW ? "kGW" : "kCL") << ", " << g.fanout
+                 << ", " << got.windows << "u, " << got.idle_jumps << "u, "
+                 << got.channel_advances << "u, " << got.handoff_runs
+                 << "u, " << got.remote_messages << "u, 0x" << std::hex
+                 << got.history_hash << "ull, 0x"
+                 << bits_of(got.modeled_time) << "ull},");
+    EXPECT_EQ(got.windows, g.windows);
+    EXPECT_EQ(got.idle_jumps, g.idle_jumps);
+    EXPECT_EQ(got.channel_advances, g.channel_advances);
+    EXPECT_EQ(got.handoff_runs, g.handoff_runs);
+    EXPECT_EQ(got.remote_messages, g.remote_messages);
+    EXPECT_EQ(got.history_hash, g.history_hash);
+    EXPECT_EQ(bits_of(got.modeled_time), g.modeled_time_bits);
+  }
+}
+
+// Both outbox flush branches stay covered: the sparse ping-pong publishes
+// runs shorter than kOutboxFlushEvents (hoarded until a forced flush), the
+// burst variant publishes runs at or above it.
+TEST(GoldenSequential, SparseAndBurstTakeBothFlushBranches) {
+  const KernelStats sparse =
+      pingpong(4, ExecutionMode::Sequential, kCL, /*fanout=*/0);
+  const KernelStats burst =
+      pingpong(4, ExecutionMode::Sequential, kCL, kBurst);
+  ASSERT_GT(sparse.handoff_runs, 0u);
+  ASSERT_GT(burst.handoff_runs, 0u);
+  EXPECT_LT(sparse.remote_messages, kOutboxFlushEvents * sparse.handoff_runs);
+  EXPECT_GE(burst.remote_messages, kOutboxFlushEvents * burst.handoff_runs);
+}
+
+/// One 40-hop token per LP passed around the LP ring by inline ScriptSink
+/// bodies: each hop schedules a local filler and its own continuation on
+/// the next LP, so event bodies are created while the run is in flight.
+KernelStats script_ring(int lps, ExecutionMode mode,
+                        SyncMode sync = SyncMode::GlobalWindow) {
+  Kernel kernel(lps, 1.0);
+  kernel.set_sync_mode(sync);
+  ScriptSink script(kernel);
+  std::function<void(int, int)> hop = [&](int lp, int hops_left) {
+    if (hops_left == 0) return;
+    const double now = kernel.now();
+    kernel.schedule_packet(lp, now + 0.25, {});  // local filler
+    const int next = (lp + 1) % lps;
+    auto continuation = [&hop, next, hops_left] { hop(next, hops_left - 1); };
+    if (next == lp)
+      script.at(lp, now + 1.0, continuation);
+    else
+      script.remote(next, now + 1.0, continuation);
+  };
+  for (int lp = 0; lp < lps; ++lp)
+    script.at(lp, 0.1 * (lp + 1), [&hop, lp] { hop(lp, 40); });
+  kernel.run_until(1e6, mode);
+  return kernel.stats();
+}
+
+void expect_same_run(const KernelStats& seq, const KernelStats& thr) {
+  EXPECT_EQ(seq.history_hash, thr.history_hash);
+  EXPECT_EQ(seq.events_per_lp, thr.events_per_lp);
+  EXPECT_EQ(seq.remote_messages, thr.remote_messages);
+  EXPECT_EQ(seq.windows, thr.windows);
+  EXPECT_NEAR(seq.modeled_time, thr.modeled_time, 1e-9);
+  EXPECT_EQ(seq.load_series, thr.load_series);
+}
+
+class ModeEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(ModeEquivalence, SequentialAndThreadedIdentical) {
+  const int lps = GetParam();
+  expect_same_run(script_ring(lps, ExecutionMode::Sequential),
+                  script_ring(lps, ExecutionMode::Threaded));
+}
+
+INSTANTIATE_TEST_SUITE_P(LpCounts, ModeEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 8));
+
+class PacketModeEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(PacketModeEquivalence, SequentialAndThreadedIdentical) {
+  const int lps = GetParam();
+  for (const int fanout : {0, kBurst}) {
+    SCOPED_TRACE(::testing::Message() << "fanout " << fanout);
+    expect_same_run(
+        pingpong(lps, ExecutionMode::Sequential, SyncMode::GlobalWindow,
+                 fanout),
+        pingpong(lps, ExecutionMode::Threaded, SyncMode::GlobalWindow,
+                 fanout));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LpCounts, PacketModeEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 8));
 
 TEST(KernelPacket, RequiresSinkRegistration) {
   Kernel kernel(1, 1.0);
@@ -285,10 +444,9 @@ TEST(KernelPacket, DispatchesToSinkWithContext) {
 
 TEST(KernelPacket, RemotePacketNeedsLookahead) {
   Kernel kernel(2, 1.0);
-  ForwardingSink sink(kernel, 2);
-  kernel.set_event_sink(&sink);
+  ScriptSink script(kernel);
   bool caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  script.at(0, 1.0, [&] {
     try {
       kernel.schedule_packet_remote(1, 1.5, PacketEvent{});
     } catch (const std::invalid_argument&) {
@@ -304,29 +462,14 @@ TEST(KernelPacket, BulkFanInExecutesInTimestampOrder) {
   // bulk sorted-run drain; order must still be exact.
   const int senders = 7, per_sender = 23;
   Kernel kernel(senders + 1, 1.0);
+  ScriptSink script(kernel);
   std::vector<double> order;
-
-  class Recorder : public EventSink {
-   public:
-    Recorder(Kernel& k, std::vector<double>& out) : kernel_(k), out_(out) {}
-    void on_packet_event(const PacketEvent&) override {
-      out_.push_back(kernel_.now());
-    }
-    Kernel& kernel_;
-    std::vector<double>& out_;
-  };
-  Recorder recorder(kernel, order);
-  kernel.set_event_sink(&recorder);
-
-  std::vector<HopRecord> records(
-      static_cast<std::size_t>(senders * per_sender));
   for (int s = 0; s < senders; ++s) {
-    kernel.schedule(s + 1, 0.5, [&kernel, &records, s] {
+    script.at(s + 1, 0.5, [&, s] {
       for (int i = 0; i < per_sender; ++i) {
-        auto* rec = &records[static_cast<std::size_t>(s * per_sender + i)];
         // Deliberately interleaved timestamps across senders.
-        kernel.schedule_packet_remote(0, 2.0 + 0.01 * i + 0.001 * s,
-                                      {rec, 0});
+        script.remote(0, 2.0 + 0.01 * i + 0.001 * s,
+                      [&] { order.push_back(kernel.now()); });
       }
     });
   }
@@ -337,47 +480,11 @@ TEST(KernelPacket, BulkFanInExecutesInTimestampOrder) {
             static_cast<std::uint64_t>(senders * per_sender));
 }
 
-/// Packet-path analogue of pingpong(): hop chains forwarded by the sink,
-/// with callback filler interleaved.
-KernelStats packet_pingpong(int lps, ExecutionMode mode,
-                            SyncMode sync = SyncMode::GlobalWindow) {
-  Kernel kernel(lps, 1.0);
-  kernel.set_sync_mode(sync);
-  ForwardingSink sink(kernel, lps);
-  kernel.set_event_sink(&sink);
-  std::vector<HopRecord> records(static_cast<std::size_t>(2 * lps));
-  for (int lp = 0; lp < lps; ++lp) {
-    for (int c = 0; c < 2; ++c) {
-      auto* rec = &records[static_cast<std::size_t>(2 * lp + c)];
-      *rec = {lp, 40};
-      kernel.schedule_packet(lp, 0.1 * (lp + 1) + 0.05 * c, {rec, lp});
-    }
-  }
-  kernel.run_until(1e6, mode);
-  return kernel.stats();
-}
-
-class PacketModeEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(PacketModeEquivalence, SequentialAndThreadedIdentical) {
-  const int lps = GetParam();
-  const KernelStats seq = packet_pingpong(lps, ExecutionMode::Sequential);
-  const KernelStats thr = packet_pingpong(lps, ExecutionMode::Threaded);
-  EXPECT_EQ(seq.history_hash, thr.history_hash);
-  EXPECT_EQ(seq.events_per_lp, thr.events_per_lp);
-  EXPECT_EQ(seq.remote_messages, thr.remote_messages);
-  EXPECT_EQ(seq.windows, thr.windows);
-  EXPECT_NEAR(seq.modeled_time, thr.modeled_time, 1e-9);
-  EXPECT_EQ(seq.load_series, thr.load_series);
-}
-
-INSTANTIATE_TEST_SUITE_P(LpCounts, PacketModeEquivalence,
-                         ::testing::Values(1, 2, 3, 4, 8));
-
 // ---- SyncMode::ChannelLookahead ------------------------------------------
 
 TEST(ChannelSync, ValidationRejectsBadRegistrations) {
   Kernel kernel(3, 1.0);
+  ScriptSink script(kernel);
   // Lookahead below the global minimum would let a channel undercut the
   // safety bound every other channel assumes.
   EXPECT_THROW(kernel.set_channel_lookahead(0, 1, 0.5),
@@ -389,7 +496,7 @@ TEST(ChannelSync, ValidationRejectsBadRegistrations) {
   EXPECT_THROW(kernel.set_channel_lookahead(-1, 1, 2.0),
                std::invalid_argument);
   kernel.set_channel_lookahead(0, 1, 2.0);
-  kernel.schedule(0, 0.1, [] {});
+  kernel.schedule_packet(0, 0.1, {});
   kernel.run_until(1.0);
   EXPECT_THROW(kernel.set_channel_lookahead(1, 0, 2.0),
                std::invalid_argument);
@@ -410,18 +517,19 @@ TEST(ChannelSync, LookaheadAccessorSemantics) {
 
 TEST(ChannelSync, RemoteSendValidatesAgainstChannelLookahead) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   kernel.set_channel_lookahead(0, 1, 2.0);
   kernel.set_channel_lookahead(1, 0, 1.0);
   bool tight_caught = false;
   double delivered_at = -1;
-  kernel.schedule(0, 1.0, [&] {
+  script.at(0, 1.0, [&] {
     // Legal under the global lookahead (1.0) but not under this channel's.
     try {
-      kernel.schedule_remote(1, 2.5, [] {});
+      kernel.schedule_packet_remote(1, 2.5, {});
     } catch (const std::invalid_argument&) {
       tight_caught = true;
     }
-    kernel.schedule_remote(1, 3.0, [&] { delivered_at = kernel.now(); });
+    script.remote(1, 3.0, [&] { delivered_at = kernel.now(); });
   });
   kernel.run_until(10.0);
   EXPECT_TRUE(tight_caught);
@@ -430,11 +538,12 @@ TEST(ChannelSync, RemoteSendValidatesAgainstChannelLookahead) {
 
 TEST(ChannelSync, SendOnUnregisteredPairRejected) {
   Kernel kernel(3, 1.0);
+  ScriptSink script(kernel);
   kernel.set_channel_lookahead(0, 1, 1.0);
   bool caught = false;
-  kernel.schedule(0, 1.0, [&] {
+  script.at(0, 1.0, [&] {
     try {
-      kernel.schedule_remote(2, 5.0, [] {});
+      kernel.schedule_packet_remote(2, 5.0, {});
     } catch (const std::invalid_argument&) {
       caught = true;
     }
@@ -450,11 +559,11 @@ class ChannelModeEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChannelModeEquivalence, HistoryIdenticalAcrossProtocolsAndModes) {
   const int lps = GetParam();
-  const KernelStats global_seq = pingpong(lps, ExecutionMode::Sequential);
-  const KernelStats chan_seq = pingpong(lps, ExecutionMode::Sequential,
-                                        SyncMode::ChannelLookahead);
-  const KernelStats chan_thr = pingpong(lps, ExecutionMode::Threaded,
-                                        SyncMode::ChannelLookahead);
+  const KernelStats global_seq = script_ring(lps, ExecutionMode::Sequential);
+  const KernelStats chan_seq = script_ring(lps, ExecutionMode::Sequential,
+                                           SyncMode::ChannelLookahead);
+  const KernelStats chan_thr = script_ring(lps, ExecutionMode::Threaded,
+                                           SyncMode::ChannelLookahead);
   EXPECT_EQ(global_seq.history_hash, chan_seq.history_hash);
   EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
   EXPECT_EQ(global_seq.events_per_lp, chan_seq.events_per_lp);
@@ -480,50 +589,32 @@ class PacketChannelModeEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(PacketChannelModeEquivalence, HistoryIdenticalAcrossProtocolsAndModes) {
   const int lps = GetParam();
-  const KernelStats global_seq = packet_pingpong(lps, ExecutionMode::Sequential);
-  const KernelStats chan_seq = packet_pingpong(lps, ExecutionMode::Sequential,
-                                               SyncMode::ChannelLookahead);
-  const KernelStats chan_thr = packet_pingpong(lps, ExecutionMode::Threaded,
-                                               SyncMode::ChannelLookahead);
-  EXPECT_EQ(global_seq.history_hash, chan_seq.history_hash);
-  EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
-  EXPECT_EQ(global_seq.events_per_lp, chan_seq.events_per_lp);
-  EXPECT_EQ(global_seq.events_per_lp, chan_thr.events_per_lp);
-  EXPECT_EQ(global_seq.remote_messages, chan_seq.remote_messages);
-  EXPECT_EQ(global_seq.remote_messages, chan_thr.remote_messages);
-  EXPECT_EQ(chan_seq.load_series, chan_thr.load_series);
+  for (const int fanout : {0, kBurst}) {
+    SCOPED_TRACE(::testing::Message() << "fanout " << fanout);
+    const KernelStats global_seq = pingpong(
+        lps, ExecutionMode::Sequential, SyncMode::GlobalWindow, fanout);
+    const KernelStats chan_seq = pingpong(
+        lps, ExecutionMode::Sequential, SyncMode::ChannelLookahead, fanout);
+    const KernelStats chan_thr = pingpong(
+        lps, ExecutionMode::Threaded, SyncMode::ChannelLookahead, fanout);
+    EXPECT_EQ(global_seq.history_hash, chan_seq.history_hash);
+    EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
+    EXPECT_EQ(global_seq.events_per_lp, chan_seq.events_per_lp);
+    EXPECT_EQ(global_seq.events_per_lp, chan_thr.events_per_lp);
+    EXPECT_EQ(global_seq.remote_messages, chan_seq.remote_messages);
+    EXPECT_EQ(global_seq.remote_messages, chan_thr.remote_messages);
+    EXPECT_EQ(chan_seq.load_series, chan_thr.load_series);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LpCounts, PacketChannelModeEquivalence,
                          ::testing::Values(1, 2, 3, 4, 8));
 
-// ---- Outbox flush threshold (KernelTuning, branch-pinning) ---------------
+// ---- Outbox flush threshold (branch-pinning) -------------------------------
 //
 // In Sequential ChannelLookahead the flush schedule is deterministic, so
-// stats().handoff_runs is an exact observable for the threshold branch in
-// flush_channels: threshold 1 publishes every dirty slot every advance
-// (the below-threshold hoard branch is never taken), a huge threshold
-// publishes only on forced flushes (the at-threshold branch is never met).
-
-TEST(OutboxTuning, EagerFlushProducesMoreRunsThanHoarding) {
-  KernelTuning eager;
-  eager.outbox_flush_events = 1;
-  KernelTuning hoarder;
-  hoarder.outbox_flush_events = 1u << 20;
-  const KernelStats e = pingpong(4, ExecutionMode::Sequential,
-                                 SyncMode::ChannelLookahead, eager);
-  const KernelStats h = pingpong(4, ExecutionMode::Sequential,
-                                 SyncMode::ChannelLookahead, hoarder);
-  EXPECT_GT(e.handoff_runs, 0u);
-  EXPECT_GT(h.handoff_runs, 0u);  // forced flushes still publish everything
-  EXPECT_GT(e.handoff_runs, h.handoff_runs);
-  // A run carries at least one event, so runs never exceed messages.
-  EXPECT_LE(e.handoff_runs, e.remote_messages);
-  // Batching changes how events travel, never which events exist.
-  EXPECT_EQ(e.history_hash, h.history_hash);
-  EXPECT_EQ(e.events_per_lp, h.events_per_lp);
-  EXPECT_EQ(e.remote_messages, h.remote_messages);
-}
+// stats().handoff_runs is an exact observable for flush_channels (the
+// golden test above pins it for the sparse and the burst workload).
 
 TEST(OutboxTuning, FlushScheduleIsDeterministic) {
   const KernelStats a = pingpong(4, ExecutionMode::Sequential,
@@ -534,49 +625,27 @@ TEST(OutboxTuning, FlushScheduleIsDeterministic) {
   EXPECT_EQ(a.history_hash, b.history_hash);
 }
 
-// The wall-clock knobs must be invisible in the history: every tuning
-// extreme (eager vs hoarding flush, park vs legacy yield idle, pinned
-// threads) reproduces the untuned GlobalWindow/Sequential hash in both
-// sync modes and both execution modes.
+// Batching changes how events travel, never which events exist: the sparse
+// workload (every run hoarded until a forced flush) and the burst workload
+// (every run published at the threshold) each reproduce their
+// GlobalWindow/Sequential hash in both sync modes and both execution modes.
 TEST(OutboxTuning, HistoryInvariantAcrossTuningExtremes) {
   const int lps = 4;
-  const KernelStats base = pingpong(lps, ExecutionMode::Sequential);
-
-  KernelTuning eager_legacy;
-  eager_legacy.outbox_flush_events = 1;
-  eager_legacy.park_on_idle = false;
-  KernelTuning hoard_pinned;
-  hoard_pinned.outbox_flush_events = 1u << 20;
-  hoard_pinned.pin_threads = true;
-
-  for (const KernelTuning& tuning : {eager_legacy, hoard_pinned}) {
-    for (auto sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
+  for (const int fanout : {0, kBurst}) {
+    const KernelStats base =
+        pingpong(lps, ExecutionMode::Sequential, kGW, fanout);
+    for (auto sync : {kGW, kCL}) {
       for (auto mode :
            {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
-        const KernelStats got = pingpong(lps, mode, sync, tuning);
+        const KernelStats got = pingpong(lps, mode, sync, fanout);
         EXPECT_EQ(base.history_hash, got.history_hash)
-            << "flush=" << tuning.outbox_flush_events
-            << " park=" << tuning.park_on_idle << " sync=" << to_string(sync)
+            << "fanout=" << fanout << " sync=" << to_string(sync)
             << " mode=" << (mode == ExecutionMode::Sequential ? "seq" : "thr");
         EXPECT_EQ(base.events_per_lp, got.events_per_lp);
         EXPECT_EQ(base.remote_messages, got.remote_messages);
       }
     }
   }
-}
-
-TEST(OutboxTuning, RejectsZeroFlushThreshold) {
-  Kernel kernel(2, 1.0);
-  KernelTuning tuning;
-  tuning.outbox_flush_events = 0;
-  EXPECT_THROW(kernel.set_tuning(tuning), std::invalid_argument);
-}
-
-TEST(OutboxTuning, RejectsTuningAfterRun) {
-  Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.5, [] {});
-  kernel.run_until(1.0);
-  EXPECT_THROW(kernel.set_tuning(KernelTuning{}), std::invalid_argument);
 }
 
 /// A slow channel must not throttle a pair coupled only through fast
@@ -587,6 +656,7 @@ TEST(ChannelSync, HeterogeneousLookaheadsTrackPerChannelStats) {
   for (const auto mode :
        {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
     Kernel kernel(3, 0.5);
+    ScriptSink script(kernel);
     kernel.set_sync_mode(SyncMode::ChannelLookahead);
     kernel.set_channel_lookahead(0, 1, 0.5);
     kernel.set_channel_lookahead(1, 0, 0.5);
@@ -595,14 +665,13 @@ TEST(ChannelSync, HeterogeneousLookaheadsTrackPerChannelStats) {
     std::function<void(int, int, int)> hop = [&](int from, int to,
                                                  int hops_left) {
       if (hops_left == 0) return;
-      kernel.schedule_remote(to, kernel.now() + 0.5, [&hop, from, to,
-                                                      hops_left] {
+      script.remote(to, kernel.now() + 0.5, [&hop, from, to, hops_left] {
         hop(to, from, hops_left - 1);
       });
     };
-    kernel.schedule(0, 0.1, [&] { hop(0, 1, 60); });
-    kernel.schedule(0, 0.2, [&] {
-      kernel.schedule_remote(2, kernel.now() + 50.0, [] {});
+    script.at(0, 0.1, [&] { hop(0, 1, 60); });
+    script.at(0, 0.2, [&] {
+      kernel.schedule_packet_remote(2, kernel.now() + 50.0, {});
     });
     kernel.run_until(1e6, mode);
     const KernelStats& stats = kernel.stats();
@@ -624,10 +693,11 @@ TEST(ChannelSync, IdleSpansAreJumped) {
   for (const auto mode :
        {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
     Kernel kernel(2, 1.0);
+    ScriptSink script(kernel);
     kernel.set_sync_mode(SyncMode::ChannelLookahead);
     double delivered_at = -1;
-    kernel.schedule(0, 0.5, [&] {
-      kernel.schedule_remote(1, 1000.0, [&] { delivered_at = kernel.now(); });
+    script.at(0, 0.5, [&] {
+      script.remote(1, 1000.0, [&] { delivered_at = kernel.now(); });
     });
     kernel.run_until(2000.0, mode);
     EXPECT_DOUBLE_EQ(delivered_at, 1000.0);
@@ -639,17 +709,19 @@ TEST(ChannelSync, IdleSpansAreJumped) {
 
 TEST(ChannelSync, ThreadedExceptionPropagates) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   kernel.set_sync_mode(SyncMode::ChannelLookahead);
-  kernel.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
-  kernel.schedule(1, 0.5, [] {});
+  script.at(0, 0.5, [] { throw std::runtime_error("boom"); });
+  kernel.schedule_packet(1, 0.5, {});
   EXPECT_THROW(kernel.run_until(10.0, ExecutionMode::Threaded),
                std::runtime_error);
 }
 
 TEST(ChannelSync, SequentialExceptionPropagates) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   kernel.set_sync_mode(SyncMode::ChannelLookahead);
-  kernel.schedule(0, 0.5, [] { throw std::runtime_error("boom"); });
+  script.at(0, 0.5, [] { throw std::runtime_error("boom"); });
   EXPECT_THROW(kernel.run_until(10.0), std::runtime_error);
 }
 
@@ -661,16 +733,17 @@ TEST(ChannelSync, SequentialExceptionPropagates) {
 std::vector<double> fan_in_order(std::size_t count,
                                  std::size_t preload_locals) {
   Kernel kernel(2, 1.0);
+  ScriptSink script(kernel);
   std::vector<double> order;
   for (std::size_t i = 0; i < preload_locals; ++i)
-    kernel.schedule(0, 5.0 + 0.5 * static_cast<double>(i),
-                    [&order, i] { order.push_back(5.0 + 0.5 * i); });
-  kernel.schedule(1, 0.5, [&] {
+    script.at(0, 5.0 + 0.5 * static_cast<double>(i),
+              [&order, i] { order.push_back(5.0 + 0.5 * i); });
+  script.at(1, 0.5, [&] {
     for (std::size_t i = 0; i < count; ++i) {
       // Descending times: a sorted-run shortcut that failed to sort would
       // execute these backwards.
       const double t = 2.0 + 0.01 * static_cast<double>(count - i);
-      kernel.schedule_remote(0, t, [&order, t] { order.push_back(t); });
+      script.remote(0, t, [&order, t] { order.push_back(t); });
     }
   });
   kernel.run_until(100.0);

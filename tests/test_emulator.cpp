@@ -206,16 +206,20 @@ TEST(Emulator, ComputeDelaysViaAppApi) {
 
   class Delayer : public AppEndpoint {
    public:
-    void start(AppApi& api) override {
-      api.after(2.5, [this] { fired = true; });
+    void start(AppApi& api) override { api.set_timer(2.5, 7); }
+    void on_timer(AppApi& api, std::int64_t tag) override {
+      fired_at = api.now();
+      fired_tag = tag;
     }
-    bool fired = false;
+    double fired_at = -1;
+    std::int64_t fired_tag = 0;
   };
   auto ep = std::make_unique<Delayer>();
   Delayer* raw = ep.get();
   emu.install_endpoint(fx.a, std::move(ep));
   emu.run(10.0);
-  EXPECT_TRUE(raw->fired);
+  EXPECT_DOUBLE_EQ(raw->fired_at, 2.5);
+  EXPECT_EQ(raw->fired_tag, 7);
 }
 
 TEST(Traceroute, DiscoversTablePaths) {

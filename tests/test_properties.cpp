@@ -5,6 +5,7 @@
 
 #include "des/kernel.hpp"
 #include "emu/emulator.hpp"
+#include "kernel_script.hpp"
 #include "partition/multiobjective.hpp"
 #include "partition/partition.hpp"
 #include "routing/hierarchical.hpp"
@@ -23,8 +24,9 @@ TEST(KernelTime, CoupledTimeFloorsAtSimAdvance) {
   // Two sparse events 10 s apart: engine work is microscopic, so coupled
   // time ≈ the simulated span while modeled (engine-only) time stays tiny.
   des::Kernel kernel(1, 1.0);
-  kernel.schedule(0, 0.0, [] {});
-  kernel.schedule(0, 10.0, [] {});
+  des::ScriptSink script(kernel);
+  kernel.schedule_packet(0, 0.0, {});
+  kernel.schedule_packet(0, 10.0, {});
   kernel.run_until(100.0);
   const auto& stats = kernel.stats();
   EXPECT_GE(stats.coupled_time, 10.0);
@@ -36,7 +38,8 @@ TEST(KernelTime, CoupledTimeTracksEngineWorkWhenBottlenecked) {
   des::CostModel cost;
   cost.per_event = 1e-2;  // 10 ms per event
   des::Kernel kernel(1, 1.0, cost);
-  for (int i = 0; i < 100; ++i) kernel.schedule(0, 0.001 * i, [] {});
+  des::ScriptSink script(kernel);
+  for (int i = 0; i < 100; ++i) kernel.schedule_packet(0, 0.001 * i, {});
   kernel.run_until(10.0);
   const auto& stats = kernel.stats();
   EXPECT_NEAR(stats.coupled_time, stats.modeled_time, 1e-9);
@@ -46,9 +49,10 @@ TEST(KernelTime, CoupledTimeTracksEngineWorkWhenBottlenecked) {
 TEST(KernelTime, CoupledAlwaysAtLeastModeled) {
   Rng rng(5);
   des::Kernel kernel(3, 0.5);
+  des::ScriptSink script(kernel);
   for (int i = 0; i < 500; ++i)
-    kernel.schedule(static_cast<int>(rng.next_below(3)),
-                    rng.next_double(0, 50), [] {});
+    kernel.schedule_packet(static_cast<int>(rng.next_below(3)),
+                           rng.next_double(0, 50), {});
   kernel.run_until(100.0);
   EXPECT_GE(kernel.stats().coupled_time, kernel.stats().modeled_time - 1e-9);
 }

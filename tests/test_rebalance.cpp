@@ -7,14 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "des/kernel.hpp"
 #include "emu/emulator.hpp"
 #include "fault/fault.hpp"
 #include "graph/graph.hpp"
+#include "kernel_script.hpp"
 #include "partition/partition.hpp"
 #include "partition/refine.hpp"
 #include "rebalance/monitor.hpp"
@@ -47,15 +46,20 @@ des::KernelStats run_pingpong(des::ExecutionMode mode, des::SyncMode sync,
                               std::vector<double>* fired = nullptr) {
   des::Kernel kernel(2, 0.01);
   kernel.set_sync_mode(sync);
-  auto bounce = std::make_shared<std::function<void()>>();
-  std::function<void()>* raw = bounce.get();
-  *bounce = [&kernel, raw] {
-    const double t = kernel.now();
-    if (t > 0.9) return;
-    kernel.schedule_remote(1 - kernel.current_lp(), t + 0.02, *raw);
+  class Bounce : public des::EventSink {
+   public:
+    explicit Bounce(des::Kernel& k) : kernel_(k) {}
+    void on_packet_event(const des::PacketEvent&) override {
+      const double t = kernel_.now();
+      if (t > 0.9) return;
+      kernel_.schedule_packet_remote(1 - kernel_.current_lp(), t + 0.02, {});
+    }
+    des::Kernel& kernel_;
   };
-  kernel.schedule(0, 0.005, *bounce);
-  kernel.schedule(1, 0.007, *bounce);
+  Bounce bounce(kernel);
+  kernel.set_event_sink(&bounce);
+  kernel.schedule_packet(0, 0.005, {});
+  kernel.schedule_packet(1, 0.007, {});
   for (const double sp : safepoints) kernel.add_safepoint(sp);
   if (fired != nullptr) {
     kernel.set_safepoint_hook([fired](des::SimTime t) {
@@ -99,23 +103,22 @@ des::KernelStats run_rehome(des::ExecutionMode mode, des::SyncMode sync,
                             std::array<std::uint64_t, 2>* counts_out) {
   des::Kernel kernel(2, 0.05);
   kernel.set_sync_mode(sync);
-  auto counts = std::make_shared<std::array<std::uint64_t, 2>>();
-  (*counts) = {0, 0};
+  des::ScriptSink script(kernel);
+  std::array<std::uint64_t, 2> counts{};
   for (int i = 0; i < 40; ++i) {
-    kernel.schedule(0, 0.05 + 0.02 * i,
-                    [&kernel, counts] {
-                      ++(*counts)[static_cast<std::size_t>(
-                          kernel.current_lp())];
-                    },
-                    /*key=*/7);
+    script.at(0, 0.05 + 0.02 * i,
+              [&kernel, &counts] {
+                ++counts[static_cast<std::size_t>(kernel.current_lp())];
+              },
+              /*key=*/7);
   }
-  for (int i = 0; i < 10; ++i) kernel.schedule(1, 0.06 + 0.08 * i, [] {});
+  for (int i = 0; i < 10; ++i) kernel.schedule_packet(1, 0.06 + 0.08 * i, {});
   kernel.add_safepoint(0.5);
   kernel.set_safepoint_hook([&kernel](des::SimTime) {
     kernel.rehome_events([](std::int32_t key) { return key == 7 ? 1 : 0; });
   });
   kernel.run_until(1.0, mode);
-  if (counts_out != nullptr) *counts_out = *counts;
+  if (counts_out != nullptr) *counts_out = counts;
   return kernel.stats();
 }
 

@@ -1,9 +1,9 @@
 // Threaded determinism stress: a seeded random event storm across
 // {1,2,4,8} LPs, run under every sync protocol with the batched outbox
-// handoff and spin-then-park idle protocol enabled (the defaults), must
-// reproduce the sequential history hash bit for bit — also mid-run, across
-// a safepoint schedule that forces outbox drains and rendezvous (the
-// machinery live rebalancing rides on).
+// handoff and spin-then-park idle protocol, must reproduce the sequential
+// history hash bit for bit — also mid-run, across a safepoint schedule that
+// forces outbox drains and rendezvous (the machinery live rebalancing rides
+// on).
 //
 // Registered with LABELS des so the des-faults-{tsan,asan,ubsan} presets
 // run it: the SPSC run queues, WaitSlot parking, and SpinBarrier phases
@@ -22,57 +22,79 @@ namespace {
 constexpr double kLookahead = 1.0;
 constexpr double kEnd = 200.0;
 
-/// One self-perpetuating chain of events. The chain's RNG travels with it
-/// (copied into each continuation), so its decisions depend only on the
-/// seed and its own position in the chain — never on execution
-/// interleaving. Each hop sprays local filler, sometimes bursts several
-/// remote messages at once (exercising multi-event outbox runs), and then
-/// forwards itself to a random LP.
-void storm_hop(Kernel& kernel, int lps, Rng rng, int hops_left) {
-  if (hops_left == 0) return;
-  const double now = kernel.now();
-  const int here = kernel.current_lp();
+/// One self-perpetuating chain of events. The chain's record — and with it
+/// its RNG — travels with the chain from hop to hop, so its decisions
+/// depend only on the seed and its own position in the chain — never on
+/// execution interleaving.
+struct Chain {
+  Rng rng;
+  int hops_left = 0;
+};
 
-  // Local filler: 0–2 events inside the lookahead window.
-  const int filler = static_cast<int>(rng.next_below(3));
-  for (int f = 0; f < filler; ++f)
-    kernel.schedule(here, now + 0.1 * (f + 1), [] {});
+/// Runs the chain hops. Each hop sprays local filler, sometimes bursts
+/// several remote messages at once (exercising multi-event outbox runs),
+/// and then forwards its chain to a random LP. Filler and burst messages
+/// carry no payload.
+class StormSink : public EventSink {
+ public:
+  StormSink(Kernel& kernel, int lps, int burst_floor)
+      : kernel_(kernel), lps_(lps), burst_floor_(burst_floor) {}
 
-  // Occasional remote burst: several messages to one destination in one
-  // window, which a batching sender coalesces into a single run.
-  if (lps > 1 && rng.next_below(4) == 0) {
-    const int burst_dst = static_cast<int>(rng.next_below(
-        static_cast<std::uint64_t>(lps)));
-    if (burst_dst != here) {
-      const int burst = 2 + static_cast<int>(rng.next_below(3));
-      for (int b = 0; b < burst; ++b)
-        kernel.schedule_remote(burst_dst, now + kLookahead + 0.05 * b, [] {});
+  void on_packet_event(const PacketEvent& event) override {
+    auto* chain = static_cast<Chain*>(event.payload);
+    if (chain == nullptr || chain->hops_left == 0) return;
+    Rng& rng = chain->rng;
+    const double now = kernel_.now();
+    const int here = kernel_.current_lp();
+
+    // Local filler: 0–2 events inside the lookahead window.
+    const int filler = static_cast<int>(rng.next_below(3));
+    for (int f = 0; f < filler; ++f)
+      kernel_.schedule_packet(here, now + 0.1 * (f + 1), {});
+
+    // Occasional remote burst: several messages to one destination in one
+    // window, which a batching sender coalesces into a single run.
+    if (lps_ > 1 && rng.next_below(4) == 0) {
+      const int burst_dst = static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(lps_)));
+      if (burst_dst != here) {
+        const int burst = burst_floor_ + static_cast<int>(rng.next_below(3));
+        for (int b = 0; b < burst; ++b)
+          kernel_.schedule_packet_remote(burst_dst,
+                                         now + kLookahead + 0.05 * b, {});
+      }
     }
+
+    // Forward the chain: random next LP (possibly self), random stride.
+    const int next = static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(lps_)));
+    const double stride = kLookahead * (1.0 + 0.5 * rng.next_below(4));
+    --chain->hops_left;
+    if (next == here)
+      kernel_.schedule_packet(here, now + stride, {chain, -1});
+    else
+      kernel_.schedule_packet_remote(next, now + stride, {chain, -1});
   }
 
-  // Forward the chain: random next LP (possibly self), random stride.
-  const int next = static_cast<int>(rng.next_below(
-      static_cast<std::uint64_t>(lps)));
-  const double stride = kLookahead * (1.0 + 0.5 * rng.next_below(4));
-  auto continuation = [&kernel, lps, rng, hops_left] {
-    storm_hop(kernel, lps, rng, hops_left - 1);
-  };
-  if (next == here)
-    kernel.schedule(here, now + stride, continuation);
-  else
-    kernel.schedule_remote(next, now + stride, continuation);
-}
+ private:
+  Kernel& kernel_;
+  int lps_;
+  int burst_floor_;
+};
 
 struct StormResult {
   KernelStats stats;
   std::vector<double> safepoints_seen;
 };
 
+/// `burst_floor` is the smallest remote burst: 2 keeps every outbox run
+/// below kOutboxFlushEvents, kOutboxFlushEvents makes every burst reach it.
 StormResult run_storm(int lps, ExecutionMode mode, SyncMode sync,
-                      const KernelTuning& tuning = KernelTuning{}) {
+                      int burst_floor = 2) {
   Kernel kernel(lps, kLookahead);
   kernel.set_sync_mode(sync);
-  kernel.set_tuning(tuning);
+  StormSink sink(kernel, lps, burst_floor);
+  kernel.set_event_sink(&sink);
   // Safepoint schedule (a stand-in for a rebalance cadence): every
   // safepoint force-drains all outboxes and rendezvouses all workers.
   StormResult result;
@@ -80,14 +102,15 @@ StormResult run_storm(int lps, ExecutionMode mode, SyncMode sync,
   kernel.set_safepoint_hook(
       [&result](double t) { result.safepoints_seen.push_back(t); });
   // Three chains per LP, seeds derived from (lp, chain) only.
+  std::vector<Chain> chains;
+  chains.reserve(static_cast<std::size_t>(3 * lps));
   for (int lp = 0; lp < lps; ++lp) {
     for (int c = 0; c < 3; ++c) {
-      Rng rng(static_cast<std::uint64_t>(lp) * 1000003u +
-              static_cast<std::uint64_t>(c) * 7919u + 1);
-      kernel.schedule(lp, 0.1 * (lp + 1) + 0.01 * c,
-                      [&kernel, lps, rng](/*chain start*/) {
-                        storm_hop(kernel, lps, rng, 60);
-                      });
+      chains.push_back({Rng(static_cast<std::uint64_t>(lp) * 1000003u +
+                            static_cast<std::uint64_t>(c) * 7919u + 1),
+                        60});
+      kernel.schedule_packet(lp, 0.1 * (lp + 1) + 0.01 * c,
+                             {&chains.back(), -1});
     }
   }
   kernel.run_until(kEnd, mode);
@@ -133,29 +156,23 @@ TEST_P(ThreadedStress, StormHistoryIdenticalAcrossSyncAndExecModes) {
   }
 }
 
-// The same storm under tuning extremes: an eager single-event flusher with
-// the legacy yield-spin idle loop, and a maximal hoarder with pinned
-// threads, both threaded, both sync modes — still the sequential history.
+// The other batching extreme: every remote burst reaches
+// kOutboxFlushEvents, so ChannelLookahead senders publish at the threshold
+// instead of hoarding until a forced flush. Every sync × exec combination
+// still reproduces the sequential GlobalWindow history of that storm.
 TEST_P(ThreadedStress, StormHistoryInvariantUnderTuningExtremes) {
   const int lps = GetParam();
-  const StormResult base =
-      run_storm(lps, ExecutionMode::Sequential, SyncMode::GlobalWindow);
+  const int burst = static_cast<int>(kOutboxFlushEvents);
+  const StormResult base = run_storm(lps, ExecutionMode::Sequential,
+                                     SyncMode::GlobalWindow, burst);
 
-  KernelTuning eager_legacy;
-  eager_legacy.outbox_flush_events = 1;
-  eager_legacy.park_on_idle = false;
-  KernelTuning hoard_pinned;
-  hoard_pinned.outbox_flush_events = 1u << 20;
-  hoard_pinned.pin_threads = true;
-
-  for (const KernelTuning& tuning : {eager_legacy, hoard_pinned}) {
-    for (auto sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
-      const StormResult got =
-          run_storm(lps, ExecutionMode::Threaded, sync, tuning);
+  for (auto sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
+    for (auto mode : {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
+      const StormResult got = run_storm(lps, mode, sync, burst);
       SCOPED_TRACE(::testing::Message()
-                   << lps << " LPs, sync=" << to_string(sync) << ", flush="
-                   << tuning.outbox_flush_events << ", park="
-                   << tuning.park_on_idle);
+                   << lps << " LPs, sync=" << to_string(sync) << ", "
+                   << (mode == ExecutionMode::Sequential ? "sequential"
+                                                         : "threaded"));
       EXPECT_EQ(base.stats.history_hash, got.stats.history_hash);
       EXPECT_EQ(base.stats.events_per_lp, got.stats.events_per_lp);
       EXPECT_EQ(base.safepoints_seen, got.safepoints_seen);

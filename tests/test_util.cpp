@@ -215,9 +215,9 @@ TEST(Strings, FormatHelpers) {
 // ---- spin-then-park primitives (util/spinwait.hpp) -----------------------
 
 // Branch-pinning: below the budget should_park spins and says no; at the
-// budget it flips to yes (park allowed) and stays there until reset.
+// budget it flips to yes and stays there until reset.
 TEST(SpinWait, ParksExactlyAtBudget) {
-  util::SpinWait spin(3, /*park_allowed=*/true);
+  util::SpinWait spin(3);
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(spin.should_park()) << "iteration " << i;
   }
@@ -230,16 +230,8 @@ TEST(SpinWait, ParksExactlyAtBudget) {
 }
 
 TEST(SpinWait, ZeroBudgetParksImmediately) {
-  util::SpinWait spin(0, /*park_allowed=*/true);
+  util::SpinWait spin(0);
   EXPECT_TRUE(spin.should_park());
-}
-
-// The legacy (park-disallowed) shape never asks to park: past the budget it
-// degrades to yield-and-poll, which the caller observes as false forever.
-TEST(SpinWait, ParkDisallowedDegradesToYield) {
-  util::SpinWait spin(2, /*park_allowed=*/false);
-  for (int i = 0; i < 16; ++i) EXPECT_FALSE(spin.should_park());
-  EXPECT_EQ(spin.spun(), 2u);  // spin counter saturates at the budget
 }
 
 // A signal that races in between prepare() and park() must prevent the
@@ -256,7 +248,7 @@ TEST(WaitSlot, CrossThreadWake) {
   util::WaitSlot slot;
   std::atomic<bool> ready{false};
   std::thread waiter([&] {
-    util::SpinWait spin(64, /*park_allowed=*/true);
+    util::SpinWait spin(64);
     while (!ready.load(std::memory_order_acquire)) {
       if (spin.should_park()) {
         const std::uint32_t seen = slot.prepare();
@@ -279,24 +271,7 @@ TEST(SpinBarrier, CompletionRunsOncePerPhase) {
   constexpr int kPhases = 50;
   int completions = 0;  // deliberately non-atomic
   util::SpinBarrier barrier(kThreads, [&] { ++completions; },
-                            /*spin_budget=*/32, /*park_allowed=*/true);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&] {
-      for (int p = 0; p < kPhases; ++p) barrier.arrive_and_wait();
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(completions, kPhases);
-}
-
-// Same barrier, legacy yield-spin shape (park disallowed) — the protocol
-// bench_wallclock uses as its A/B baseline must also be correct.
-TEST(SpinBarrier, ParkDisallowedStillSynchronizes) {
-  constexpr int kThreads = 3;
-  constexpr int kPhases = 20;
-  int completions = 0;
-  util::SpinBarrier barrier(kThreads, [&] { ++completions; },
-                            /*spin_budget=*/8, /*park_allowed=*/false);
+                            /*spin_budget=*/32);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&] {

@@ -21,8 +21,8 @@ Rules
   atomic-alignment     std::atomic struct/class members must be alignas(64)
                        — or live in an alignas(64) struct — so cross-thread
                        publishing never falsely shares a cache line
-  raw-new              raw new/delete in src/des (events carry raw owning
-                       pointers only inside the audited Event-box protocol)
+  raw-new              raw new/delete in src/des (the only raw ownership
+                       left is the audited channel RunNode pool)
   busy-wait            raw poll loops in src/ (empty-body while or
                        std::this_thread::yield spins) outside
                        util/spinwait.hpp — idle waiting goes through
@@ -143,7 +143,7 @@ RULES: dict[str, Rule] = {
             dirs=("src/des",),
             exempt=(),
             description=("raw new/delete in the kernel outside the audited "
-                         "Event-box ownership protocol"),
+                         "channel RunNode pool"),
             patterns=(
                 re.compile(r"\bnew\s+[A-Za-z_(:<]"),
                 re.compile(r"\bdelete\s*(?:\[\s*\]\s*)?[A-Za-z_(*]"),
