@@ -20,7 +20,7 @@
 //
 //   $ ./bench_ablation_rebalance [BENCH_rebalance.json]
 //
-// bench/run_rebalance_bench.sh builds Release and records the JSON (the
+// bench/run.sh rebalance builds Release and records the JSON (the
 // imbalance columns are modeled and build-independent, but the file must
 // never look authoritative when assertions are enabled).
 #include <cstdint>
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
   (void)argv;
   std::cerr << "bench_ablation_rebalance: refusing to record results from a "
                "debug build. Build Release — see "
-               "bench/run_rebalance_bench.sh.\n";
+               "bench/run.sh rebalance.\n";
   return 1;
 #else
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_rebalance.json";

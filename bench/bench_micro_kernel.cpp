@@ -2,7 +2,7 @@
 // bench_micro_partitioner style): events/sec for packet-hop workloads on
 // the kernel's allocation-free packet-event path, for local hops, remote
 // hops, and a mixed workload, in both execution modes.
-// bench/run_kernel_bench.sh records the results to BENCH_kernel.json.
+// bench/run.sh kernel records the results to BENCH_kernel.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -121,7 +121,7 @@ BENCHMARK(BM_MixedHop_Packet_Threaded)->UseRealTime();
 // The google-benchmark context's "library_build_type" reports how the
 // *installed benchmark library* was built, not this binary. Stamp the
 // binary's own optimization level so a recorded JSON is self-describing
-// (run_kernel_bench.sh additionally refuses to record non-Release builds).
+// (bench/run.sh kernel additionally refuses to record non-Release builds).
 int main(int argc, char** argv) {
 #ifdef NDEBUG
   benchmark::AddCustomContext("binary_build_type", "release");

@@ -22,7 +22,7 @@
 //
 //   $ ./bench_micro_sync [BENCH_sync.json]
 //
-// bench/run_sync_bench.sh builds Release and records the JSON; a debug
+// bench/run.sh sync builds Release and records the JSON; a debug
 // build refuses to write results (modeled time is build-independent, but
 // the wall-clock columns would be garbage and the file must never look
 // authoritative when it is not).
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   (void)argv;
   std::cerr << "bench_micro_sync: refusing to record results from a debug "
                "build (assertions enabled). Build Release — see "
-               "bench/run_sync_bench.sh.\n";
+               "bench/run.sh sync.\n";
   return 1;
 #else
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sync.json";

@@ -16,7 +16,8 @@
 //
 // Per ring, two execution shapes are timed under both sync protocols:
 //   * sequential — one worker owning every LP on the calling thread;
-//   * threaded   — one worker thread per LP.
+//   * threaded   — min(n, usable CPUs) worker threads, each owning a
+//                  contiguous block of LPs.
 //
 // Wall time is the best of MASSF_BENCH_REPLICAS runs (default 3; best-of
 // suppresses scheduler noise better than the mean on shared machines).
@@ -33,7 +34,7 @@
 //
 //   $ ./bench_wallclock [BENCH_wallclock.json]
 //
-// bench/run_wallclock_bench.sh builds Release and records the JSON; a
+// bench/run.sh wallclock builds Release and records the JSON; a
 // debug build refuses to write results.
 #include <algorithm>
 #include <chrono>
@@ -241,7 +242,13 @@ RingResult run_ring_suite(int n) {
 void write_json(std::ostream& out, const std::vector<RingResult>& all,
                 bool gate_enforced, const std::string& gate_reason) {
   out << "{\n  \"benchmark\": \"bench_wallclock\",\n"
-      << "  \"context\": " << bench::context_json(8, "  ") << ",\n"
+      // The widest pool: ring/8's workers, capped at the CPU count.
+      << "  \"context\": "
+      << bench::context_json(
+             static_cast<int>(
+                 std::min(8U, std::thread::hardware_concurrency())),
+             "  ")
+      << ",\n"
       // The rings inject no faults.
       << "  \"fault_seed\": 0,\n"
       << "  \"headline\": \"threaded events/sec vs sequential\",\n"
@@ -287,7 +294,7 @@ int main(int argc, char** argv) {
   (void)argv;
   std::cerr << "bench_wallclock: refusing to record results from a debug "
                "build (assertions enabled). Build Release — see "
-               "bench/run_wallclock_bench.sh.\n";
+               "bench/run.sh wallclock.\n";
   return 1;
 #else
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_wallclock.json";

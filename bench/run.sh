@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Record one committed benchmark result from a Release build.
+#
+#   bench/run.sh <name>
+#   BUILD_DIR=build-release OUT=BENCH_<name>.json bench/run.sh <name>
+#
+# <name> is one of kernel, sync, wallclock, scale, lb, rebalance; it runs
+# bench_micro_kernel, bench_micro_sync, bench_wallclock, bench_scale,
+# bench_lb_policies or bench_ablation_rebalance and writes BENCH_<name>.json.
+# Every binary but bench_micro_kernel exits non-zero when its acceptance
+# gate fails (the gates are listed in each binary's header comment);
+# kernel's JSON is refused unless it claims a release binary.
+#
+# Configures and builds a dedicated Release tree, verifies the cache really
+# says Release (recording a debug build would publish numbers 10-50x off;
+# the binaries also refuse to run without NDEBUG), and only then runs the
+# benchmark. The benchmark's exit status is the script's.
+#
+# Environment: BUILD_DIR (default build-release), OUT (default
+# BENCH_<name>.json), REPS (kernel only: google-benchmark repetitions,
+# default 5), plus each binary's own knobs — MASSF_WALLCLOCK_SCALE,
+# MASSF_SCALE_MAX_NODES, MASSF_LB_MAX_CLIENTS, MASSF_BENCH_REPLICAS. Run on
+# an idle machine: the threaded benchmarks measure real time.
+set -euo pipefail
+
+NAME="${1:-}"
+case "$NAME" in
+  kernel) TARGET=bench_micro_kernel ;;
+  sync) TARGET=bench_micro_sync ;;
+  wallclock) TARGET=bench_wallclock ;;
+  scale) TARGET=bench_scale ;;
+  lb) TARGET=bench_lb_policies ;;
+  rebalance) TARGET=bench_ablation_rebalance ;;
+  *)
+    echo "usage: $0 <kernel|sync|wallclock|scale|lb|rebalance>" >&2
+    exit 2
+    ;;
+esac
+
+BUILD_DIR="${BUILD_DIR:-build-release}"
+OUT="${OUT:-BENCH_$NAME.json}"
+BIN="$BUILD_DIR/bench/$TARGET"
+
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+if ! grep -q '^CMAKE_BUILD_TYPE:[A-Z]*=Release$' "$BUILD_DIR/CMakeCache.txt"; then
+  echo "error: $BUILD_DIR is not a Release build; refusing to record." >&2
+  echo "Use a fresh BUILD_DIR or reconfigure with -DCMAKE_BUILD_TYPE=Release." >&2
+  exit 1
+fi
+cmake --build "$BUILD_DIR" --target "$TARGET" -j >/dev/null
+
+if [ "$NAME" != kernel ]; then
+  # exec propagates the benchmark binary's exit code to the caller verbatim.
+  exec "$BIN" "$OUT"
+fi
+
+# bench_micro_kernel is a google-benchmark binary: median over REPS
+# repetitions; items_per_second is the events/sec figure. A failure must
+# both propagate its exit code (set -e) and leave no half-written .tmp
+# behind; the committed JSON is mv'd before exit.
+REPS="${REPS:-5}"
+trap 'rm -f "$OUT".tmp' EXIT
+
+"$BIN" \
+  --benchmark_repetitions="$REPS" \
+  --benchmark_report_aggregates_only=true \
+  --benchmark_out="$OUT".tmp \
+  --benchmark_out_format=json
+
+# The google-benchmark context's "library_build_type" describes the
+# installed benchmark *library*, not this binary. The binary stamps its own
+# "binary_build_type" (from NDEBUG) into the context; refuse the JSON
+# unless it says release.
+if ! grep -q '"binary_build_type": *"release"' "$OUT".tmp; then
+  echo "error: recorded JSON does not claim a release binary; discarding." >&2
+  rm -f "$OUT".tmp
+  exit 1
+fi
+mv "$OUT".tmp "$OUT"
+echo "wrote $OUT"

@@ -5,7 +5,6 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "graph/algorithms.hpp"
 #include "util/error.hpp"
@@ -266,9 +265,6 @@ SuperviseResult Experiment::run_supervised(
       MASSF_LOG_WARN << "supervised run attempt " << attempt << "/"
                      << options.max_attempts << " failed: " << error.what()
                      << "; retrying from the latest valid snapshot";
-      if (options.retry_backoff_s > 0)
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            options.retry_backoff_s * attempt));
     }
   }
 }
@@ -311,7 +307,6 @@ RunMetrics Experiment::supervised_attempt(const MappingResult& mapping,
   emu::CheckpointConfig cfg;
   cfg.dir = options.ckpt_dir;
   cfg.period_s = options.checkpoint_period_s;
-  cfg.first_s = options.first_checkpoint_s;
   cfg.keep = options.keep;
   cfg.first_seq = static_cast<std::uint64_t>(restored_seq + 1);
   cfg.save_extra = options.save_extra;

@@ -84,8 +84,8 @@ struct RunMetrics {
   std::uint64_t idle_jumps = 0;
   /// ChannelLookahead + Threaded: measured per-engine idle-wait seconds.
   std::vector<double> idle_wait_per_engine;
-  /// ChannelLookahead: per-directed-channel lookahead/delivery/throttle
-  /// stats from the kernel.
+  /// Per-directed-channel lookahead/delivery/throttle stats from the
+  /// kernel (throttle fields are ChannelLookahead-only).
   std::vector<des::ChannelStat> channels;
   /// Per-engine-pair minimum cut-link latency from the mapping (objective
   /// 1 made observable; the channel lookaheads the emulator registers).
@@ -130,10 +130,8 @@ class WatchdogTimeout : public std::runtime_error {
 struct SuperviseOptions {
   /// Snapshot directory (created if missing). Required.
   std::string ckpt_dir;
-  /// Simulated seconds between snapshots.
+  /// Simulated seconds between snapshots; the first is one period in.
   double checkpoint_period_s = 5.0;
-  /// First snapshot time; 0 = one period in.
-  double first_checkpoint_s = 0;
   /// Snapshots retained on disk.
   int keep = 2;
   /// Abort an attempt when the wall time between safepoint heartbeats
@@ -141,11 +139,9 @@ struct SuperviseOptions {
   /// cooperative — it triggers at the next safepoint after a stall, so
   /// give it headroom over the expected inter-safepoint wall time.
   double watchdog_timeout_s = 0;
-  /// Total attempts (first run + retries) before giving up; the final
-  /// failure is rethrown to the caller.
+  /// Total attempts (first run + retries, back to back) before giving up;
+  /// the final failure is rethrown to the caller.
   int max_attempts = 3;
-  /// Wall-clock pause between attempts (simple fixed backoff).
-  double retry_backoff_s = 0;
   /// Extra state appended to / restored from each snapshot (e.g. a
   /// rebalance::Controller's save_state / load_state).
   std::function<void(ckpt::Writer&)> save_extra;
@@ -186,7 +182,7 @@ class Experiment {
                     const MappingResult& mapping) const;
 
   /// Crash-resilient run: periodic checkpoints at the configured cadence, a
-  /// cooperative watchdog on safepoint heartbeats, and retry-with-backoff
+  /// cooperative watchdog on safepoint heartbeats, and an immediate retry
   /// from the latest valid snapshot when an attempt dies (corrupt snapshots
   /// are rejected and older ones tried; a fresh start is the last resort).
   /// The recovered run's history_hash is bit-identical to an uninterrupted

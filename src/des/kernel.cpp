@@ -1,5 +1,7 @@
 #include "des/kernel.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -55,6 +57,17 @@ constexpr std::uint32_t kTagKernel = 0x6b726e6c;    // "krnl"
 constexpr std::uint32_t kTagChannels = 0x6b636873;  // "kchs"
 constexpr std::uint32_t kTagLp = 0x6b6c7073;        // "klps"
 constexpr std::uint32_t kTagKernelEnd = 0x6b656e64; // "kend"
+
+/// CPUs this process may run on: its affinity mask (a CPU-limited container
+/// counts its own share), else hardware_concurrency; at least 1.
+std::size_t usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+#endif
+  return std::max(1U, std::thread::hardware_concurrency());
+}
 
 /// First-exception box shared by the worker threads of a run. `failed` is
 /// the lock-free flag the hot loops poll; the exception itself travels
@@ -160,8 +173,8 @@ struct Kernel::Impl {
   /// events accumulate here until the run is big enough to publish
   /// (kOutboxFlushEvents) or a flush is forced; min_t tracks the earliest
   /// held timestamp so the sender's published clock can be capped while it
-  /// hoards (see flush_channels). GlobalWindow hands whole
-  /// windows off at the barrier and ignores min_t.
+  /// hoards (see flush_channels). GlobalWindow publishes every slot at the
+  /// end of each window step and ignores min_t.
   struct Outbox {
     std::vector<Event> events;
     SimTime min_t = Kernel::never();
@@ -174,14 +187,8 @@ struct Kernel::Impl {
     EventHeap queue;
     std::uint64_t seq_counter = 0;
     std::vector<Outbox> outbox;  // one slot per destination LP
-    /// Destinations whose outbox slot became non-empty this window; flushed
-    /// into the receivers' pending_sources at the window barrier so the
-    /// drain phase only visits live sender/receiver pairs instead of
-    /// scanning all k^2 slots.
+    /// Destinations whose outbox slot is non-empty (what a flush visits).
     std::vector<std::uint32_t> dirty_dsts;
-    /// Sources with output waiting for this LP (ascending; written
-    /// single-threaded at the barrier, read by this LP's drain).
-    std::vector<std::uint32_t> pending_sources;
     double window_busy = 0;
     std::uint64_t events = 0;
     double busy_total = 0;
@@ -197,19 +204,21 @@ struct Kernel::Impl {
     double idle_wait = 0;
     /// Wait slot of the worker that owns this LP: senders ring it after
     /// publishing a run or advancing their clock. Null when one worker
-    /// owns every LP (it never waits on anyone).
+    /// owns every LP (it never waits on anyone) and under GlobalWindow
+    /// (its workers wait only at barriers).
     util::WaitSlot* doorbell = nullptr;
-    /// Batched outbox runs this LP published (ChannelLookahead only;
-    /// deterministic in Sequential mode — the outbox-threshold observable).
+    /// Batched outbox runs this LP published (deterministic in Sequential
+    /// mode — the outbox-threshold observable).
     std::uint64_t handoff_runs = 0;
     /// Times this LP's worker parked on its wait slot (Threaded only).
     std::uint64_t parks = 0;
     std::vector<double> series;  // event counts per sim-time bucket
   };
 
-  /// One directed cross-LP channel under SyncMode::ChannelLookahead. The
-  /// mailbox is a single-producer single-consumer unbounded run queue
-  /// (Vyukov-style stub-swinging linked list): the sender publishes a whole
+  /// One directed cross-LP channel; every cross-LP event under either
+  /// SyncMode travels through one. The mailbox is a single-producer
+  /// single-consumer unbounded run queue (Vyukov-style stub-swinging
+  /// linked list): the sender publishes a whole
   /// outbox run with ONE release store (`head->next.store(node, release)`),
   /// the receiver consumes runs in publish order by walking `tail->next`,
   /// and spent stubs return through the `recycled` stack. Nodes — and the
@@ -369,20 +378,6 @@ struct Kernel::Impl {
     sink->on_packet_event(e.packet);
   }
 
-  /// Route every sender's dirty destination list into the receivers'
-  /// pending_sources. Must run single-threaded (sequential inter-phase, or
-  /// the barrier completion function in threaded mode); iterating senders
-  /// in index order keeps pending_sources ascending in both modes.
-  // massf-analyze: hot-path-root (outbox flush, runs once per window)
-  void flush_dirty_senders() {
-    for (std::size_t s = 0; s < lps.size(); ++s) {
-      Lp& sender = lps[s];
-      for (std::uint32_t dst : sender.dirty_dsts)
-        lps[dst].pending_sources.push_back(static_cast<std::uint32_t>(s));
-      sender.dirty_dsts.clear();
-    }
-  }
-
   /// Merge a batch of remote events into `receiver`'s queue, charging the
   /// per-message receive cost. Batches below kBulkHeapifyThreshold (or that
   /// are a small fraction of the queue) go through ordinary heap pushes;
@@ -419,26 +414,6 @@ struct Kernel::Impl {
     }
     receiver.window_busy += per_remote_cost * static_cast<double>(incoming);
     receiver.remote_received += incoming;
-  }
-
-  /// Deliver pending outbox slots into dst's queue (GlobalWindow drain
-  /// phase). Only senders recorded in pending_sources are visited.
-  // massf-analyze: hot-path-root (mailbox drain, runs once per window)
-  void drain_inboxes(std::size_t dst, double per_remote_cost) {
-    Lp& receiver = lps[dst];
-    if (receiver.pending_sources.empty()) return;
-    receiver.scratch.clear();
-    for (std::uint32_t src : receiver.pending_sources) {
-      Outbox& box = lps[src].outbox[dst];
-      // massf-analyze: allow(hot-path-alloc) — scratch keeps its capacity
-      // across windows (clear() never shrinks); steady state reuses it.
-      receiver.scratch.insert(receiver.scratch.end(), box.events.begin(),
-                              box.events.end());
-      box.events.clear();
-      box.min_t = Kernel::never();
-    }
-    receiver.pending_sources.clear();
-    merge_batch(receiver, receiver.scratch, per_remote_cost);
   }
 
   /// Pop a free run node for `ch` (sender side): the local stash first,
@@ -491,14 +466,14 @@ struct Kernel::Impl {
     if (util::WaitSlot* bell = lps[lp].doorbell) bell->signal();
   }
 
-  /// ChannelLookahead sender flush at a publish point. Slots holding at
-  /// least kOutboxFlushEvents events (all of them when `force`) are
-  /// published; smaller runs stay hoarded to amortize the cross-core
-  /// handoff. Returns the hoard cap: min over still-held slots of (earliest
-  /// held event − that channel's lookahead). Capping the sender's published
-  /// clock there keeps hoarding conservative-safe — a receiver's bound
-  /// through a hoarded channel never reaches the earliest event the hoard
-  /// still owes it. Kernel::step force-flushes whenever an advance executes
+  /// Sender flush at a publish point. Slots holding at least
+  /// kOutboxFlushEvents events (all of them when `force`, which GlobalWindow
+  /// always passes) are published; smaller runs stay hoarded to amortize
+  /// the cross-core handoff. Returns the hoard cap: min over still-held
+  /// slots of (earliest held event − that channel's lookahead). Capping the
+  /// sender's published clock there keeps hoarding conservative-safe — a
+  /// receiver's bound through a hoarded channel never reaches the earliest
+  /// event the hoard still owes it. Kernel::step force-flushes whenever an advance executes
   /// nothing (the prelude to every stall, rendezvous, and safepoint), so
   /// hoards never outlive the sender's attention.
   SimTime flush_channels(std::size_t src, bool force) {
@@ -520,26 +495,41 @@ struct Kernel::Impl {
     return cap;
   }
 
-  /// ChannelLookahead receiver drain of one inbound channel: consume every
-  /// published run in publish order, recycle the spent stubs, and merge the
-  /// whole batch through the bulk-heapify path. The acquire load of `next`
-  /// pairs with the sender's release publish in flush_box.
-  void drain_channel(Channel& ch, Lp& receiver, double per_remote_cost) {
+  /// Receiver side of a channel: consume every published run in publish
+  /// order, append its events to `out`, and recycle the spent stubs. The
+  /// acquire load of `next` pairs with the sender's release publish in
+  /// flush_box.
+  void collect_runs(Channel& ch, std::vector<Event>& out) {
     Channel::RunNode* next = ch.tail->next.load(std::memory_order_acquire);
     if (next == nullptr) return;
-    receiver.scratch.clear();
+    const std::size_t before = out.size();
     do {
       // massf-analyze: allow(hot-path-alloc) — scratch keeps its capacity
       // across drains (clear() never shrinks); steady state reuses it.
-      receiver.scratch.insert(receiver.scratch.end(), next->events.begin(),
-                              next->events.end());
+      out.insert(out.end(), next->events.begin(), next->events.end());
       next->events.clear();  // keep the capacity; the node recycles
       Channel::RunNode* spent = ch.tail;
       ch.tail = next;
       recycle_node(ch, spent);
       next = ch.tail->next.load(std::memory_order_acquire);
     } while (next != nullptr);
-    ch.delivered += receiver.scratch.size();
+    ch.delivered += out.size() - before;
+  }
+
+  /// ChannelLookahead drain of one inbound channel: one merge per channel.
+  void drain_channel(Channel& ch, Lp& receiver, double per_remote_cost) {
+    receiver.scratch.clear();
+    collect_runs(ch, receiver.scratch);
+    merge_batch(receiver, receiver.scratch, per_remote_cost);
+  }
+
+  /// GlobalWindow drain phase: every inbound channel's runs (ascending by
+  /// src) in ONE merge, so window_busy gets one receive-cost term.
+  void drain_window(std::size_t dst, double per_remote_cost) {
+    Lp& receiver = lps[dst];
+    receiver.scratch.clear();
+    for (std::uint32_t ci : inbound[dst])
+      collect_runs(*channels[ci], receiver.scratch);
     merge_batch(receiver, receiver.scratch, per_remote_cost);
   }
 
@@ -630,7 +620,6 @@ double Kernel::remote_lookahead(int to_lp) const {
                 "schedule_packet_remote may only be called from an "
                 "executing event");
   MASSF_REQUIRE(to_lp >= 0 && to_lp < lp_count_, "LP index out of range");
-  if (impl_->channels.empty()) return lookahead_;
   const std::int32_t c =
       impl_->channel_index(static_cast<std::size_t>(tl_current_lp),
                            static_cast<std::size_t>(to_lp));
@@ -788,7 +777,7 @@ void Kernel::save_checkpoint(
   // drain_all_channels and the worker loop structure); a violation
   // here means pending events would be silently dropped from the snapshot.
   for (const Impl::Lp& lp : impl_->lps) {
-    MASSF_CHECK(lp.dirty_dsts.empty() && lp.pending_sources.empty(),
+    MASSF_CHECK(lp.dirty_dsts.empty(),
                 "safepoint quiescence violated: staged cross-LP routing");
     for (const Impl::Outbox& box : lp.outbox)
       MASSF_CHECK(box.events.empty(),
@@ -986,7 +975,17 @@ void Kernel::restore_checkpoint(
 }
 
 void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
+  // More workers than CPUs only add parking.
+  run_until(end_time,
+            mode == ExecutionMode::Sequential
+                ? 1
+                : std::min(static_cast<std::size_t>(lp_count_), usable_cpus()));
+}
+
+void Kernel::run_until(SimTime end_time, std::size_t workers) {
   MASSF_REQUIRE(!ran_, "run_until may only be called once");
+  MASSF_REQUIRE(workers >= 1 && workers <= static_cast<std::size_t>(lp_count_),
+                "worker count must be in [1, lp_count]");
   MASSF_REQUIRE(end_time > 0, "end time must be positive");
   MASSF_REQUIRE(tl_current_lp < 0, "run_until cannot be nested");
   ran_ = true;
@@ -1010,26 +1009,18 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
   const double horizon_buckets = end_time / stats_.bucket_width;
   const auto reserve_buckets = static_cast<std::size_t>(std::min(
       horizon_buckets + 1, static_cast<double>(kMaxReservedBuckets)));
-  for (auto& lp : impl_->lps) {
-    lp.series.reserve(reserve_buckets);
-    lp.pending_sources.reserve(static_cast<std::size_t>(lp_count_));
-  }
+  for (auto& lp : impl_->lps) lp.series.reserve(reserve_buckets);
 
-  const bool channel_mode = sync_mode_ == SyncMode::ChannelLookahead;
-  if (channel_mode) {
-    // No channels registered → every LP pair is implicitly coupled at the
-    // global lookahead, so the protocol degrades to per-pair advancement
-    // with uniform bounds (still barrier-free).
-    if (impl_->channels.empty())
-      for (int s = 0; s < lp_count_; ++s)
-        for (int d = 0; d < lp_count_; ++d)
-          if (s != d) impl_->ensure_channel(s, d, lookahead_);
-    impl_->build_inbound();
-  }
-  run_workers(end_time, mode == ExecutionMode::Sequential
-                            ? 1
-                            : static_cast<std::size_t>(lp_count_));
-  if (channel_mode) finalize_channel_run(end_time);
+  // Every cross-LP event travels through the channel graph. No channels
+  // registered → every LP pair is implicitly coupled at the global
+  // lookahead.
+  if (impl_->channels.empty())
+    for (int s = 0; s < lp_count_; ++s)
+      for (int d = 0; d < lp_count_; ++d)
+        if (s != d) impl_->ensure_channel(s, d, lookahead_);
+  impl_->build_inbound();
+  run_workers(end_time, workers);
+  if (sync_mode_ == SyncMode::ChannelLookahead) finalize_channel_run(end_time);
 
   // Fold per-LP results into stats_.
   std::size_t max_buckets = 0;
@@ -1047,6 +1038,14 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
         lp.history * (static_cast<std::uint64_t>(i) * 2654435761ULL + 1);
     max_buckets = std::max(max_buckets, lp.series.size());
   }
+  for (const auto& ch : impl_->channels)
+    stats_.channels.push_back({static_cast<int>(ch->src),
+                               static_cast<int>(ch->dst), ch->lookahead,
+                               ch->delivered, ch->throttled, ch->max_lag});
+  std::sort(stats_.channels.begin(), stats_.channels.end(),
+            [](const ChannelStat& a, const ChannelStat& b) {
+              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+            });
   stats_.load_series.assign(static_cast<std::size_t>(lp_count_), {});
   for (int i = 0; i < lp_count_; ++i) {
     auto& row = stats_.load_series[static_cast<std::size_t>(i)];
@@ -1059,13 +1058,13 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
 // The worker loop.
 //
 // W workers each own a contiguous block of LPs: Sequential is W = 1 on the
-// calling thread, Threaded one worker per LP. A worker's round gives each
-// owned LP one step (drain → limit → execute → throttle stat → flush →
-// publish) and then takes its protocol's sync step:
+// calling thread, Threaded W = min(lp_count, usable CPUs). A worker's round
+// gives each owned LP one step (drain → limit → execute → throttle stat →
+// flush → publish) and then takes its protocol's sync step:
 //
-//   * GlobalWindow — every LP executes up to the window end. The two-phase
-//     window barrier then closes the window (account it, route the
-//     outboxes), lets each worker drain its own LPs' inboxes, and opens the
+//   * GlobalWindow — every LP executes up to the window end and publishes
+//     its outboxes. The two-phase window barrier then closes the window,
+//     lets each worker drain its own LPs' inbound channels, and opens the
 //     next window at the quiescent barrier. Windows start at the globally
 //     earliest pending event, so idle spans are skipped.
 //   * ChannelLookahead — CMB-style per-channel safe-time advancement. LP i
@@ -1151,7 +1150,9 @@ struct alignas(64) Kernel::Run {
 void Kernel::run_workers(SimTime end_time, std::size_t workers) {
   Run run(*this, end_time, workers);
   auto& lps = impl_->lps;
-  if (workers > 1) {
+  // Only ChannelLookahead workers park on wait slots; GlobalWindow workers
+  // meet at the barriers, so their senders ring nobody.
+  if (workers > 1 && sync_mode_ == SyncMode::ChannelLookahead) {
     run.doorbells = std::make_unique<util::WaitSlot[]>(workers);
     for (std::size_t w = 0; w < workers; ++w)
       for (std::size_t i = run.first_lp(w); i < run.first_lp(w + 1); ++i)
@@ -1201,7 +1202,7 @@ void Kernel::work(Run& run, std::size_t worker) {
       run.window_close.arrive_and_wait();
       guarded([&] {
         for (std::size_t i = lo; i < hi; ++i)
-          impl_->drain_inboxes(i, cost_.per_remote_message);
+          impl_->drain_window(i, cost_.per_remote_message);
       });
       run.quiescent.arrive_and_wait();
     } else if (!executed) {
@@ -1245,7 +1246,10 @@ bool Kernel::step(Run& run, std::size_t i) {
   });
   tl_current_lp = -1;
   const bool executed = lp.events != before;
-  if (!channel_mode) return executed;
+  if (!channel_mode) {
+    impl_->flush_channels(i, /*force=*/true);  // the window's whole output
+    return executed;
+  }
 
   if (executed) ++lp.advances;
   // Throttle observability: a pending event this LP cares about is held
@@ -1363,16 +1367,15 @@ void Kernel::close_window(Run& run) noexcept {
     lp.busy_total += lp.window_busy;
     lp.window_busy = 0;
   }
-  impl_->flush_dirty_senders();
 }
 
 SimTime Kernel::earliest_pending() const {
   SimTime m = never();
   for (const Impl::Lp& lp : impl_->lps)
     if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-  // Outboxes need no scan: GlobalWindow drains them before the quiescent
-  // barrier, and a ChannelLookahead worker stalls only after force-flushing
-  // its own. Channel runs are quiescent while every worker is parked.
+  // Outboxes need no scan: every GlobalWindow step force-flushes its own,
+  // and a ChannelLookahead worker stalls only after force-flushing its own.
+  // Channel runs are quiescent while every worker is parked.
   for (const auto& ch : impl_->channels)
     for (const Impl::Channel::RunNode* n =
              ch->tail->next.load(std::memory_order_acquire);
@@ -1397,7 +1400,7 @@ void Kernel::quiesce(Run& run) noexcept {
       const SimTime sp = next_safepoint();
       // ChannelLookahead: flush the hoards and drain the in-flight runs so
       // the hook (and rehome_events) sees the whole pending set in LP
-      // queues. GlobalWindow drained its inboxes before this barrier.
+      // queues. GlobalWindow drained its channels before this barrier.
       if (!windows) impl_->drain_all_channels(cost_.per_remote_message);
       ++stats_.safepoints;
       if (safepoint_hook_) {
@@ -1468,14 +1471,6 @@ void Kernel::finalize_channel_run(SimTime end_time) {
   const SimTime span = std::min(reached, end_time);
   stats_.coupled_time = std::max(stats_.modeled_time, span);
   sim_position_ = span;
-  for (const auto& ch : impl_->channels)
-    stats_.channels.push_back({static_cast<int>(ch->src),
-                               static_cast<int>(ch->dst), ch->lookahead,
-                               ch->delivered, ch->throttled, ch->max_lag});
-  std::sort(stats_.channels.begin(), stats_.channels.end(),
-            [](const ChannelStat& a, const ChannelStat& b) {
-              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-            });
 }
 
 }  // namespace massf::des

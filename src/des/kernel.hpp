@@ -19,10 +19,11 @@
 // more concurrency (§2.2.3).
 //
 // The kernel runs in two modes that produce bit-identical event histories:
-// Sequential (default; benches use it for determinism) and Threaded (one
-// std::thread per LP, synchronized through util::SpinBarrier and
-// util::WaitSlot). Both run the same worker loop: Sequential is one worker
-// owning every LP on the calling thread, Threaded one worker per LP.
+// Sequential (default; benches use it for determinism) and Threaded
+// (min(lp_count, usable CPUs) std::threads, synchronized through
+// util::SpinBarrier and util::WaitSlot). Both run the same worker loop, in
+// which each worker owns a block of LPs; cross-LP events travel as batched
+// runs on per-channel lock-free run queues under both protocols.
 //
 // Two synchronization protocols are available (SyncMode):
 //
@@ -51,6 +52,7 @@
 // substitution notes).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -116,8 +118,8 @@ const char* to_string(SyncMode mode);
 /// cache handoff over a run while staying small enough that a drained run
 /// usually rides the bulk-heapify path (kBulkHeapifyThreshold) at the
 /// receiver. Exposed so tests can pin both sides of the threshold
-/// (KernelStats::handoff_runs is the observable). GlobalWindow mode always
-/// hands off whole windows and ignores it.
+/// (KernelStats::handoff_runs is the observable). GlobalWindow publishes
+/// every non-empty outbox at the end of each LP's window and ignores it.
 inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 
 /// Iterations a threaded worker spends in the cpu_relax() spin loop —
@@ -137,8 +139,8 @@ inline constexpr std::uint32_t kSpinIterationsBeforePark = 2048;
 /// tests can pin both branches of the drain path to the constant.
 inline constexpr std::size_t kBulkHeapifyThreshold = 8;
 
-/// Per-directed-channel counters under SyncMode::ChannelLookahead
-/// (single-writer: maintained by the receiving LP).
+/// Per-directed-channel counters (single-writer: maintained by the
+/// receiving LP). Throttle fields stay 0 under GlobalWindow.
 struct ChannelStat {
   int src = 0;
   int dst = 0;
@@ -177,11 +179,11 @@ struct KernelStats {
   /// ChannelLookahead only: rendezvous barriers taken to jump over globally
   /// idle spans (termination detection is one more rendezvous on top).
   std::uint64_t idle_jumps = 0;
-  /// ChannelLookahead only: batched outbox runs published to channel
-  /// mailboxes (each is one release-store regardless of how many events it
-  /// carries). Deterministic in Sequential mode — the branch-pinning
-  /// observable for kOutboxFlushEvents; in Threaded mode a diagnostic
-  /// (stall-forced flushes depend on timing).
+  /// Batched outbox runs published to channel mailboxes (one release-store
+  /// each). GlobalWindow: one per (sender, receiver) pair with traffic per
+  /// window, in every mode. ChannelLookahead: deterministic in Sequential
+  /// mode (the kOutboxFlushEvents observable); in Threaded mode a
+  /// diagnostic (stall-forced flushes depend on timing).
   std::uint64_t handoff_runs = 0;
   /// Threaded only: times a worker exhausted its spin budget and parked on
   /// its wait slot (futex). Timing-dependent diagnostic, like idle_wait.
@@ -190,8 +192,8 @@ struct KernelStats {
   /// spent spinning with nothing safely executable (per-engine idle wait).
   /// Zeros in Sequential mode, where waiting has no meaning.
   std::vector<double> idle_wait_per_lp;
-  /// ChannelLookahead only: per-directed-channel delivery/throttle stats,
-  /// ordered by (src, dst).
+  /// Per-directed-channel delivery/throttle stats, ordered by (src, dst);
+  /// Σ delivered == remote_messages under both protocols.
   std::vector<ChannelStat> channels;
   /// Modeled wall-clock emulation time (see header comment): pure engine
   /// work, Σ_windows (max busy + sync). The right metric for replay runs
@@ -255,9 +257,9 @@ class Kernel {
   /// minimum latency of cut links between that engine pair — at least the
   /// global lookahead, which is the min over *all* pairs). Semantics:
   ///
-  ///   * No channels registered: all LP pairs are implicitly connected at
-  ///     the global lookahead (ChannelLookahead then degrades gracefully;
-  ///     GlobalWindow is unaffected).
+  ///   * No channels registered: run_until connects all LP pairs
+  ///     implicitly at the global lookahead (ChannelLookahead then degrades
+  ///     gracefully; GlobalWindow is unaffected).
   ///   * Any channel registered: the channel graph is exactly the
   ///     registered pairs. schedule_packet_remote to an unregistered pair
   ///     is rejected, and remote sends validate against
@@ -360,8 +362,8 @@ class Kernel {
   // from it and run to the same end_time produces a bit-identical
   // history_hash to the uninterrupted run. The safepoint quiescence
   // protocol guarantees (and save_checkpoint verifies) that outboxes,
-  // dirty-sender lists and channel mailboxes are all empty, so LP queues
-  // are provably the whole pending-event set. See DESIGN.md §12.
+  // dirty-destination lists and channel mailboxes are all empty, so LP
+  // queues are provably the whole pending-event set. See DESIGN.md §12.
 
   /// Serialize the kernel run state into `w`. Hook-only (the quiescent
   /// single-threaded pause is what makes the state well defined).
@@ -389,7 +391,7 @@ class Kernel {
   SimTime resume_time() const { return resume_time_; }
 
   /// Execute until no events remain with time < end_time. May be called
-  /// once.
+  /// once. Threaded runs min(lp_count, usable CPUs) workers.
   void run_until(SimTime end_time,
                  ExecutionMode mode = ExecutionMode::Sequential);
 
@@ -403,6 +405,10 @@ class Kernel {
   struct Impl;
   /// Coordination state of one run_until, shared by its workers.
   struct Run;
+  /// Test seam: run_until with an explicit worker count (1 <= W <=
+  /// lp_count), so 1 < W < lp_count is covered on every host.
+  friend struct KernelTestPeer;
+  void run_until(SimTime end_time, std::size_t workers);
 
   /// Run `workers` workers, each owning a contiguous block of LPs; one
   /// worker runs on the calling thread.
@@ -415,8 +421,7 @@ class Kernel {
   /// ChannelLookahead: wait until an owned LP may have work, or join the
   /// rendezvous once every worker is stalled.
   void stall(Run& run, std::size_t worker, std::vector<SimTime>& snapshot);
-  /// GlobalWindow completion step after every window: account it and route
-  /// the outboxes to their receivers.
+  /// GlobalWindow completion step after every window: account it.
   void close_window(Run& run) noexcept;
   /// Completion step of the quiescent barrier (every worker parked): fire
   /// due safepoints, then stop, open the next window (GlobalWindow) or jump

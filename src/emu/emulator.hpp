@@ -65,7 +65,10 @@ struct EmulatorConfig {
   double bucket_width = 2.0;
   /// Engine cost model for modeled emulation time.
   des::CostModel cost{};
-  /// Record NetFlow profiles (tiny overhead; PROFILE needs it).
+  /// Record NetFlow profiles (PROFILE needs them). Not cheap: on a 4-CPU
+  /// x86-64 VM (Release, perfbench/README.md) turning it on cost 24% of
+  /// `campus_profile`'s and 69% of `lb_fault`'s run time, mostly the
+  /// per-node flow map.
   bool collect_netflow = true;
   /// Fallback lookahead when no link crosses engines (single-engine runs).
   double min_lookahead = 1e-4;

@@ -5,13 +5,19 @@
 // register it with a ScriptSink, which stores the body and schedules a
 // packet whose payload points at it. A null payload is a no-op filler
 // event, so `kernel.schedule_packet(lp, t, {})` schedules pure load.
+//
+// KernelTestPeer runs a kernel with an explicit worker count, so the
+// threaded equivalence tests cover 1 < W < lp_count on every host.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "des/kernel.hpp"
 
@@ -53,5 +59,24 @@ class ScriptSink : public EventSink {
   std::mutex mutex_;
   std::deque<Body> bodies_;
 };
+
+/// Kernel::run_until with exactly `workers` workers (1 = Sequential),
+/// whatever the host's CPU count.
+struct KernelTestPeer {
+  static void run_until(Kernel& kernel, SimTime end_time,
+                        std::size_t workers) {
+    kernel.run_until(end_time, workers);
+  }
+};
+
+/// Worker counts W ∈ {1, 2, lps} (clipped to lps, ascending, unique): the
+/// Sequential worker, a worker owning a block of several LPs, and one
+/// worker per LP.
+inline std::vector<std::size_t> worker_counts(int lps) {
+  const auto n = static_cast<std::size_t>(lps);
+  std::vector<std::size_t> counts{1, std::min<std::size_t>(2, n), n};
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  return counts;
+}
 
 }  // namespace massf::des

@@ -235,7 +235,7 @@ class ForwardingSink : public EventSink {
 /// `fanout` 0 is sparse cross-LP traffic (outbox runs stay below
 /// kOutboxFlushEvents); fanout >= kOutboxFlushEvents sends bursts that
 /// reach the flush threshold within one advance.
-KernelStats pingpong(int lps, ExecutionMode mode,
+KernelStats pingpong(int lps, std::size_t workers,
                      SyncMode sync = SyncMode::GlobalWindow, int fanout = 0) {
   Kernel kernel(lps, 1.0);
   kernel.set_sync_mode(sync);
@@ -249,9 +249,12 @@ KernelStats pingpong(int lps, ExecutionMode mode,
       kernel.schedule_packet(lp, 0.1 * (lp + 1) + 0.05 * c, {rec, lp});
     }
   }
-  kernel.run_until(1e6, mode);
+  KernelTestPeer::run_until(kernel, 1e6, workers);
   return kernel.stats();
 }
+
+/// The single worker of a Sequential run.
+constexpr std::size_t kSequential = 1;
 
 constexpr int kBurst = static_cast<int>(kOutboxFlushEvents);
 
@@ -280,28 +283,32 @@ struct GoldenRun {
 constexpr SyncMode kGW = SyncMode::GlobalWindow;
 constexpr SyncMode kCL = SyncMode::ChannelLookahead;
 
+// GlobalWindow publishes one run per (sender, receiver) pair with traffic
+// per window: an LP's two chains hop in the same window, so its runs
+// carry two hops (sparse: remote_messages / 2) or two hops plus their
+// fillers (burst: remote_messages / 34).
 const GoldenRun kGolden[] = {
     {1, kGW, 0, 40u, 0u, 0u, 0u, 0u,
      0x898fd43d4213b2cull, 0x3f82007dd4413552ull},
     {1, kCL, 0, 0u, 0u, 1u, 0u, 0u,
      0x898fd43d4213b2cull, 0x3f50385c67dfe332ull},
-    {2, kGW, 0, 40u, 0u, 0u, 0u, 156u,
+    {2, kGW, 0, 40u, 0u, 0u, 78u, 156u,
      0x6f7031151845ac59ull, 0x3f88644523f67f4dull},
     {2, kCL, 0, 0u, 20u, 42u, 40u, 156u,
      0x6f7031151845ac59ull, 0x3f809bf9c62a1b5eull},
-    {3, kGW, 0, 40u, 0u, 0u, 0u, 234u,
+    {3, kGW, 0, 40u, 0u, 0u, 117u, 234u,
      0x7db58848b3d15af6ull, 0x3f88644523f67f4dull},
     {3, kCL, 0, 0u, 12u, 119u, 42u, 234u,
      0x7db58848b3d15af6ull, 0x3f7aaa3ad18d25f2ull},
-    {4, kGW, 0, 40u, 0u, 0u, 0u, 312u,
+    {4, kGW, 0, 40u, 0u, 0u, 156u, 312u,
      0x3e8c864ecb30e096ull, 0x3f88644523f67f4dull},
     {4, kCL, 0, 0u, 10u, 195u, 80u, 312u,
      0x3e8c864ecb30e096ull, 0x3f7906cca2db61beull},
-    {8, kGW, 0, 40u, 0u, 0u, 0u, 624u,
+    {8, kGW, 0, 40u, 0u, 0u, 312u, 624u,
      0x49c188ac6a673258ull, 0x3f88ca8198f1d3eaull},
     {8, kCL, 0, 0u, 4u, 393u, 215u, 624u,
      0x49c188ac6a673258ull, 0x3f741c8216c61525ull},
-    {4, kGW, kBurst, 40u, 0u, 0u, 0u, 5304u,
+    {4, kGW, kBurst, 40u, 0u, 0u, 156u, 5304u,
      0xb936aa5b0dfacdfeull, 0x3fb16d0917d6b665ull},
     {4, kCL, kBurst, 0u, 0u, 121u, 118u, 5304u,
      0xb936aa5b0dfacdfeull, 0x3faedbb59ddc1e73ull},
@@ -309,8 +316,7 @@ const GoldenRun kGolden[] = {
 
 TEST(GoldenSequential, PingPongCountersArePinned) {
   for (const GoldenRun& g : kGolden) {
-    const KernelStats got = pingpong(g.lps, ExecutionMode::Sequential, g.sync,
-                                     g.fanout);
+    const KernelStats got = pingpong(g.lps, kSequential, g.sync, g.fanout);
     SCOPED_TRACE(::testing::Message()
                  << "{" << g.lps << ", "
                  << (g.sync == kGW ? "kGW" : "kCL") << ", " << g.fanout
@@ -334,9 +340,9 @@ TEST(GoldenSequential, PingPongCountersArePinned) {
 // burst variant publishes runs at or above it.
 TEST(GoldenSequential, SparseAndBurstTakeBothFlushBranches) {
   const KernelStats sparse =
-      pingpong(4, ExecutionMode::Sequential, kCL, /*fanout=*/0);
+      pingpong(4, kSequential, kCL, /*fanout=*/0);
   const KernelStats burst =
-      pingpong(4, ExecutionMode::Sequential, kCL, kBurst);
+      pingpong(4, kSequential, kCL, kBurst);
   ASSERT_GT(sparse.handoff_runs, 0u);
   ASSERT_GT(burst.handoff_runs, 0u);
   EXPECT_LT(sparse.remote_messages, kOutboxFlushEvents * sparse.handoff_runs);
@@ -346,7 +352,7 @@ TEST(GoldenSequential, SparseAndBurstTakeBothFlushBranches) {
 /// One 40-hop token per LP passed around the LP ring by inline ScriptSink
 /// bodies: each hop schedules a local filler and its own continuation on
 /// the next LP, so event bodies are created while the run is in flight.
-KernelStats script_ring(int lps, ExecutionMode mode,
+KernelStats script_ring(int lps, std::size_t workers,
                         SyncMode sync = SyncMode::GlobalWindow) {
   Kernel kernel(lps, 1.0);
   kernel.set_sync_mode(sync);
@@ -364,7 +370,7 @@ KernelStats script_ring(int lps, ExecutionMode mode,
   };
   for (int lp = 0; lp < lps; ++lp)
     script.at(lp, 0.1 * (lp + 1), [&hop, lp] { hop(lp, 40); });
-  kernel.run_until(1e6, mode);
+  KernelTestPeer::run_until(kernel, 1e6, workers);
   return kernel.stats();
 }
 
@@ -381,8 +387,11 @@ class ModeEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ModeEquivalence, SequentialAndThreadedIdentical) {
   const int lps = GetParam();
-  expect_same_run(script_ring(lps, ExecutionMode::Sequential),
-                  script_ring(lps, ExecutionMode::Threaded));
+  const KernelStats seq = script_ring(lps, kSequential);
+  for (const std::size_t workers : worker_counts(lps)) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    expect_same_run(seq, script_ring(lps, workers));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LpCounts, ModeEquivalence,
@@ -393,12 +402,15 @@ class PacketModeEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(PacketModeEquivalence, SequentialAndThreadedIdentical) {
   const int lps = GetParam();
   for (const int fanout : {0, kBurst}) {
-    SCOPED_TRACE(::testing::Message() << "fanout " << fanout);
-    expect_same_run(
-        pingpong(lps, ExecutionMode::Sequential, SyncMode::GlobalWindow,
-                 fanout),
-        pingpong(lps, ExecutionMode::Threaded, SyncMode::GlobalWindow,
-                 fanout));
+    const KernelStats seq = pingpong(lps, kSequential, kGW, fanout);
+    for (const std::size_t workers : worker_counts(lps)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "fanout " << fanout << ", " << workers << " workers");
+      const KernelStats thr = pingpong(lps, workers, kGW, fanout);
+      expect_same_run(seq, thr);
+      // GlobalWindow publishes the same runs whatever the worker count.
+      EXPECT_EQ(seq.handoff_runs, thr.handoff_runs);
+    }
   }
 }
 
@@ -559,27 +571,26 @@ class ChannelModeEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChannelModeEquivalence, HistoryIdenticalAcrossProtocolsAndModes) {
   const int lps = GetParam();
-  const KernelStats global_seq = script_ring(lps, ExecutionMode::Sequential);
-  const KernelStats chan_seq = script_ring(lps, ExecutionMode::Sequential,
-                                           SyncMode::ChannelLookahead);
-  const KernelStats chan_thr = script_ring(lps, ExecutionMode::Threaded,
-                                           SyncMode::ChannelLookahead);
+  const KernelStats global_seq = script_ring(lps, kSequential);
+  const KernelStats chan_seq = script_ring(lps, kSequential, kCL);
   EXPECT_EQ(global_seq.history_hash, chan_seq.history_hash);
-  EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
   EXPECT_EQ(global_seq.events_per_lp, chan_seq.events_per_lp);
-  EXPECT_EQ(global_seq.events_per_lp, chan_thr.events_per_lp);
   EXPECT_EQ(global_seq.remote_messages, chan_seq.remote_messages);
-  EXPECT_EQ(global_seq.remote_messages, chan_thr.remote_messages);
-  EXPECT_EQ(chan_seq.load_series, chan_thr.load_series);
   // Busy totals are sync-mode-invariant (same events, same messages).
   for (std::size_t i = 0; i < global_seq.busy_per_lp.size(); ++i)
     EXPECT_NEAR(global_seq.busy_per_lp[i], chan_seq.busy_per_lp[i], 1e-12);
-  // Channel mode has no windows; it advances per-LP instead.
-  EXPECT_EQ(chan_seq.windows, 0u);
-  EXPECT_EQ(chan_thr.windows, 0u);
-  EXPECT_GT(chan_seq.channel_advances, 0u);
-  EXPECT_GT(chan_thr.channel_advances, 0u);
   EXPECT_EQ(chan_seq.sync_mode, SyncMode::ChannelLookahead);
+  for (const std::size_t workers : worker_counts(lps)) {
+    SCOPED_TRACE(::testing::Message() << workers << " workers");
+    const KernelStats chan_thr = script_ring(lps, workers, kCL);
+    EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
+    EXPECT_EQ(global_seq.events_per_lp, chan_thr.events_per_lp);
+    EXPECT_EQ(global_seq.remote_messages, chan_thr.remote_messages);
+    EXPECT_EQ(chan_seq.load_series, chan_thr.load_series);
+    // Channel mode has no windows; it advances per-LP instead.
+    EXPECT_EQ(chan_thr.windows, 0u);
+    EXPECT_GT(chan_thr.channel_advances, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LpCounts, ChannelModeEquivalence,
@@ -590,20 +601,20 @@ class PacketChannelModeEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(PacketChannelModeEquivalence, HistoryIdenticalAcrossProtocolsAndModes) {
   const int lps = GetParam();
   for (const int fanout : {0, kBurst}) {
-    SCOPED_TRACE(::testing::Message() << "fanout " << fanout);
-    const KernelStats global_seq = pingpong(
-        lps, ExecutionMode::Sequential, SyncMode::GlobalWindow, fanout);
-    const KernelStats chan_seq = pingpong(
-        lps, ExecutionMode::Sequential, SyncMode::ChannelLookahead, fanout);
-    const KernelStats chan_thr = pingpong(
-        lps, ExecutionMode::Threaded, SyncMode::ChannelLookahead, fanout);
-    EXPECT_EQ(global_seq.history_hash, chan_seq.history_hash);
-    EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
-    EXPECT_EQ(global_seq.events_per_lp, chan_seq.events_per_lp);
-    EXPECT_EQ(global_seq.events_per_lp, chan_thr.events_per_lp);
-    EXPECT_EQ(global_seq.remote_messages, chan_seq.remote_messages);
-    EXPECT_EQ(global_seq.remote_messages, chan_thr.remote_messages);
-    EXPECT_EQ(chan_seq.load_series, chan_thr.load_series);
+    const KernelStats global_seq = pingpong(lps, kSequential, kGW, fanout);
+    const KernelStats chan_seq = pingpong(lps, kSequential, kCL, fanout);
+    for (const std::size_t workers : worker_counts(lps)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "fanout " << fanout << ", " << workers << " workers");
+      const KernelStats chan_thr = pingpong(lps, workers, kCL, fanout);
+      EXPECT_EQ(global_seq.history_hash, chan_seq.history_hash);
+      EXPECT_EQ(global_seq.history_hash, chan_thr.history_hash);
+      EXPECT_EQ(global_seq.events_per_lp, chan_seq.events_per_lp);
+      EXPECT_EQ(global_seq.events_per_lp, chan_thr.events_per_lp);
+      EXPECT_EQ(global_seq.remote_messages, chan_seq.remote_messages);
+      EXPECT_EQ(global_seq.remote_messages, chan_thr.remote_messages);
+      EXPECT_EQ(chan_seq.load_series, chan_thr.load_series);
+    }
   }
 }
 
@@ -617,10 +628,8 @@ INSTANTIATE_TEST_SUITE_P(LpCounts, PacketChannelModeEquivalence,
 // golden test above pins it for the sparse and the burst workload).
 
 TEST(OutboxTuning, FlushScheduleIsDeterministic) {
-  const KernelStats a = pingpong(4, ExecutionMode::Sequential,
-                                 SyncMode::ChannelLookahead);
-  const KernelStats b = pingpong(4, ExecutionMode::Sequential,
-                                 SyncMode::ChannelLookahead);
+  const KernelStats a = pingpong(4, kSequential, kCL);
+  const KernelStats b = pingpong(4, kSequential, kCL);
   EXPECT_EQ(a.handoff_runs, b.handoff_runs);
   EXPECT_EQ(a.history_hash, b.history_hash);
 }
@@ -628,19 +637,17 @@ TEST(OutboxTuning, FlushScheduleIsDeterministic) {
 // Batching changes how events travel, never which events exist: the sparse
 // workload (every run hoarded until a forced flush) and the burst workload
 // (every run published at the threshold) each reproduce their
-// GlobalWindow/Sequential hash in both sync modes and both execution modes.
+// GlobalWindow/Sequential hash in both sync modes at every worker count.
 TEST(OutboxTuning, HistoryInvariantAcrossTuningExtremes) {
   const int lps = 4;
   for (const int fanout : {0, kBurst}) {
-    const KernelStats base =
-        pingpong(lps, ExecutionMode::Sequential, kGW, fanout);
+    const KernelStats base = pingpong(lps, kSequential, kGW, fanout);
     for (auto sync : {kGW, kCL}) {
-      for (auto mode :
-           {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
-        const KernelStats got = pingpong(lps, mode, sync, fanout);
+      for (const std::size_t workers : worker_counts(lps)) {
+        const KernelStats got = pingpong(lps, workers, sync, fanout);
         EXPECT_EQ(base.history_hash, got.history_hash)
             << "fanout=" << fanout << " sync=" << to_string(sync)
-            << " mode=" << (mode == ExecutionMode::Sequential ? "seq" : "thr");
+            << " workers=" << workers;
         EXPECT_EQ(base.events_per_lp, got.events_per_lp);
         EXPECT_EQ(base.remote_messages, got.remote_messages);
       }
@@ -651,38 +658,46 @@ TEST(OutboxTuning, HistoryInvariantAcrossTuningExtremes) {
 /// A slow channel must not throttle a pair coupled only through fast
 /// channels — the whole point of per-channel bounds. Two fast-coupled LPs
 /// exchange many hops; a third LP is reachable only through high-lookahead
-/// channels. Deliveries and throttle stats come out per channel.
+/// channels. Deliveries and throttle stats come out per channel, and every
+/// remote message is delivered through a channel under both protocols.
 TEST(ChannelSync, HeterogeneousLookaheadsTrackPerChannelStats) {
-  for (const auto mode :
-       {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
-    Kernel kernel(3, 0.5);
-    ScriptSink script(kernel);
-    kernel.set_sync_mode(SyncMode::ChannelLookahead);
-    kernel.set_channel_lookahead(0, 1, 0.5);
-    kernel.set_channel_lookahead(1, 0, 0.5);
-    kernel.set_channel_lookahead(0, 2, 50.0);
-    kernel.set_channel_lookahead(2, 0, 50.0);
-    std::function<void(int, int, int)> hop = [&](int from, int to,
-                                                 int hops_left) {
-      if (hops_left == 0) return;
-      script.remote(to, kernel.now() + 0.5, [&hop, from, to, hops_left] {
-        hop(to, from, hops_left - 1);
+  for (const auto sync : {kGW, kCL}) {
+    for (const auto mode :
+         {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
+      SCOPED_TRACE(::testing::Message() << to_string(sync));
+      Kernel kernel(3, 0.5);
+      ScriptSink script(kernel);
+      kernel.set_sync_mode(sync);
+      kernel.set_channel_lookahead(0, 1, 0.5);
+      kernel.set_channel_lookahead(1, 0, 0.5);
+      kernel.set_channel_lookahead(0, 2, 50.0);
+      kernel.set_channel_lookahead(2, 0, 50.0);
+      std::function<void(int, int, int)> hop = [&](int from, int to,
+                                                   int hops_left) {
+        if (hops_left == 0) return;
+        script.remote(to, kernel.now() + 0.5, [&hop, from, to, hops_left] {
+          hop(to, from, hops_left - 1);
+        });
+      };
+      script.at(0, 0.1, [&] { hop(0, 1, 60); });
+      script.at(0, 0.2, [&] {
+        kernel.schedule_packet_remote(2, kernel.now() + 50.0, {});
       });
-    };
-    script.at(0, 0.1, [&] { hop(0, 1, 60); });
-    script.at(0, 0.2, [&] {
-      kernel.schedule_packet_remote(2, kernel.now() + 50.0, {});
-    });
-    kernel.run_until(1e6, mode);
-    const KernelStats& stats = kernel.stats();
-    // 60 fast hops + 1 slow delivery.
-    EXPECT_EQ(stats.remote_messages, 61u);
-    ASSERT_EQ(stats.channels.size(), 4u);
-    // channels sorted by (src, dst): (0,1), (0,2), (1,0), (2,0).
-    EXPECT_EQ(stats.channels[0].dst, 1);
-    EXPECT_EQ(stats.channels[0].delivered + stats.channels[2].delivered, 60u);
-    EXPECT_EQ(stats.channels[1].delivered, 1u);
-    EXPECT_DOUBLE_EQ(stats.channels[1].lookahead, 50.0);
+      kernel.run_until(1e6, mode);
+      const KernelStats& stats = kernel.stats();
+      // 60 fast hops + 1 slow delivery.
+      EXPECT_EQ(stats.remote_messages, 61u);
+      ASSERT_EQ(stats.channels.size(), 4u);
+      // channels sorted by (src, dst): (0,1), (0,2), (1,0), (2,0).
+      EXPECT_EQ(stats.channels[0].dst, 1);
+      EXPECT_EQ(stats.channels[0].delivered + stats.channels[2].delivered,
+                60u);
+      EXPECT_EQ(stats.channels[1].delivered, 1u);
+      EXPECT_DOUBLE_EQ(stats.channels[1].lookahead, 50.0);
+      std::uint64_t delivered = 0;
+      for (const ChannelStat& ch : stats.channels) delivered += ch.delivered;
+      EXPECT_EQ(delivered, stats.remote_messages);
+    }
   }
 }
 

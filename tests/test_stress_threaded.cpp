@@ -1,19 +1,21 @@
 // Threaded determinism stress: a seeded random event storm across
-// {1,2,4,8} LPs, run under every sync protocol with the batched outbox
-// handoff and spin-then-park idle protocol, must reproduce the sequential
-// history hash bit for bit — also mid-run, across a safepoint schedule that
-// forces outbox drains and rendezvous (the machinery live rebalancing rides
-// on).
+// {1,2,4,8} LPs, run under every sync protocol at W ∈ {1, 2, lp_count}
+// workers with the batched outbox handoff and spin-then-park idle
+// protocol, must reproduce the sequential history hash bit for bit — also
+// mid-run, across a safepoint schedule that forces outbox drains and
+// rendezvous (the machinery live rebalancing rides on).
 //
 // Registered with LABELS des so the des-faults-{tsan,asan,ubsan} presets
 // run it: the SPSC run queues, WaitSlot parking, and SpinBarrier phases
 // all get exercised under ThreadSanitizer on every CI run.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "des/kernel.hpp"
+#include "kernel_script.hpp"
 #include "util/rng.hpp"
 
 namespace massf::des {
@@ -89,7 +91,7 @@ struct StormResult {
 
 /// `burst_floor` is the smallest remote burst: 2 keeps every outbox run
 /// below kOutboxFlushEvents, kOutboxFlushEvents makes every burst reach it.
-StormResult run_storm(int lps, ExecutionMode mode, SyncMode sync,
+StormResult run_storm(int lps, std::size_t workers, SyncMode sync,
                       int burst_floor = 2) {
   Kernel kernel(lps, kLookahead);
   kernel.set_sync_mode(sync);
@@ -113,7 +115,7 @@ StormResult run_storm(int lps, ExecutionMode mode, SyncMode sync,
                              {&chains.back(), -1});
     }
   }
-  kernel.run_until(kEnd, mode);
+  KernelTestPeer::run_until(kernel, kEnd, workers);
   result.stats = kernel.stats();
   return result;
 }
@@ -122,8 +124,7 @@ class ThreadedStress : public ::testing::TestWithParam<int> {};
 
 TEST_P(ThreadedStress, StormHistoryIdenticalAcrossSyncAndExecModes) {
   const int lps = GetParam();
-  const StormResult base =
-      run_storm(lps, ExecutionMode::Sequential, SyncMode::GlobalWindow);
+  const StormResult base = run_storm(lps, 1, SyncMode::GlobalWindow);
   ASSERT_GT(base.stats.history_hash, 0u);
   ASSERT_EQ(base.safepoints_seen,
             (std::vector<double>{40.0, 80.0, 120.0, 160.0}));
@@ -132,21 +133,20 @@ TEST_P(ThreadedStress, StormHistoryIdenticalAcrossSyncAndExecModes) {
   }
 
   for (auto sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
-    for (auto mode : {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
-      if (sync == SyncMode::GlobalWindow && mode == ExecutionMode::Sequential)
+    for (const std::size_t workers : worker_counts(lps)) {
+      if (sync == SyncMode::GlobalWindow && workers == 1)
         continue;  // that is `base`
-      const StormResult got = run_storm(lps, mode, sync);
-      SCOPED_TRACE(::testing::Message()
-                   << lps << " LPs, sync=" << to_string(sync) << ", "
-                   << (mode == ExecutionMode::Sequential ? "sequential"
-                                                         : "threaded"));
+      const StormResult got = run_storm(lps, workers, sync);
+      SCOPED_TRACE(::testing::Message() << lps << " LPs, sync="
+                                        << to_string(sync) << ", "
+                                        << workers << " workers");
       EXPECT_EQ(base.stats.history_hash, got.stats.history_hash);
       EXPECT_EQ(base.stats.events_per_lp, got.stats.events_per_lp);
       EXPECT_EQ(base.stats.remote_messages, got.stats.remote_messages);
       // Modeled time is a *sync-protocol* property (fewer barriers is
       // the entire point of ChannelLookahead, and its advance pattern is
       // wall-clock-dependent in Threaded mode); it is only required to
-      // be execution-mode-invariant under GlobalWindow's fixed window
+      // be worker-count-invariant under GlobalWindow's fixed window
       // structure. The history assertions above bind everything else.
       if (sync == SyncMode::GlobalWindow) {
         EXPECT_NEAR(base.stats.modeled_time, got.stats.modeled_time, 1e-9);
@@ -163,16 +163,14 @@ TEST_P(ThreadedStress, StormHistoryIdenticalAcrossSyncAndExecModes) {
 TEST_P(ThreadedStress, StormHistoryInvariantUnderTuningExtremes) {
   const int lps = GetParam();
   const int burst = static_cast<int>(kOutboxFlushEvents);
-  const StormResult base = run_storm(lps, ExecutionMode::Sequential,
-                                     SyncMode::GlobalWindow, burst);
+  const StormResult base = run_storm(lps, 1, SyncMode::GlobalWindow, burst);
 
   for (auto sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
-    for (auto mode : {ExecutionMode::Sequential, ExecutionMode::Threaded}) {
-      const StormResult got = run_storm(lps, mode, sync, burst);
-      SCOPED_TRACE(::testing::Message()
-                   << lps << " LPs, sync=" << to_string(sync) << ", "
-                   << (mode == ExecutionMode::Sequential ? "sequential"
-                                                         : "threaded"));
+    for (const std::size_t workers : worker_counts(lps)) {
+      const StormResult got = run_storm(lps, workers, sync, burst);
+      SCOPED_TRACE(::testing::Message() << lps << " LPs, sync="
+                                        << to_string(sync) << ", "
+                                        << workers << " workers");
       EXPECT_EQ(base.stats.history_hash, got.stats.history_hash);
       EXPECT_EQ(base.stats.events_per_lp, got.stats.events_per_lp);
       EXPECT_EQ(base.safepoints_seen, got.safepoints_seen);
