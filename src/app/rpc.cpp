@@ -240,7 +240,9 @@ void LoadBalancerEndpoint::load_state(const std::vector<std::uint64_t>& in) {
     return in[i++];
   };
   flight_seq_ = next();
-  std::vector<std::uint64_t> policy_words(next());
+  const std::uint64_t policy_count = next();
+  MASSF_REQUIRE(policy_count <= in.size() - i, "LB snapshot state truncated");
+  std::vector<std::uint64_t> policy_words(policy_count);
   for (std::uint64_t& w : policy_words) w = next();
   policy_->load_state(policy_words);
   const std::uint64_t flights = next();

@@ -201,15 +201,19 @@ Reader Reader::from_file(const std::string& path) {
   return Reader(std::move(payload), path);
 }
 
+void Reader::fail(const std::string& message) const {
+  std::string prefix = "checkpoint";
+  if (!source_.empty()) prefix += " '" + source_ + "'";
+  throw CkptError(prefix + ": " + message);
+}
+
 void Reader::need(std::size_t n, const char* what) {
   if (buf_.size() - pos_ < n) {
     std::ostringstream os;
-    os << "checkpoint";
-    if (!source_.empty()) os << " '" << source_ << "'";
-    os << ": payload ended while reading " << what << " at offset " << pos_
+    os << "payload ended while reading " << what << " at offset " << pos_
        << " (" << (buf_.size() - pos_) << " of " << n
        << " bytes available) — layout mismatch or truncated section";
-    throw CkptError(os.str());
+    fail(os.str());
   }
 }
 
@@ -250,17 +254,29 @@ std::string Reader::str() {
   return s;
 }
 
+void Reader::entries(std::uint64_t& n, std::size_t bytes,
+                     const char* what) {
+  const std::size_t at = pos_;
+  n = u64();
+  if (n > remaining() / bytes) {
+    std::ostringstream os;
+    os << what << " claims " << n << " entries at offset " << at
+       << " but only " << remaining() << " payload bytes remain (at least "
+       << bytes << " per entry) — corrupt length field; discard this "
+       << "snapshot and fall back to an older one";
+    fail(os.str());
+  }
+}
+
 void Reader::expect_tag(std::uint32_t t, const char* what) {
   const std::size_t at = pos_;
   const std::uint32_t actual = u32();
   if (actual != t) {
     std::ostringstream os;
-    os << "checkpoint";
-    if (!source_.empty()) os << " '" << source_ << "'";
-    os << ": expected section '" << what << "' (tag 0x" << std::hex << t
+    os << "expected section '" << what << "' (tag 0x" << std::hex << t
        << ") at offset " << std::dec << at << " but found tag 0x" << std::hex
        << actual << " — snapshot layout does not match this build";
-    throw CkptError(os.str());
+    fail(os.str());
   }
 }
 

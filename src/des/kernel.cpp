@@ -51,7 +51,7 @@ std::uint64_t time_bits(SimTime t) {
 thread_local int tl_current_lp = -1;
 thread_local SimTime tl_now = 0;
 
-// Section tags for the checkpoint payload (ckpt::Reader::expect_tag turns
+// Section tags for the checkpoint payload (a load checks each one, turning
 // layout drift into an actionable error instead of garbage fields).
 constexpr std::uint32_t kTagKernel = 0x6b726e6c;    // "krnl"
 constexpr std::uint32_t kTagChannels = 0x6b636873;  // "kchs"
@@ -152,6 +152,8 @@ struct Kernel::Impl {
     const Event& top() const { return sorted ? v.back() : v.front(); }
     void push(Event e) {
       to_heap();
+      // massf-analyze: allow(hot-path-alloc) — pops never shrink the queue,
+      // so growth stops at the LP's pending-event high-water mark.
       v.push_back(std::move(e));
       std::push_heap(v.begin(), v.end(), EventLater{});
     }
@@ -396,6 +398,8 @@ struct Kernel::Impl {
                       (was_empty || incoming > queue.size());
     for (Event& event : batch) {
       if (bulk)
+        // massf-analyze: allow(hot-path-alloc) — the same queue capacity as
+        // EventHeap::push: growth stops at the pending-event high-water mark.
         queue.v.push_back(event);
       else
         queue.push(event);
@@ -762,7 +766,153 @@ std::uint64_t Kernel::events_executed(int lp) const {
 
 // ---- Checkpoint / restore -------------------------------------------------
 
+// Minimum encoded sizes of one channel record and one pending event (the
+// event's payload adds at least its one-byte flag).
+constexpr std::size_t kChannelBytes = 4 + 4 + 8 + 8 + 8 + 8;
+constexpr std::size_t kEventBytes = 8 + 4 + 8 + 8 + 1;
+
 // massf-analyze: determinism-root (every byte written must be reproducible)
+template <class Io, class Self, class Payload, class Drop>
+void Kernel::serialize(Io& io, Self& self, const Payload& payload,
+                       const Drop& drop) {
+  constexpr bool kLoad = Io::kLoading;
+  std::conditional_t<kLoad, Impl, const Impl>& impl = *self.impl_;
+  io.tag(kTagKernel, "kernel section");
+  auto lp_count = static_cast<std::uint32_t>(self.lp_count_);
+  io.u32(lp_count);
+  MASSF_REQUIRE(lp_count == static_cast<std::uint32_t>(self.lp_count_),
+                "checkpoint was taken with "
+                    << lp_count << " engines but this kernel has "
+                    << self.lp_count_
+                    << " — rebuild with the same engine count before "
+                       "restoring");
+  SyncMode mode = self.sync_mode_;
+  io.u8(mode);
+  MASSF_REQUIRE(mode == self.sync_mode_,
+                "checkpoint was taken under sync mode "
+                    << to_string(mode)
+                    << " but this kernel is configured for "
+                    << to_string(self.sync_mode_)
+                    << " — modeled-time continuity requires the same "
+                       "protocol");
+  MASSF_REQUIRE(io.same_f64(self.cost_.per_event) &&
+                    io.same_f64(self.cost_.per_remote_message) &&
+                    io.same_f64(self.cost_.per_window_sync),
+                "checkpointed cost model differs from this kernel's — "
+                "modeled-time continuity would break");
+  const double current_lookahead = self.lookahead_;
+  io.f64(self.lookahead_);
+  MASSF_REQUIRE(std::isfinite(self.lookahead_) && self.lookahead_ > 0 &&
+                    self.lookahead_ <= current_lookahead,
+                "checkpointed global lookahead "
+                    << self.lookahead_ << " is not a valid lowering of the "
+                    << "current " << current_lookahead);
+  io.f64(self.stats_.bucket_width);
+  io.f64(self.sim_position_);
+  // The safepoint time: the restored run resumes here.
+  if constexpr (kLoad) io.f64(self.resume_time_);
+  else io.f64(self.now());
+
+  // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
+  // *after* the hook returns (Kernel::quiesce), and the restored run skips
+  // this safepoint entirely, so the charge is folded into the snapshot
+  // here. Channel mode recomputes both times in finalize_channel_run from
+  // counters that are all saved below.
+  io.u64(self.stats_.windows);
+  io.u64(self.stats_.safepoints);  // already counts the in-progress one
+  io.u64(self.stats_.idle_jumps);
+  io.u64(self.stats_.events_rehomed);
+  if constexpr (kLoad) {
+    io.f64(self.stats_.modeled_time);
+    io.f64(self.stats_.coupled_time);
+  } else {
+    const double charge = self.sync_mode_ == SyncMode::GlobalWindow
+                              ? self.cost_.per_window_sync
+                              : 0.0;
+    io.f64(self.stats_.modeled_time + charge);
+    io.f64(self.stats_.coupled_time + charge);
+  }
+
+  if constexpr (kLoad) {
+    // Discard the setup population: the caller rebuilt the emulator from
+    // scratch, so every event scheduled so far (endpoint starts, epoch
+    // boundaries) is superseded by the checkpointed queues.
+    for (Impl::Lp& lp : impl.lps) {
+      for (Impl::Event& e : lp.queue.v)
+        if (e.packet.payload != nullptr) drop(e.packet.payload);
+      lp.queue.v.clear();
+      lp.queue.sorted = false;
+    }
+    impl.clear_channels();
+  }
+
+  io.tag(kTagChannels, "channel section");
+  std::uint64_t channels = impl.channels.size();
+  io.entries(channels, kChannelBytes, "channel section");
+  for (std::uint64_t c = 0; c < channels; ++c) {
+    Impl::Channel* ch = kLoad ? nullptr : impl.channels[c].get();
+    std::uint32_t src = ch ? ch->src : 0, dst = ch ? ch->dst : 0;
+    double la = ch ? ch->lookahead : 0;
+    io.u32(src);
+    io.u32(dst);
+    io.f64(la);
+    MASSF_REQUIRE(src < lp_count && dst < lp_count && src != dst,
+                  "checkpointed channel endpoints out of range");
+    if constexpr (kLoad)
+      ch = &impl.ensure_channel(static_cast<int>(src), static_cast<int>(dst),
+                                la);
+    io.u64(ch->delivered);
+    io.u64(ch->throttled);
+    io.f64(ch->max_lag);
+  }
+
+  for (auto& lp : impl.lps) {
+    io.tag(kTagLp, "per-engine section");
+    io.u64(lp.seq_counter);
+    io.u64(lp.events);
+    io.f64(lp.busy_total);
+    // GlobalWindow: the drain phase already charged receive costs for the
+    // next window into window_busy; they must survive the restore.
+    io.f64(lp.window_busy);
+    io.u64(lp.remote_sent);
+    io.u64(lp.remote_received);
+    io.u64(lp.history);
+    io.f64(lp.max_time);
+    io.u64(lp.advances);
+    io.f64(lp.idle_wait);
+    io.u64(lp.handoff_runs);
+    io.u64(lp.parks);
+    io.f64s(lp.series, "per-engine section");
+
+    // Pending events in ascending (t, origin, seq) order — the canonical
+    // pop order, independent of the queue's current heap/sorted layout.
+    std::vector<Impl::Event> pending;
+    if constexpr (!kLoad) {
+      pending = lp.queue.v;
+      std::sort(pending.begin(), pending.end(),
+                [](const Impl::Event& a, const Impl::Event& b) {
+                  return Impl::EventLater{}(b, a);
+                });
+    }
+    io.len(pending, kEventBytes, "per-engine section");
+    for (Impl::Event& e : pending) {
+      io.f64(e.t);
+      io.u32(e.origin);
+      io.u64(e.seq);
+      io.i64(e.packet.node);
+      payload(io, e.packet);
+    }
+    if constexpr (kLoad) {
+      // Saved ascending; the sorted representation pops descending arrays
+      // from the back, so a reverse hands the queue back in O(1)-pop form.
+      std::reverse(pending.begin(), pending.end());
+      lp.queue.v = std::move(pending);
+      lp.queue.sorted = !lp.queue.v.empty();
+    }
+  }
+  io.tag(kTagKernelEnd, "kernel trailer");
+}
+
 void Kernel::save_checkpoint(
     ckpt::Writer& w,
     const std::function<void(ckpt::Writer&, const PacketEvent&)>& save_payload)
@@ -787,191 +937,17 @@ void Kernel::save_checkpoint(
     MASSF_CHECK(ch->tail->next.load(std::memory_order_acquire) == nullptr,
                 "safepoint quiescence violated: undrained channel run");
 
-  w.tag(kTagKernel);
-  w.u32(static_cast<std::uint32_t>(lp_count_));
-  w.u8(static_cast<std::uint8_t>(sync_mode_));
-  w.f64(cost_.per_event);
-  w.f64(cost_.per_remote_message);
-  w.f64(cost_.per_window_sync);
-  w.f64(lookahead_);
-  w.f64(stats_.bucket_width);
-  w.f64(sim_position_);
-  w.f64(now());  // the safepoint time — the restored run resumes here
-
-  // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
-  // *after* the hook returns (Kernel::quiesce), and the restored run
-  // skips this safepoint entirely, so the charge is folded into the
-  // snapshot here. Channel mode recomputes both times in
-  // finalize_channel_run from counters that are all saved below.
-  double modeled = stats_.modeled_time;
-  double coupled = stats_.coupled_time;
-  if (sync_mode_ == SyncMode::GlobalWindow) {
-    modeled += cost_.per_window_sync;
-    coupled += cost_.per_window_sync;
-  }
-  w.u64(stats_.windows);
-  w.u64(stats_.safepoints);  // already counts the in-progress safepoint
-  w.u64(stats_.idle_jumps);
-  w.u64(stats_.events_rehomed);
-  w.f64(modeled);
-  w.f64(coupled);
-
-  w.tag(kTagChannels);
-  w.u64(impl_->channels.size());
-  for (const auto& ch : impl_->channels) {
-    w.u32(ch->src);
-    w.u32(ch->dst);
-    w.f64(ch->lookahead);
-    w.u64(ch->delivered);
-    w.u64(ch->throttled);
-    w.f64(ch->max_lag);
-  }
-
-  for (const Impl::Lp& lp : impl_->lps) {
-    w.tag(kTagLp);
-    w.u64(lp.seq_counter);
-    w.u64(lp.events);
-    w.f64(lp.busy_total);
-    // GlobalWindow: the drain phase already charged receive costs for the
-    // next window into window_busy; they must survive the restore.
-    w.f64(lp.window_busy);
-    w.u64(lp.remote_sent);
-    w.u64(lp.remote_received);
-    w.u64(lp.history);
-    w.f64(lp.max_time);
-    w.u64(lp.advances);
-    w.f64(lp.idle_wait);
-    w.u64(lp.handoff_runs);
-    w.u64(lp.parks);
-    w.u64(lp.series.size());
-    for (double bucket : lp.series) w.f64(bucket);
-
-    // Pending events in ascending (t, origin, seq) order — the canonical
-    // pop order, independent of the queue's current heap/sorted layout.
-    std::vector<Impl::Event> pending = lp.queue.v;
-    std::sort(pending.begin(), pending.end(),
-              [](const Impl::Event& a, const Impl::Event& b) {
-                return Impl::EventLater{}(b, a);
-              });
-    w.u64(pending.size());
-    for (const Impl::Event& e : pending) {
-      w.f64(e.t);
-      w.u32(e.origin);
-      w.u64(e.seq);
-      w.i64(e.packet.node);
-      save_payload(w, e.packet);
-    }
-  }
-  w.tag(kTagKernelEnd);
+  serialize(w, *this, save_payload, nullptr);
 }
 
 void Kernel::restore_checkpoint(
     ckpt::Reader& r,
-    const std::function<void*(ckpt::Reader&)>& load_payload,
+    const std::function<void(ckpt::Reader&, PacketEvent&)>& load_payload,
     const std::function<void(void*)>& drop_payload) {
   MASSF_REQUIRE(!ran_, "restore_checkpoint must run before run_until");
   MASSF_REQUIRE(load_payload && drop_payload,
                 "payload load/drop functions must be callable");
-
-  r.expect_tag(kTagKernel, "kernel section");
-  const auto lp_count = r.u32();
-  MASSF_REQUIRE(lp_count == static_cast<std::uint32_t>(lp_count_),
-                "checkpoint was taken with "
-                    << lp_count << " engines but this kernel has " << lp_count_
-                    << " — rebuild with the same engine count before "
-                       "restoring");
-  const auto mode = r.u8();
-  MASSF_REQUIRE(mode == static_cast<std::uint8_t>(sync_mode_),
-                "checkpoint was taken under sync mode "
-                    << to_string(static_cast<SyncMode>(mode))
-                    << " but this kernel is configured for "
-                    << to_string(sync_mode_)
-                    << " — modeled-time continuity requires the same "
-                       "protocol");
-  const double per_event = r.f64();
-  const double per_remote = r.f64();
-  const double per_window = r.f64();
-  MASSF_REQUIRE(per_event == cost_.per_event &&
-                    per_remote == cost_.per_remote_message &&
-                    per_window == cost_.per_window_sync,
-                "checkpointed cost model differs from this kernel's — "
-                "modeled-time continuity would break");
-  const double la = r.f64();
-  MASSF_REQUIRE(std::isfinite(la) && la > 0 && la <= lookahead_,
-                "checkpointed global lookahead "
-                    << la << " is not a valid lowering of the current "
-                    << lookahead_);
-  lookahead_ = la;
-  stats_.bucket_width = r.f64();
-  sim_position_ = r.f64();
-  resume_time_ = r.f64();
-  stats_.windows = r.u64();
-  stats_.safepoints = r.u64();
-  stats_.idle_jumps = r.u64();
-  stats_.events_rehomed = r.u64();
-  stats_.modeled_time = r.f64();
-  stats_.coupled_time = r.f64();
-
-  // Discard the setup population: the caller rebuilt the emulator from
-  // scratch, so every event scheduled so far (endpoint starts, epoch
-  // boundaries) is superseded by the checkpointed queues.
-  for (Impl::Lp& lp : impl_->lps) {
-    for (Impl::Event& e : lp.queue.v)
-      if (e.packet.payload != nullptr) drop_payload(e.packet.payload);
-    lp.queue.v.clear();
-    lp.queue.sorted = false;
-  }
-
-  r.expect_tag(kTagChannels, "channel section");
-  impl_->clear_channels();
-  const std::uint64_t channel_count = r.u64();
-  for (std::uint64_t c = 0; c < channel_count; ++c) {
-    const auto src = r.u32();
-    const auto dst = r.u32();
-    const double ch_la = r.f64();
-    MASSF_REQUIRE(src < lp_count && dst < lp_count && src != dst,
-                  "checkpointed channel endpoints out of range");
-    Impl::Channel& ch = impl_->ensure_channel(
-        static_cast<int>(src), static_cast<int>(dst), ch_la);
-    ch.delivered = r.u64();
-    ch.throttled = r.u64();
-    ch.max_lag = r.f64();
-  }
-
-  for (Impl::Lp& lp : impl_->lps) {
-    r.expect_tag(kTagLp, "per-engine section");
-    lp.seq_counter = r.u64();
-    lp.events = r.u64();
-    lp.busy_total = r.f64();
-    lp.window_busy = r.f64();
-    lp.remote_sent = r.u64();
-    lp.remote_received = r.u64();
-    lp.history = r.u64();
-    lp.max_time = r.f64();
-    lp.advances = r.u64();
-    lp.idle_wait = r.f64();
-    lp.handoff_runs = r.u64();
-    lp.parks = r.u64();
-    lp.series.assign(r.u64(), 0.0);
-    for (double& bucket : lp.series) bucket = r.f64();
-
-    const std::uint64_t pending = r.u64();
-    lp.queue.v.reserve(pending);
-    for (std::uint64_t n = 0; n < pending; ++n) {
-      Impl::Event e;
-      e.t = r.f64();
-      e.origin = r.u32();
-      e.seq = r.u64();
-      e.packet.node = static_cast<std::int32_t>(r.i64());
-      e.packet.payload = load_payload(r);
-      lp.queue.v.push_back(e);
-    }
-    // Saved ascending; the sorted representation pops descending arrays
-    // from the back, so a reverse hands the queue back in O(1)-pop form.
-    std::reverse(lp.queue.v.begin(), lp.queue.v.end());
-    lp.queue.sorted = !lp.queue.v.empty();
-  }
-  r.expect_tag(kTagKernelEnd, "kernel trailer");
+  serialize(r, *this, load_payload, drop_payload);
 }
 
 void Kernel::run_until(SimTime end_time, ExecutionMode mode) {

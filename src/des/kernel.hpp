@@ -378,12 +378,13 @@ class Kernel {
   /// called before run_until, on a kernel built with the same lp_count,
   /// sync mode and cost model; every event already scheduled (setup
   /// population) is discarded first — `drop_payload` disposes their packet
-  /// payloads — and `load_payload` reconstructs each checkpointed payload.
+  /// payloads — and `load_payload` reconstructs each checkpointed payload
+  /// into its event (whose `node` is already restored; it may reject both).
   /// Safepoints registered at or before the checkpoint time are skipped by
   /// the subsequent run_until (they already fired in the original run).
   void restore_checkpoint(
       ckpt::Reader& r,
-      const std::function<void*(ckpt::Reader&)>& load_payload,
+      const std::function<void(ckpt::Reader&, PacketEvent&)>& load_payload,
       const std::function<void(void*)>& drop_payload);
 
   /// Simulation time of the checkpoint this kernel was restored from
@@ -435,6 +436,11 @@ class Kernel {
 
   /// Next pending safepoint time, or never() when the schedule is spent.
   SimTime next_safepoint() const;
+
+  /// The checkpoint field list, shared by save_ and restore_checkpoint.
+  template <class Io, class Self, class Payload, class Drop>
+  static void serialize(Io& io, Self& self, const Payload& payload,
+                        const Drop& drop);
 
   int lp_count_;
   double lookahead_;

@@ -37,6 +37,15 @@ constexpr std::uint64_t kAckFlowBase = 0xacced00000000000ULL;
 constexpr std::uint32_t kTagSnapshot = 0x736e6170;  // "snap"
 constexpr std::uint32_t kTagEmu = 0x656d7573;       // "emus"
 constexpr std::uint32_t kTagEmuEnd = 0x656d7565;    // "emue"
+// Fallback lookahead floor when no link crosses engines (single-engine runs).
+constexpr double kMinLookahead = 1e-4;
+// Reliable delivery: each retransmit timeout multiplies the wait by this
+// factor; ACKs are this many bytes on the wire.
+constexpr double kReliableBackoff = 2.0;
+constexpr double kAckBytes = 64;
+
+// Minimum encoded size of one pending reliable-delivery record.
+constexpr std::size_t kPendingReliableBytes = 7 * 8;
 
 }  // namespace
 
@@ -111,8 +120,8 @@ double Emulator::compute_lookahead() const {
         node_engine_[static_cast<std::size_t>(link.b)])
       lo = std::min(lo, link.latency_s);
   }
-  if (!std::isfinite(lo)) lo = std::max(config_.min_lookahead,
-                                        network_.min_link_latency());
+  if (!std::isfinite(lo))
+    lo = std::max(kMinLookahead, network_.min_link_latency());
   return lo;
 }
 
@@ -304,7 +313,7 @@ void Emulator::reliable_timeout(NodeId src, std::uint64_t message_id) {
   inject_trains(src, p.dst, p.bytes, p.tag, message_id, p.first_sent,
                 /*reliable=*/true, p.corr, now);
   const double timeout = config_.reliable.base_timeout_s *
-                         std::pow(config_.reliable.backoff, p.attempts - 1);
+                         std::pow(kReliableBackoff, p.attempts - 1);
   Packet* rearm = make_control(PacketKind::CtrlReliableTimeout, src,
                                message_id);
   kernel_->schedule_packet(engine_of(src), now + timeout, {rearm, src});
@@ -608,7 +617,7 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
           Packet* ack = pool_.acquire(pool_shard());
           ack->src = at;
           ack->dst = message.src;
-          ack->bytes = config_.reliable.ack_bytes;
+          ack->bytes = kAckBytes;
           ack->packets = 1;
           ack->ttl = 255;
           ack->kind = PacketKind::Ack;
@@ -832,15 +841,7 @@ void Emulator::set_checkpoint_schedule(const CheckpointConfig& cfg,
 void Emulator::write_checkpoint(SimTime t) {
   ckpt::maybe_crash("before-checkpoint");
   ckpt::Writer w;
-  w.tag(kTagSnapshot);
-  w.f64(t);
-  checkpoint(w);
-  if (ckpt_cfg_.save_extra) {
-    w.u8(1);
-    ckpt_cfg_.save_extra(w);
-  } else {
-    w.u8(0);
-  }
+  serialize(w, *this, t, ckpt_cfg_.save_extra);
   const std::uint64_t seq = ckpt_seq_++;
   const std::string path =
       ckpt_cfg_.dir + "/" + ckpt::checkpoint_filename(seq);
@@ -859,270 +860,205 @@ void Emulator::write_checkpoint(SimTime t) {
   ckpt::maybe_crash("after-checkpoint");
 }
 
-void Emulator::save_packet(ckpt::Writer& w, const Packet* packet) const {
-  if (packet == nullptr) {
-    w.u8(0);
-    return;
+template <class Io, class Self, class Event>
+void Emulator::serialize_payload(Io& io, Self& self, Event& e) {
+  MASSF_REQUIRE(io.same_u8(1),
+                "snapshot pending event at node "
+                    << e.node << " carries no packet payload — the snapshot "
+                    << "is corrupt");
+  auto* p = static_cast<Packet*>(e.payload);
+  if constexpr (Io::kLoading) {
+    p = self.pool_.acquire(/*shard=*/0);  // restore is single-threaded setup
+    e.payload = p;
   }
-  w.u8(1);
-  w.i64(packet->src);
-  w.i64(packet->dst);
-  w.f64(packet->bytes);
-  w.i64(packet->packets);
-  w.i64(packet->ttl);
-  w.u8(static_cast<std::uint8_t>(packet->kind));
-  w.u8(packet->has_message ? 1 : 0);
-  w.u64(packet->flow);
-  w.u64(packet->probe_id);
-  w.i64(packet->reporter);
-  w.i64(packet->via);
-  if (packet->has_message) {
-    const AppMessage& m = packet->message;
-    w.i64(m.src);
-    w.i64(m.dst);
-    w.f64(m.bytes);
-    w.i64(m.tag);
-    w.u64(m.id);
-    w.f64(m.sent_at);
-    w.f64(m.delivered_at);
-    w.u8(m.reliable ? 1 : 0);
-    w.u64(m.corr);
+  io.i64(p->src);
+  io.i64(p->dst);
+  io.f64(p->bytes);
+  io.i64(p->packets);
+  io.i64(p->ttl);
+  io.u8(p->kind);
+  MASSF_REQUIRE(p->kind <= PacketKind::CtrlEpoch,
+                "snapshot carries an unknown packet kind ("
+                    << static_cast<int>(p->kind)
+                    << ") — it was written by an incompatible build");
+  // Packet hops arrive at their node; control events may be keyless (-1).
+  MASSF_REQUIRE(e.node >= (is_control(p->kind) ? -1 : 0) &&
+                    e.node < self.network_.node_count(),
+                "snapshot pending event targets node "
+                    << e.node << " outside this network's "
+                    << self.network_.node_count()
+                    << " nodes — the snapshot is corrupt");
+  io.u8(p->has_message);
+  io.u64(p->flow);
+  io.u64(p->probe_id);
+  io.i64(p->reporter);
+  io.i64(p->via);
+  if (p->has_message) {
+    auto& m = p->message;
+    io.i64(m.src);
+    io.i64(m.dst);
+    io.f64(m.bytes);
+    io.i64(m.tag);
+    io.u64(m.id);
+    io.f64(m.sent_at);
+    io.f64(m.delivered_at);
+    io.u8(m.reliable);
+    io.u64(m.corr);
   }
 }
 
-Packet* Emulator::load_packet(ckpt::Reader& r) {
-  if (r.u8() == 0) return nullptr;
-  Packet* p = pool_.acquire(/*shard=*/0);  // restore is single-threaded setup
-  p->src = static_cast<NodeId>(r.i64());
-  p->dst = static_cast<NodeId>(r.i64());
-  p->bytes = r.f64();
-  p->packets = static_cast<int>(r.i64());
-  p->ttl = static_cast<int>(r.i64());
-  const std::uint8_t kind = r.u8();
-  MASSF_REQUIRE(kind <= static_cast<std::uint8_t>(PacketKind::CtrlEpoch),
-                "snapshot carries an unknown packet kind ("
-                    << static_cast<int>(kind)
-                    << ") — it was written by an incompatible build");
-  p->kind = static_cast<PacketKind>(kind);
-  p->has_message = r.u8() != 0;
-  p->flow = r.u64();
-  p->probe_id = r.u64();
-  p->reporter = static_cast<NodeId>(r.i64());
-  p->via = static_cast<LinkId>(r.i64());
-  if (p->has_message) {
-    AppMessage& m = p->message;
-    m.src = static_cast<NodeId>(r.i64());
-    m.dst = static_cast<NodeId>(r.i64());
-    m.bytes = r.f64();
-    m.tag = static_cast<int>(r.i64());
-    m.id = r.u64();
-    m.sent_at = r.f64();
-    m.delivered_at = r.f64();
-    m.reliable = r.u8() != 0;
-    m.corr = r.u64();
+template <class Io, class Self, class Extra>
+void Emulator::serialize(Io& io, Self& self, SimTime& t, const Extra& extra) {
+  constexpr bool kLoad = Io::kLoading;
+  io.tag(kTagSnapshot, "snapshot header");
+  io.f64(t);
+  io.tag(kTagEmu, "emulator section");
+  MASSF_REQUIRE(
+      io.same_u64(self.network_.node_count()),
+      "snapshot node count does not match this network — rebuild the "
+      "emulator against the checkpointed topology before restoring");
+  MASSF_REQUIRE(io.same_u64(self.engines_),
+                "snapshot engine count does not match — rebuild the emulator "
+                "with the same engine count before restoring");
+  io.f64(self.lookahead_);
+  for (auto& e : self.node_engine_) {
+    io.i64(e);
+    MASSF_REQUIRE(e >= 0 && e < self.engines_,
+                  "snapshot node→engine assignment is corrupt");
   }
-  return p;
+  for (auto& s : self.host_state_) {
+    io.u64(s.message_counter);
+    io.u64(s.trains_injected);
+    io.u64(s.trains_delivered);
+    io.u64(s.trains_dropped_fault);
+    io.u64(s.trains_dropped_unreachable);
+    io.u64(s.trains_expired);
+    io.u64(s.icmp_unreachable_sent);
+    io.u64(s.messages_sent);
+    io.u64(s.messages_delivered);
+    io.u64(s.reliable_sent);
+    io.u64(s.reliable_delivered);
+    io.u64(s.reliable_acked);
+    io.u64(s.reliable_failed);
+    io.u64(s.retransmissions);
+    io.u64(s.duplicate_deliveries);
+    io.f64(s.bytes_delivered);
+    MASSF_REQUIRE(io.same_u8(s.endpoint != nullptr),
+                  "snapshot endpoint installation does not match — install "
+                  "the same workload on the rebuilt emulator before "
+                  "restoring");
+    if (s.endpoint != nullptr) {
+      std::vector<std::uint64_t> words;
+      if constexpr (!kLoad) s.endpoint->save_state(words);
+      io.u64s(words, "emulator section");
+      if constexpr (kLoad) s.endpoint->load_state(words);
+    }
+    // Hash-ordered containers are written sorted by key so the byte stream
+    // is identical across processes (DESIGN.md §9 determinism rule).
+    std::vector<std::pair<std::uint64_t, PendingReliable>> pending;
+    std::vector<std::uint64_t> seen;
+    if constexpr (!kLoad) {
+      pending.assign(s.pending.begin(), s.pending.end());
+      std::sort(pending.begin(), pending.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      seen.assign(s.reliable_seen.begin(), s.reliable_seen.end());
+      std::sort(seen.begin(), seen.end());
+    }
+    io.len(pending, kPendingReliableBytes, "emulator section");
+    for (auto& [id, rec] : pending) {
+      io.u64(id);
+      io.i64(rec.dst);
+      io.f64(rec.bytes);
+      io.i64(rec.tag);
+      io.f64(rec.first_sent);
+      io.i64(rec.attempts);
+      io.u64(rec.corr);
+    }
+    io.u64s(seen, "emulator section");
+    if constexpr (kLoad) {
+      s.pending.clear();
+      for (const auto& [id, rec] : pending) s.pending.emplace(id, rec);
+      s.reliable_seen.clear();
+      for (std::uint64_t id : seen) s.reliable_seen.insert(id);
+    }
+  }
+  for (auto& v : self.link_next_free_) io.f64(v);
+  for (auto& v : self.link_drops_) io.u64(v);
+  MASSF_REQUIRE(io.same_u64(self.epoch_cursor_.size()),
+                "snapshot epoch cursors do not match this engine count");
+  for (auto& c : self.epoch_cursor_) {
+    io.u64(c.epoch);
+    MASSF_REQUIRE(c.epoch < self.latency_epochs_,
+                  "snapshot fault-epoch cursor is corrupt");
+  }
+  MASSF_REQUIRE(
+      io.same_u64(self.epoch_slots_.size()),
+      "snapshot fault-epoch table does not match — attach the same fault "
+      "timeline before restoring");
+  for (auto& slot : self.epoch_slots_) {
+    io.u64(slot.dropped_fault);
+    io.u64(slot.dropped_unreachable);
+    io.u64(slot.icmp_unreachable);
+    io.u64(slot.retransmissions);
+    io.u64(slot.recovered);
+    io.f64(slot.max_recovery_s);
+  }
+  MASSF_REQUIRE(
+      io.same_u64(self.latency_slots_.size()),
+      "snapshot latency-histogram table does not match — register the same "
+      "latency series (and fault timeline) before restoring");
+  for (auto& h : self.latency_slots_) {
+    auto counts = h.raw();
+    for (std::uint64_t& c : counts) io.u64(c);
+    if constexpr (kLoad) h.set_raw(counts);
+  }
+  io.u64(self.rebalance_stats_.rebalances);
+  io.u64(self.rebalance_stats_.nodes_migrated);
+  io.f64(self.rebalance_stats_.migration_bytes);
+  io.u64(self.rebalance_stats_.events_rehomed);
+  io.u64(self.rebalance_stats_.epoch);
+  MASSF_REQUIRE(io.same_u8(self.netflow_ != nullptr),
+                "snapshot NetFlow collection does not match the config — "
+                "rebuild the emulator with collect_netflow set identically");
+  if (self.netflow_ != nullptr) io.nested(*self.netflow_);
+  if constexpr (kLoad) {
+    self.kernel_->restore_checkpoint(
+        io,
+        [&self](ckpt::Reader& r, des::PacketEvent& e) {
+          serialize_payload(r, self, e);
+        },
+        [&self](void* payload) {
+          self.pool_.release(/*shard=*/0, static_cast<Packet*>(payload));
+        });
+  } else {
+    self.kernel_->save_checkpoint(
+        io, [&self](ckpt::Writer& w, const des::PacketEvent& e) {
+          serialize_payload(w, self, e);
+        });
+  }
+  io.tag(kTagEmuEnd, "emulator trailer");
+  bool has_extra = static_cast<bool>(extra);
+  io.u8(has_extra);
+  if (has_extra) {
+    MASSF_REQUIRE(static_cast<bool>(extra),
+                  "snapshot carries a save_extra section but no load_extra "
+                  "was supplied to restore()");
+    extra(io);
+  }
 }
 
 void Emulator::checkpoint(ckpt::Writer& w) const {
   MASSF_REQUIRE(kernel_->in_safepoint(),
                 "checkpoint() may only run inside a safepoint hook");
-  w.tag(kTagEmu);
-  w.u64(static_cast<std::uint64_t>(network_.node_count()));
-  w.u64(static_cast<std::uint64_t>(engines_));
-  w.f64(lookahead_);
-  for (int e : node_engine_) w.i64(e);
-  for (const HostState& s : host_state_) {
-    w.u64(s.message_counter);
-    w.u64(s.trains_injected);
-    w.u64(s.trains_delivered);
-    w.u64(s.trains_dropped_fault);
-    w.u64(s.trains_dropped_unreachable);
-    w.u64(s.trains_expired);
-    w.u64(s.icmp_unreachable_sent);
-    w.u64(s.messages_sent);
-    w.u64(s.messages_delivered);
-    w.u64(s.reliable_sent);
-    w.u64(s.reliable_delivered);
-    w.u64(s.reliable_acked);
-    w.u64(s.reliable_failed);
-    w.u64(s.retransmissions);
-    w.u64(s.duplicate_deliveries);
-    w.f64(s.bytes_delivered);
-    w.u8(s.endpoint != nullptr ? 1 : 0);
-    if (s.endpoint != nullptr) {
-      std::vector<std::uint64_t> words;
-      s.endpoint->save_state(words);
-      w.u64(words.size());
-      for (std::uint64_t word : words) w.u64(word);
-    }
-    // Hash-ordered containers are serialized sorted by key so the byte
-    // stream is identical across processes (DESIGN.md §9 determinism rule).
-    std::vector<std::pair<std::uint64_t, PendingReliable>> pending(
-        s.pending.begin(), s.pending.end());
-    std::sort(pending.begin(), pending.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    w.u64(pending.size());
-    for (const auto& [id, rec] : pending) {
-      w.u64(id);
-      w.i64(rec.dst);
-      w.f64(rec.bytes);
-      w.i64(rec.tag);
-      w.f64(rec.first_sent);
-      w.i64(rec.attempts);
-      w.u64(rec.corr);
-    }
-    std::vector<std::uint64_t> seen(s.reliable_seen.begin(),
-                                    s.reliable_seen.end());
-    std::sort(seen.begin(), seen.end());
-    w.u64(seen.size());
-    for (std::uint64_t id : seen) w.u64(id);
-  }
-  for (double v : link_next_free_) w.f64(v);
-  for (std::uint64_t v : link_drops_) w.u64(v);
-  w.u64(epoch_cursor_.size());
-  for (const EpochCursor& c : epoch_cursor_)
-    w.u64(static_cast<std::uint64_t>(c.epoch));
-  w.u64(epoch_slots_.size());
-  for (const EpochCounters& slot : epoch_slots_) {
-    w.u64(slot.dropped_fault);
-    w.u64(slot.dropped_unreachable);
-    w.u64(slot.icmp_unreachable);
-    w.u64(slot.retransmissions);
-    w.u64(slot.recovered);
-    w.f64(slot.max_recovery_s);
-  }
-  w.u64(latency_slots_.size());
-  for (const LatencyHistogram& h : latency_slots_)
-    for (std::uint64_t c : h.raw()) w.u64(c);
-  w.u64(rebalance_stats_.rebalances);
-  w.u64(rebalance_stats_.nodes_migrated);
-  w.f64(rebalance_stats_.migration_bytes);
-  w.u64(rebalance_stats_.events_rehomed);
-  w.u64(rebalance_stats_.epoch);
-  w.u8(netflow_ != nullptr ? 1 : 0);
-  if (netflow_ != nullptr) netflow_->save(w);
-  kernel_->save_checkpoint(
-      w, [this](ckpt::Writer& ww, const des::PacketEvent& e) {
-        save_packet(ww, static_cast<const Packet*>(e.payload));
-      });
-  w.tag(kTagEmuEnd);
+  SimTime t = kernel_->now();
+  serialize(w, *this, t, ckpt_cfg_.save_extra);
 }
 
 SimTime Emulator::restore(
     ckpt::Reader& r, const std::function<void(ckpt::Reader&)>& load_extra) {
   MASSF_REQUIRE(!ran_, "restore() must run before run()");
-  r.expect_tag(kTagSnapshot, "snapshot header");
-  const SimTime t = r.f64();
-  r.expect_tag(kTagEmu, "emulator section");
-  MASSF_REQUIRE(
-      r.u64() == static_cast<std::uint64_t>(network_.node_count()),
-      "snapshot node count does not match this network — rebuild the "
-      "emulator against the checkpointed topology before restoring");
-  MASSF_REQUIRE(r.u64() == static_cast<std::uint64_t>(engines_),
-                "snapshot engine count does not match — rebuild the emulator "
-                "with the same engine count before restoring");
-  lookahead_ = r.f64();
-  for (int& e : node_engine_) {
-    const std::int64_t v = r.i64();
-    MASSF_REQUIRE(v >= 0 && v < engines_,
-                  "snapshot node→engine assignment is corrupt");
-    e = static_cast<int>(v);
-  }
-  for (HostState& s : host_state_) {
-    s.message_counter = r.u64();
-    s.trains_injected = r.u64();
-    s.trains_delivered = r.u64();
-    s.trains_dropped_fault = r.u64();
-    s.trains_dropped_unreachable = r.u64();
-    s.trains_expired = r.u64();
-    s.icmp_unreachable_sent = r.u64();
-    s.messages_sent = r.u64();
-    s.messages_delivered = r.u64();
-    s.reliable_sent = r.u64();
-    s.reliable_delivered = r.u64();
-    s.reliable_acked = r.u64();
-    s.reliable_failed = r.u64();
-    s.retransmissions = r.u64();
-    s.duplicate_deliveries = r.u64();
-    s.bytes_delivered = r.f64();
-    const bool had_endpoint = r.u8() != 0;
-    MASSF_REQUIRE(had_endpoint == (s.endpoint != nullptr),
-                  "snapshot endpoint installation does not match — install "
-                  "the same workload on the rebuilt emulator before "
-                  "restoring");
-    if (had_endpoint) {
-      std::vector<std::uint64_t> words(r.u64());
-      for (std::uint64_t& word : words) word = r.u64();
-      s.endpoint->load_state(words);
-    }
-    s.pending.clear();
-    const std::uint64_t pending_count = r.u64();
-    for (std::uint64_t i = 0; i < pending_count; ++i) {
-      const std::uint64_t id = r.u64();
-      PendingReliable rec;
-      rec.dst = static_cast<NodeId>(r.i64());
-      rec.bytes = r.f64();
-      rec.tag = static_cast<int>(r.i64());
-      rec.first_sent = r.f64();
-      rec.attempts = static_cast<int>(r.i64());
-      rec.corr = r.u64();
-      s.pending.emplace(id, rec);
-    }
-    s.reliable_seen.clear();
-    const std::uint64_t seen_count = r.u64();
-    for (std::uint64_t i = 0; i < seen_count; ++i)
-      s.reliable_seen.insert(r.u64());
-  }
-  for (double& v : link_next_free_) v = r.f64();
-  for (std::uint64_t& v : link_drops_) v = r.u64();
-  MASSF_REQUIRE(r.u64() == epoch_cursor_.size(),
-                "snapshot epoch cursors do not match this engine count");
-  for (EpochCursor& c : epoch_cursor_)
-    c.epoch = static_cast<std::size_t>(r.u64());
-  MASSF_REQUIRE(
-      r.u64() == epoch_slots_.size(),
-      "snapshot fault-epoch table does not match — attach the same fault "
-      "timeline before restoring");
-  for (EpochCounters& slot : epoch_slots_) {
-    slot.dropped_fault = r.u64();
-    slot.dropped_unreachable = r.u64();
-    slot.icmp_unreachable = r.u64();
-    slot.retransmissions = r.u64();
-    slot.recovered = r.u64();
-    slot.max_recovery_s = r.f64();
-  }
-  MASSF_REQUIRE(
-      r.u64() == latency_slots_.size(),
-      "snapshot latency-histogram table does not match — register the same "
-      "latency series (and fault timeline) before restoring");
-  for (LatencyHistogram& h : latency_slots_) {
-    std::array<std::uint64_t, LatencyHistogram::kBuckets> counts{};
-    for (std::uint64_t& c : counts) c = r.u64();
-    h.set_raw(counts);
-  }
-  rebalance_stats_.rebalances = r.u64();
-  rebalance_stats_.nodes_migrated = r.u64();
-  rebalance_stats_.migration_bytes = r.f64();
-  rebalance_stats_.events_rehomed = r.u64();
-  rebalance_stats_.epoch = r.u64();
-  const bool had_netflow = r.u8() != 0;
-  MASSF_REQUIRE(had_netflow == (netflow_ != nullptr),
-                "snapshot NetFlow collection does not match the config — "
-                "rebuild the emulator with collect_netflow set identically");
-  if (had_netflow) netflow_->load(r);
-  kernel_->restore_checkpoint(
-      r, [this](ckpt::Reader& rr) -> void* { return load_packet(rr); },
-      [this](void* payload) {
-        pool_.release(/*shard=*/0, static_cast<Packet*>(payload));
-      });
-  r.expect_tag(kTagEmuEnd, "emulator trailer");
-  if (r.u8() != 0) {
-    MASSF_REQUIRE(static_cast<bool>(load_extra),
-                  "snapshot carries a save_extra section but no load_extra "
-                  "was supplied to restore()");
-    load_extra(r);
-  }
+  SimTime t = 0;
+  serialize(r, *this, t, load_extra);
   return t;
 }
 

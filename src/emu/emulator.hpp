@@ -42,15 +42,12 @@ class TraceRecorder;
 
 /// Retry policy for the reliable-delivery layer (AppApi::send_reliable).
 struct ReliablePolicy {
-  /// Wait this long for the first ACK before retransmitting. Must exceed
-  /// the round-trip time of the flows using the reliable layer.
+  /// Wait this long for the first ACK before retransmitting (each later
+  /// timeout doubles the wait). Must exceed the round-trip time of the
+  /// flows using the reliable layer.
   double base_timeout_s = 1.0;
-  /// Each successive timeout multiplies the wait by this factor.
-  double backoff = 2.0;
   /// Retransmissions after the initial attempt; exhausted => failed.
   int max_retries = 6;
-  /// Size of the acknowledgement packet on the wire.
-  double ack_bytes = 64;
 };
 
 struct EmulatorConfig {
@@ -70,8 +67,6 @@ struct EmulatorConfig {
   /// `campus_profile`'s and 69% of `lb_fault`'s run time, mostly the
   /// per-node flow map.
   bool collect_netflow = true;
-  /// Fallback lookahead when no link crosses engines (single-engine runs).
-  double min_lookahead = 1e-4;
   /// Reliable-delivery retry policy (used by send_reliable only).
   ReliablePolicy reliable{};
   /// Kernel synchronization protocol. Regardless of the mode, the emulator
@@ -340,9 +335,9 @@ class Emulator : private des::EventSink {
   /// Snapshots committed by this run so far.
   std::uint64_t checkpoints_written() const { return ckpt_written_; }
 
-  /// Serialize the full run state into `w`. Safepoint-hook-only (the
-  /// schedule above calls it automatically; exposed for tests and custom
-  /// supervisors).
+  /// Serialize the run state at the current safepoint into `w`: the
+  /// snapshot restore() reads, save_extra section included. Safepoint-hook
+  /// only (the schedule above calls it; exposed for custom supervisors).
   void checkpoint(ckpt::Writer& w) const;
 
   /// Restore a snapshot produced by checkpoint() into this emulator. Must
@@ -464,10 +459,12 @@ class Emulator : private des::EventSink {
   /// Acquire a pool packet shaped as a control event.
   Packet* make_control(PacketKind kind, NodeId host, std::uint64_t id);
 
-  /// Serialize / reconstruct one pool-owned Packet payload (the kernel's
-  /// save_payload / load_payload callbacks).
-  void save_packet(ckpt::Writer& w, const Packet* packet) const;
-  Packet* load_packet(ckpt::Reader& r);
+  /// The snapshot field list, shared by checkpoint() and restore().
+  template <class Io, class Self, class Extra>
+  static void serialize(Io& io, Self& self, SimTime& t, const Extra& extra);
+  /// One pending event's pool-owned Packet (the kernel's payload callback).
+  template <class Io, class Self, class Event>
+  static void serialize_payload(Io& io, Self& self, Event& e);
 
   /// Write one snapshot (safepoint hook context) and prune old ones.
   void write_checkpoint(SimTime t);

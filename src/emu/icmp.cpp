@@ -9,12 +9,16 @@ namespace massf::emu {
 
 using topology::NodeId;
 
+namespace {
+/// Probes per pair (TTL 1..kMaxTtl); longer paths are reported as failed.
+constexpr int kMaxTtl = 40;
+/// Gap between successive probe batches (keeps ICMP traffic trivial).
+constexpr double kProbeSpacing = 1e-3;
+}  // namespace
+
 std::vector<DiscoveredRoute> discover_routes(
     const topology::Network& network, const routing::RoutingView& routes,
-    const std::vector<std::pair<NodeId, NodeId>>& pairs,
-    const TracerouteOptions& options) {
-  MASSF_REQUIRE(options.max_ttl >= 1, "max_ttl must be >= 1");
-
+    const std::vector<std::pair<NodeId, NodeId>>& pairs) {
   // Dedicated single-engine emulation: route discovery is a setup step, not
   // part of the measured run.
   EmulatorConfig config;
@@ -25,7 +29,7 @@ std::vector<DiscoveredRoute> discover_routes(
 
   // probe_id encodes (pair index, ttl).
   const auto encode = [&](std::size_t pair, int ttl) -> std::uint64_t {
-    return pair * static_cast<std::uint64_t>(options.max_ttl + 1) +
+    return pair * static_cast<std::uint64_t>(kMaxTtl + 1) +
            static_cast<std::uint64_t>(ttl);
   };
 
@@ -35,13 +39,13 @@ std::vector<DiscoveredRoute> discover_routes(
   };
   std::vector<PairState> state(pairs.size());
   for (auto& s : state)
-    s.hop.assign(static_cast<std::size_t>(options.max_ttl + 1), -1);
+    s.hop.assign(static_cast<std::size_t>(kMaxTtl + 1), -1);
 
   emulator.set_icmp_handler([&](const Packet& packet, SimTime) {
     const std::size_t pair = packet.probe_id /
-                             static_cast<std::uint64_t>(options.max_ttl + 1);
+                             static_cast<std::uint64_t>(kMaxTtl + 1);
     const int ttl = static_cast<int>(
-        packet.probe_id % static_cast<std::uint64_t>(options.max_ttl + 1));
+        packet.probe_id % static_cast<std::uint64_t>(kMaxTtl + 1));
     MASSF_CHECK(pair < state.size(), "unknown probe id");
     PairState& s = state[pair];
     if (packet.kind == PacketKind::IcmpTtlExceeded) {
@@ -56,9 +60,9 @@ std::vector<DiscoveredRoute> discover_routes(
   double at = 0;
   for (std::size_t p = 0; p < pairs.size(); ++p) {
     const auto [src, dst] = pairs[p];
-    for (int ttl = 1; ttl <= options.max_ttl; ++ttl)
+    for (int ttl = 1; ttl <= kMaxTtl; ++ttl)
       emulator.send_probe(src, dst, ttl, encode(p, ttl), at);
-    at += options.probe_spacing_s;
+    at += kProbeSpacing;
   }
 
   emulator.run(at + 60.0);  // generous horizon; the run ends when quiet

@@ -18,21 +18,14 @@
 namespace massf::emu {
 
 /// Result of one traceroute: the full node path src → dst (inclusive), or
-/// empty if discovery failed (e.g. probes exceeded max_ttl).
+/// empty if discovery failed (e.g. the path is longer than 40 hops).
 using DiscoveredRoute = std::vector<topology::NodeId>;
-
-struct TracerouteOptions {
-  int max_ttl = 40;
-  /// Gap between successive probe batches (keeps ICMP traffic trivial).
-  double probe_spacing_s = 1e-3;
-};
 
 /// Discover routes for all given (src, dst) pairs by running a dedicated
 /// single-engine emulation that exchanges real ICMP packets over the
 /// virtual network. Returns one route per input pair (same order).
 std::vector<DiscoveredRoute> discover_routes(
     const topology::Network& network, const routing::RoutingView& routes,
-    const std::vector<std::pair<topology::NodeId, topology::NodeId>>& pairs,
-    const TracerouteOptions& options = {});
+    const std::vector<std::pair<topology::NodeId, topology::NodeId>>& pairs);
 
 }  // namespace massf::emu

@@ -82,59 +82,48 @@ double NetFlowCollector::total_node_packets() const {
 
 namespace {
 constexpr std::uint32_t kTagNetflow = 0x6e666c77;  // "nflw"
+
+// Minimum encoded size of one flow record.
+constexpr std::size_t kFlowRecordBytes = 5 * 8;
 }  // namespace
 
-void NetFlowCollector::save(ckpt::Writer& w) const {
-  w.tag(kTagNetflow);
-  w.f64(bucket_width_);
-  w.u64(node_packets_.size());
-  for (double p : node_packets_) w.f64(p);
-  w.u64(link_packets_by_dir_.size());
-  for (double p : link_packets_by_dir_) w.f64(p);
-  for (const auto& row : node_buckets_) {
-    w.u64(row.size());
-    for (double b : row) w.f64(b);
-  }
-  // std::map iterates in key order, so the record stream is deterministic.
-  for (const auto& records : node_flow_records_) {
-    w.u64(records.size());
-    for (const auto& [flow, record] : records) {
-      w.u64(record.flow);
-      w.f64(record.packets);
-      w.f64(record.bytes);
-      w.f64(record.first_seen);
-      w.f64(record.last_seen);
+template <class Io, class Self>
+void NetFlowCollector::serialize(Io& io, Self& self) {
+  io.tag(kTagNetflow, "NetFlow section");
+  io.f64(self.bucket_width_);
+  MASSF_REQUIRE(io.same_u64(self.node_packets_.size()) &&
+                    self.bucket_width_ > 0,
+                "checkpointed NetFlow dimensions do not match this network — "
+                "rebuild the emulator against the checkpointed topology");
+  for (auto& p : self.node_packets_) io.f64(p);
+  MASSF_REQUIRE(io.same_u64(self.link_packets_by_dir_.size()),
+                "checkpointed NetFlow link table does not match this network");
+  for (auto& p : self.link_packets_by_dir_) io.f64(p);
+  for (auto& row : self.node_buckets_) io.f64s(row, "NetFlow section");
+  for (auto& records : self.node_flow_records_) {
+    // std::map iterates in key order, so the record stream is
+    // deterministic.
+    std::vector<FlowRecord> list;
+    if constexpr (!Io::kLoading)
+      for (const auto& [flow, record] : records) list.push_back(record);
+    io.len(list, kFlowRecordBytes, "NetFlow section");
+    for (FlowRecord& record : list) {
+      io.u64(record.flow);
+      io.f64(record.packets);
+      io.f64(record.bytes);
+      io.f64(record.first_seen);
+      io.f64(record.last_seen);
+    }
+    if constexpr (Io::kLoading) {
+      records.clear();
+      for (const FlowRecord& record : list)
+        records.emplace(record.flow, record);
     }
   }
 }
 
-void NetFlowCollector::load(ckpt::Reader& r) {
-  r.expect_tag(kTagNetflow, "NetFlow section");
-  bucket_width_ = r.f64();
-  MASSF_REQUIRE(r.u64() == node_packets_.size() && bucket_width_ > 0,
-                "checkpointed NetFlow dimensions do not match this network — "
-                "rebuild the emulator against the checkpointed topology");
-  for (double& p : node_packets_) p = r.f64();
-  MASSF_REQUIRE(r.u64() == link_packets_by_dir_.size(),
-                "checkpointed NetFlow link table does not match this network");
-  for (double& p : link_packets_by_dir_) p = r.f64();
-  for (auto& row : node_buckets_) {
-    row.assign(r.u64(), 0.0);
-    for (double& b : row) b = r.f64();
-  }
-  for (auto& records : node_flow_records_) {
-    records.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      FlowRecord record;
-      record.flow = r.u64();
-      record.packets = r.f64();
-      record.bytes = r.f64();
-      record.first_seen = r.f64();
-      record.last_seen = r.f64();
-      records.emplace(record.flow, record);
-    }
-  }
-}
+void NetFlowCollector::save(ckpt::Writer& w) const { serialize(w, *this); }
+
+void NetFlowCollector::load(ckpt::Reader& r) { serialize(r, *this); }
 
 }  // namespace massf::emu

@@ -77,6 +77,10 @@ class NetFlowCollector {
   void load(ckpt::Reader& r);
 
  private:
+  /// The field list shared by save and load.
+  template <class Io, class Self>
+  static void serialize(Io& io, Self& self);
+
   double bucket_width_;
   std::vector<double> node_packets_;
   std::vector<double> link_packets_by_dir_;          // 2 per link

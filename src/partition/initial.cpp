@@ -136,8 +136,7 @@ void recurse(const Graph& graph, const std::vector<VertexId>& ids,
 
   std::vector<char> best;
   double best_score = std::numeric_limits<double>::infinity();
-  const int trials = std::max(1, options.initial_trials);
-  for (int t = 0; t < trials; ++t) {
+  for (int t = 0; t < kInitialTrials; ++t) {
     const auto seed =
         static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(
             sub.vertex_count())));
@@ -157,8 +156,7 @@ void recurse(const Graph& graph, const std::vector<VertexId>& ids,
   std::vector<double> epsilons = options.epsilon_per_constraint;
   if (epsilons.empty()) epsilons.assign(1, options.epsilon);
   rebalance(sub, two_way, fractions, epsilons, rng);
-  greedy_refine(sub, two_way, fractions, epsilons, options.refine_passes,
-                rng);
+  greedy_refine(sub, two_way, fractions, epsilons, kRefinePasses, rng);
 
   std::vector<VertexId> left_ids, right_ids;
   for (std::size_t i = 0; i < two_way.size(); ++i)

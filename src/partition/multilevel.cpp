@@ -35,7 +35,7 @@ PartitionResult partition_multilevel(const Graph& graph,
 
   // --- Coarsening phase -----------------------------------------------
   const VertexId stop_at = std::max<VertexId>(
-      options.coarsen_to, static_cast<VertexId>(20 * options.parts));
+      kCoarsenTo, static_cast<VertexId>(20 * options.parts));
   std::vector<CoarseGraph> hierarchy;  // hierarchy[i] coarsens level i graph
   const Graph* current = &graph;
   constexpr int kMaxLevels = 48;
@@ -66,8 +66,8 @@ PartitionResult partition_multilevel(const Graph& graph,
   for (double& e : tight_epsilons) e *= 0.5;
   Assignment assignment = initial_partition(*current, options, rng);
   rebalance(*current, assignment, fractions, epsilons, rng);
-  greedy_refine(*current, assignment, fractions, epsilons,
-                options.refine_passes, rng);
+  greedy_refine(*current, assignment, fractions, epsilons, kRefinePasses,
+                rng);
 
   // --- Uncoarsening with refinement ------------------------------------
   for (std::size_t level = hierarchy.size(); level-- > 0;) {
@@ -80,8 +80,7 @@ PartitionResult partition_multilevel(const Graph& graph,
           assignment[static_cast<std::size_t>(map[static_cast<std::size_t>(v)])];
     assignment = std::move(projected);
     rebalance(fine, assignment, fractions, epsilons, rng);
-    greedy_refine(fine, assignment, fractions, epsilons,
-                  options.refine_passes, rng);
+    greedy_refine(fine, assignment, fractions, epsilons, kRefinePasses, rng);
   }
 
   // Final polish: push balance below the tolerance (lumpy weights often
@@ -90,7 +89,7 @@ PartitionResult partition_multilevel(const Graph& graph,
   // lost to the balancing moves.
   rebalance(graph, assignment, fractions, tight_epsilons, rng);
   greedy_refine(graph, assignment, fractions, epsilons,
-                std::max(2, options.refine_passes / 2), rng);
+                std::max(2, kRefinePasses / 2), rng);
 
   validate_assignment(graph, assignment, options.parts);
   result.edge_cut = edge_cut(graph, assignment);

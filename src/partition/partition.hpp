@@ -20,6 +20,15 @@ namespace massf::partition {
 /// part[v] = block id in [0, k) for every vertex v.
 using Assignment = std::vector<int>;
 
+/// Coarsening stops when the graph has at most max(kCoarsenTo, 20*parts)
+/// vertices.
+constexpr int kCoarsenTo = 120;
+/// Maximum boundary-refinement passes per uncoarsening level.
+constexpr int kRefinePasses = 8;
+/// Independent initial-partitioning trials at the coarsest level; the best
+/// cut wins.
+constexpr int kInitialTrials = 8;
+
 /// Tuning knobs for the multilevel partitioner. Defaults are sensible for
 /// the network graphs in this repository (tens to thousands of vertices).
 struct PartitionOptions {
@@ -34,14 +43,6 @@ struct PartitionOptions {
   /// (memory when RAM is plentiful, PROFILE time segments) be balanced
   /// loosely without relaxing the computation constraint.
   std::vector<double> epsilon_per_constraint;
-  /// Stop coarsening when the graph has at most max(coarsen_to,
-  /// 20*parts) vertices.
-  int coarsen_to = 120;
-  /// Maximum boundary-refinement passes per uncoarsening level.
-  int refine_passes = 8;
-  /// Independent initial-partitioning trials at the coarsest level; the
-  /// best cut wins.
-  int initial_trials = 8;
   /// Master seed; the partitioner is deterministic given the seed.
   std::uint64_t seed = 1;
 };

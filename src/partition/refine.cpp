@@ -265,8 +265,7 @@ PartitionResult refine_from(const Graph& graph, Assignment assignment,
   Rng rng(mix_seed(options.seed, 0x1ec0de));
 
   rebalance(graph, assignment, fractions, epsilons, rng);
-  greedy_refine(graph, assignment, fractions, epsilons, options.refine_passes,
-                rng);
+  greedy_refine(graph, assignment, fractions, epsilons, kRefinePasses, rng);
 
   PartitionResult result;
   result.edge_cut = edge_cut(graph, assignment);

@@ -45,9 +45,8 @@ std::vector<double> uniform_fractions(int parts);
 /// rebalance() (restore feasibility under the new weights) followed by
 /// greedy_refine() (recover cut quality along the new boundary), both
 /// seeded deterministically from options.seed. Only `parts`, `epsilon`/
-/// `epsilon_per_constraint`, `refine_passes`, and `seed` of the options are
-/// used. Returns the refined assignment with its edge cut and worst
-/// balance.
+/// `epsilon_per_constraint` and `seed` of the options are used. Returns
+/// the refined assignment with its edge cut and worst balance.
 PartitionResult refine_from(const graph::Graph& graph, Assignment assignment,
                             const PartitionOptions& options);
 

@@ -80,46 +80,34 @@ double LoadMonitor::observed_event_rate() const {
 
 namespace {
 constexpr std::uint32_t kTagMonitor = 0x6d6f6e69;  // "moni"
-
-void save_vector(ckpt::Writer& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (double x : v) w.f64(x);
-}
-
-std::vector<double> load_vector(ckpt::Reader& r) {
-  std::vector<double> v(r.u64());
-  for (double& x : v) x = r.f64();
-  return v;
-}
+// Minimum encoded size of one sample: its time and three vector lengths.
+constexpr std::size_t kSampleBytes = 4 * 8;
 }  // namespace
 
-void LoadMonitor::save(ckpt::Writer& w) const {
-  w.tag(kTagMonitor);
-  w.f64(window_s_);
-  w.u64(history_.size());
-  for (const LoadSample& s : history_) {
-    w.f64(s.t);
-    save_vector(w, s.engine_events);
-    save_vector(w, s.node_packets);
-    save_vector(w, s.link_packets);
+template <class Io, class Self>
+void LoadMonitor::serialize(Io& io, Self& self) {
+  io.tag(kTagMonitor, "load-monitor section");
+  io.f64(self.window_s_);
+  MASSF_REQUIRE(self.window_s_ > 0, "snapshot monitor window is corrupt");
+  io.len(self.history_, kSampleBytes, "load-monitor section");
+  for (auto& s : self.history_) {
+    io.f64(s.t);
+    io.f64s(s.engine_events, "load-monitor section");
+    io.f64s(s.node_packets, "load-monitor section");
+    io.f64s(s.link_packets, "load-monitor section");
+    const LoadSample& first = self.history_.front();
+    MASSF_REQUIRE(s.engine_events.size() == first.engine_events.size() &&
+                      s.node_packets.size() == first.node_packets.size() &&
+                      s.link_packets.size() == first.link_packets.size(),
+                  "snapshot monitor samples disagree in size — the snapshot "
+                  "is corrupt");
   }
+  if constexpr (Io::kLoading)
+    self.last_imbalance_.store(self.imbalance(), std::memory_order_relaxed);
 }
 
-void LoadMonitor::load(ckpt::Reader& r) {
-  r.expect_tag(kTagMonitor, "load-monitor section");
-  window_s_ = r.f64();
-  MASSF_REQUIRE(window_s_ > 0, "snapshot monitor window is corrupt");
-  history_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    LoadSample s;
-    s.t = r.f64();
-    s.engine_events = load_vector(r);
-    s.node_packets = load_vector(r);
-    s.link_packets = load_vector(r);
-    history_.push_back(std::move(s));
-  }
-  last_imbalance_.store(imbalance(), std::memory_order_relaxed);
-}
+void LoadMonitor::save(ckpt::Writer& w) const { serialize(w, *this); }
+
+void LoadMonitor::load(ckpt::Reader& r) { serialize(r, *this); }
 
 }  // namespace massf::rebalance

@@ -79,6 +79,10 @@ class LoadMonitor {
   }
 
  private:
+  /// The field list shared by save and load.
+  template <class Io, class Self>
+  static void serialize(Io& io, Self& self);
+
   /// Element-wise (newest - oldest) / dt; empty when under two samples or
   /// the field was never collected.
   std::vector<double> window_rate(

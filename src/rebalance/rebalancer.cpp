@@ -40,45 +40,35 @@ void Controller::install(emu::Emulator& emulator, SimTime horizon) {
 
 namespace {
 constexpr std::uint32_t kTagController = 0x72626374;  // "rbct"
+// Minimum encoded size of one decision record.
+constexpr std::size_t kDecisionBytes = 6 * 8 + 1;
 }  // namespace
 
-void Controller::save_state(ckpt::Writer& w) const {
-  w.tag(kTagController);
-  monitor_.save(w);
-  w.i64(policy_.streak());
-  w.f64(policy_.last_migration());
-  w.u64(decisions_.size());
-  for (const RebalanceDecision& d : decisions_) {
-    w.f64(d.t);
-    w.f64(d.imbalance);
-    w.f64(d.projected_before);
-    w.f64(d.projected_after);
-    w.f64(d.migration_bytes);
-    w.i64(d.nodes_moved);
-    w.u8(d.migrated ? 1 : 0);
+template <class Io, class Self>
+void Controller::serialize(Io& io, Self& self) {
+  io.tag(kTagController, "rebalance-controller section");
+  io.nested(self.monitor_);
+  int streak = self.policy_.streak();
+  double last_migration = self.policy_.last_migration();
+  io.i64(streak);
+  io.f64(last_migration);
+  if constexpr (Io::kLoading)
+    self.policy_.restore_state(streak, last_migration);
+  io.len(self.decisions_, kDecisionBytes, "rebalance-controller section");
+  for (auto& d : self.decisions_) {
+    io.f64(d.t);
+    io.f64(d.imbalance);
+    io.f64(d.projected_before);
+    io.f64(d.projected_after);
+    io.f64(d.migration_bytes);
+    io.i64(d.nodes_moved);
+    io.u8(d.migrated);
   }
 }
 
-void Controller::load_state(ckpt::Reader& r) {
-  r.expect_tag(kTagController, "rebalance-controller section");
-  monitor_.load(r);
-  const int streak = static_cast<int>(r.i64());
-  const double last_migration = r.f64();
-  policy_.restore_state(streak, last_migration);
-  decisions_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    RebalanceDecision d;
-    d.t = r.f64();
-    d.imbalance = r.f64();
-    d.projected_before = r.f64();
-    d.projected_after = r.f64();
-    d.migration_bytes = r.f64();
-    d.nodes_moved = static_cast<int>(r.i64());
-    d.migrated = r.u8() != 0;
-    decisions_.push_back(d);
-  }
-}
+void Controller::save_state(ckpt::Writer& w) const { serialize(w, *this); }
+
+void Controller::load_state(ckpt::Reader& r) { serialize(r, *this); }
 
 std::vector<double> Controller::project_loads(
     const std::vector<double>& node_rates, const std::vector<int>& assignment,

@@ -81,6 +81,10 @@ class Controller {
   void load_state(ckpt::Reader& r);
 
  private:
+  /// The field list shared by save_state and load_state.
+  template <class Io, class Self>
+  static void serialize(Io& io, Self& self);
+
   void on_safepoint(emu::Emulator& emulator, SimTime t, SimTime horizon);
 
   /// Sum per-node rates into per-engine loads under an assignment.

@@ -1,6 +1,6 @@
 // Checkpoint/restore and crash-recovery chaos tests (DESIGN.md §12).
 //
-// Three layers are exercised:
+// Four layers are exercised:
 //   * the container format (src/ckpt/): CRC/truncation/version rejection
 //     and the atomic write-rename protocol under injected mid-write kills;
 //   * Emulator::checkpoint/restore: a run killed at a randomized point and
@@ -8,23 +8,35 @@
 //     history_hash to the uninterrupted run, across both sync protocols ×
 //     both execution modes, with and without a random fault plan;
 //   * Experiment::run_supervised: retry-with-backoff from the latest valid
-//     snapshot, fallback past corrupted snapshots, and the cooperative
-//     watchdog.
+//     snapshot, fallback past corrupted snapshots, the cooperative
+//     watchdog, and an adaptive run whose rebalance controller rides the
+//     snapshot's extra section;
+//   * the snapshot format itself: a golden size/CRC per sync mode, hostile
+//     length/node/payload fields, and a seeded mutation test of
+//     Emulator::restore.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
 
+#include "app/scenario.hpp"
 #include "ckpt/ckpt.hpp"
 #include "core/pipeline.hpp"
 #include "emu/emulator.hpp"
+#include "emu/netflow.hpp"
 #include "fault/fault.hpp"
+#include "rebalance/monitor.hpp"
+#include "rebalance/rebalancer.hpp"
 #include "topology/topologies.hpp"
 #include "traffic/cbr.hpp"
 #include "util/rng.hpp"
@@ -46,6 +58,12 @@ std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "massf_ckpt_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Name of the running test, for per-test directories: ctest runs the
+/// tests of this binary as concurrent processes.
+std::string current_test() {
+  return ::testing::UnitTest::GetInstance()->current_test_info()->name();
 }
 
 void flip_byte(const std::string& path, long offset) {
@@ -747,6 +765,526 @@ TEST(Supervised, RecoversUnderARandomFaultPlanAndRecordsItsSeed) {
   EXPECT_GE(res.restored_from, 0);
   EXPECT_EQ(res.metrics.history_hash, plain.history_hash);
   EXPECT_EQ(res.metrics.fault_seed, 7u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Adaptive rebalancing under supervision: the controller's state rides the
+// snapshot's extra section
+// ---------------------------------------------------------------------------
+
+TEST(Supervised, AdaptiveControllerSurvivesAKillBitIdentically) {
+  ChaosNet fx;
+  mapping::ExperimentSetup setup;
+  setup.network = &fx.net;
+  setup.routes = &fx.tables;
+  setup.workload = fx.workload;
+  setup.engines = 2;
+  setup.horizon = kHorizon;
+  mapping::Experiment ex(std::move(setup));
+  // Skewed start (everything on engine 0 but the last host), so the
+  // controller has real imbalance to act on before and after the kill.
+  mapping::MappingResult skewed = ex.map(mapping::Approach::Top);
+  skewed.node_engine.assign(skewed.node_engine.size(), 0);
+  skewed.node_engine[static_cast<std::size_t>(fx.net.hosts().back())] = 1;
+
+  rebalance::RebalanceConfig rcfg;
+  rcfg.start_s = 2.5;  // every second rebalance safepoint is a snapshot
+  rcfg.period_s = 2.5;
+  rcfg.window_s = 7.5;
+  rcfg.policy.trigger = 0.05;
+  rcfg.policy.hysteresis = 1;
+  rcfg.policy.cooldown_s = 0.0;
+  rcfg.policy.min_gain_s = -1e9;
+  rebalance::Controller controller(fx.net, fx.tables, rcfg);
+  ex.set_emulator_hook([&controller](emu::Emulator& emulator, double horizon) {
+    controller.install(emulator, horizon);
+  });
+
+  const mapping::RunMetrics plain = ex.run(skewed);
+  const std::vector<rebalance::RebalanceDecision> plain_decisions =
+      controller.decisions();
+  ASSERT_GE(plain.rebalances, 1u);
+  ASSERT_FALSE(plain_decisions.empty());
+  bool migrated_before_kill = false;
+  for (const rebalance::RebalanceDecision& d : plain_decisions)
+    migrated_before_kill |= d.migrated && d.t <= 2 * kPeriod;
+  EXPECT_TRUE(migrated_before_kill) << "the kill must land after a migration";
+
+  int after_calls = 0;
+  CrashGuard guard([&](const char* phase) {
+    if (std::strcmp(phase, "after-checkpoint") == 0 && ++after_calls == 2)
+      throw ckpt::InjectedCrash("chaos kill mid adaptive run");
+  });
+  mapping::SuperviseOptions opt = supervise_options(fresh_dir("sup_adaptive"));
+  opt.checkpoint_period_s = kPeriod;
+  opt.save_extra = [&controller](ckpt::Writer& w) { controller.save_state(w); };
+  opt.load_extra = [&controller](ckpt::Reader& r) { controller.load_state(r); };
+  const mapping::SuperviseResult res = ex.run_supervised(skewed, opt);
+  EXPECT_EQ(res.attempts, 2);
+  EXPECT_EQ(res.restored_from, 1);  // the t=10 snapshot
+
+  EXPECT_EQ(res.metrics.history_hash, plain.history_hash);
+  EXPECT_EQ(res.metrics.rebalances, plain.rebalances);
+  EXPECT_EQ(res.metrics.nodes_migrated, plain.nodes_migrated);
+  EXPECT_EQ(res.metrics.migration_bytes, plain.migration_bytes);
+  EXPECT_EQ(res.metrics.events_rehomed, plain.events_rehomed);
+  EXPECT_EQ(res.metrics.rebalance_epoch, plain.rebalance_epoch);
+  const std::vector<rebalance::RebalanceDecision>& decisions =
+      controller.decisions();
+  ASSERT_EQ(decisions.size(), plain_decisions.size());
+  for (std::size_t d = 0; d < decisions.size(); ++d) {
+    const rebalance::RebalanceDecision& a = plain_decisions[d];
+    const rebalance::RebalanceDecision& b = decisions[d];
+    EXPECT_EQ(a.t, b.t) << "decision " << d;
+    EXPECT_EQ(a.imbalance, b.imbalance) << "decision " << d;
+    EXPECT_EQ(a.projected_before, b.projected_before) << "decision " << d;
+    EXPECT_EQ(a.projected_after, b.projected_after) << "decision " << d;
+    EXPECT_EQ(a.migration_bytes, b.migration_bytes) << "decision " << d;
+    EXPECT_EQ(a.nodes_moved, b.nodes_moved) << "decision " << d;
+    EXPECT_EQ(a.migrated, b.migrated) << "decision " << d;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot format oracle
+// ---------------------------------------------------------------------------
+
+constexpr double kFormatHorizon = 3.0;
+constexpr double kFormatSnapshotAt = 1.5;
+
+/// Small two-tier LB run on two engines whose snapshot at t = 1.5 fills
+/// every section: endpoint words, reliable requests in flight, a latency
+/// series, NetFlow, a rack-uplink outage (three fault epochs, the second
+/// live at the snapshot) and an aggressive rebalance controller whose state
+/// rides the extra section.
+struct FormatNet {
+  app::LbScenarioParams params = make_params();
+  app::LbScenario scenario = app::make_lb_scenario(params);
+  routing::RoutingTables tables = routing::RoutingTables::build(scenario.net);
+  fault::FaultTimeline timeline{scenario.net, outage(scenario)};
+  app::LbWorkload workload{scenario, params};
+
+  static app::LbScenarioParams make_params() {
+    app::LbScenarioParams p;
+    p.backends = 4;
+    p.client_hosts = 2;
+    p.users_per_host = 20;
+    p.rate_per_user = 4.0;
+    p.duration_s = 2.0;
+    p.policy = app::PolicyKind::PeakEwma;
+    p.server.mean_s = 2e-3;
+    p.server.workers = 2;
+    return p;
+  }
+
+  static fault::FaultPlan outage(const app::LbScenario& s) {
+    fault::FaultPlan plan;
+    plan.link_outage(s.degraded_uplink, 1.0, 2.5);
+    return plan;
+  }
+
+  struct Run {
+    std::unique_ptr<emu::Emulator> emulator;
+    std::unique_ptr<rebalance::Controller> controller;
+  };
+
+  Run make(des::SyncMode sync) {
+    std::vector<int> placement(
+        static_cast<std::size_t>(scenario.net.node_count()));
+    for (std::size_t i = 0; i < placement.size(); ++i)
+      placement[i] = static_cast<int>(i % 2);
+    emu::EmulatorConfig config;
+    config.reliable.base_timeout_s = params.reliable_timeout_s;
+    config.sync_mode = sync;
+    Run run;
+    run.emulator = std::make_unique<emu::Emulator>(
+        scenario.net, tables, std::move(placement), 2, config);
+    run.emulator->set_fault_timeline(&timeline);
+    workload.install(*run.emulator);
+    rebalance::RebalanceConfig rcfg;
+    rcfg.start_s = 0.5;
+    rcfg.period_s = 0.5;
+    rcfg.window_s = 1.0;
+    rcfg.policy.trigger = 0.05;
+    rcfg.policy.hysteresis = 1;
+    rcfg.policy.cooldown_s = 0.0;
+    rcfg.policy.min_gain_s = -1e9;
+    run.controller =
+        std::make_unique<rebalance::Controller>(scenario.net, tables, rcfg);
+    run.controller->install(*run.emulator, kFormatHorizon);
+    return run;
+  }
+};
+
+/// What the snapshot instant held, so the oracle can assert that every
+/// section it pins is populated.
+struct SnapshotContents {
+  std::uint64_t pending_reliable = 0;
+  std::uint64_t latency_samples = 0;
+  double netflow_packets = 0;
+  std::size_t fault_epoch = 0;
+  std::size_t decisions = 0;
+  std::uint64_t rebalances = 0;
+};
+
+std::vector<unsigned char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Runs FormatNet to the horizon under Sequential execution with one
+/// snapshot at kFormatSnapshotAt and returns that snapshot's payload (the
+/// bytes after the 20-byte container header).
+std::vector<unsigned char> format_snapshot(FormatNet& fx, des::SyncMode sync,
+                                           SnapshotContents* contents =
+                                               nullptr) {
+  const std::string dir = fresh_dir(std::string("format_") + name(sync) +
+                                    "_" + current_test());
+  FormatNet::Run run = fx.make(sync);
+  emu::Emulator& emulator = *run.emulator;
+  rebalance::Controller& controller = *run.controller;
+  emu::CheckpointConfig cfg = schedule(dir, /*period=*/100.0);
+  cfg.first_s = kFormatSnapshotAt;
+  cfg.save_extra = [&controller](ckpt::Writer& w) {
+    controller.save_state(w);
+  };
+  cfg.on_checkpoint = [&](std::uint64_t, const std::string&) {
+    if (contents == nullptr) return;
+    const emu::EmulatorStats s = emulator.stats();
+    contents->pending_reliable = s.reliable_messages_sent -
+                                 s.reliable_messages_acked -
+                                 s.reliable_messages_failed;
+    contents->latency_samples =
+        emulator.latency_summaries().at(0).total.count();
+    contents->netflow_packets = emulator.netflow().total_node_packets();
+    contents->fault_epoch = fx.timeline.epoch_at(kFormatSnapshotAt);
+    contents->decisions = controller.decisions().size();
+    contents->rebalances = emulator.rebalance_stats().rebalances;
+  };
+  emulator.set_checkpoint_schedule(cfg, kFormatHorizon);
+  emulator.run(kFormatHorizon);
+  const auto snaps = ckpt::list_checkpoints(dir);
+  EXPECT_EQ(snaps.size(), 1u);
+  if (snaps.empty()) return {};
+  std::vector<unsigned char> bytes = file_bytes(snaps.front().second);
+  EXPECT_GE(bytes.size(), 20u);
+  if (bytes.size() < 20) return {};
+  return {bytes.begin() + 20, bytes.end()};
+}
+
+TEST(SnapshotFormat, GoldenPayloadSizeAndCrcPerSyncMode) {
+  // Pinned payload size and CRC-32 of one Sequential snapshot per sync mode.
+  // A mismatch means the byte layout changed: that needs a kFormatVersion
+  // bump and re-recorded constants, never just the latter.
+  struct Golden {
+    des::SyncMode sync;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const Golden golden[] = {
+      {des::SyncMode::GlobalWindow, 155807, 0xff32840cu},
+      {des::SyncMode::ChannelLookahead, 155807, 0x4707950fu},
+  };
+  FormatNet fx;
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(name(g.sync));
+    SnapshotContents contents;
+    const std::vector<unsigned char> payload =
+        format_snapshot(fx, g.sync, &contents);
+    EXPECT_GT(contents.pending_reliable, 0u);
+    EXPECT_GT(contents.latency_samples, 0u);
+    EXPECT_GT(contents.netflow_packets, 0.0);
+    EXPECT_EQ(contents.fault_epoch, 1u);
+    EXPECT_GT(contents.decisions, 0u);
+    EXPECT_GT(contents.rebalances, 0u);
+    EXPECT_EQ(payload.size(), g.size);
+    EXPECT_EQ(ckpt::crc32(payload.data(), payload.size()), g.crc)
+        << std::hex << ckpt::crc32(payload.data(), payload.size());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile snapshot fields: each value below passes the CRC (it was written
+// by Writer, or the payload is parsed directly), so only the field parser
+// stands between it and the program.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kHostileLength = std::uint64_t{1} << 40;
+
+/// Commits `w` and reads it back through the validating file path.
+ckpt::Reader committed(const ckpt::Writer& w, const std::string& label) {
+  const std::string dir = fresh_dir(label);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/" + ckpt::checkpoint_filename(0);
+  w.commit(path);
+  return ckpt::Reader::from_file(path);
+}
+
+/// The inflated length must be rejected as a CkptError naming `section`,
+/// before anything is allocated for it.
+void expect_length_rejected(const std::function<void()>& load,
+                            const std::string& section) {
+  try {
+    load();
+    ADD_FAILURE() << "expected the inflated " << section
+                  << " length to be rejected";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find(section), std::string::npos)
+        << e.what();
+  }
+}
+
+std::uint64_t get_u64(const std::vector<unsigned char>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i)
+    v |= static_cast<std::uint64_t>(b.at(at + i)) << (8 * i);
+  return v;
+}
+
+void put_u64(std::vector<unsigned char>& b, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i)
+    b.at(at + i) = static_cast<unsigned char>(v >> (8 * i));
+}
+
+/// Offset of the first occurrence of section tag `tag` in `payload`.
+std::size_t find_tag(const std::vector<unsigned char>& payload,
+                     std::uint32_t tag) {
+  for (std::size_t at = 0; at + 4 <= payload.size(); ++at) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(payload[at + i]) << (8 * i);
+    if (v == tag) return at;
+  }
+  ADD_FAILURE() << "tag 0x" << std::hex << tag << " not found";
+  return payload.size();
+}
+
+TEST(HostileSnapshot, NetFlowRowLengthIsBoundedBeforeAllocation) {
+  emu::NetFlowCollector collector(3, 2);
+  ckpt::Writer w;
+  w.tag(0x6e666c77);  // "nflw"
+  w.f64(2.0);
+  w.u64(3);
+  for (int i = 0; i < 3; ++i) w.f64(0.0);
+  w.u64(4);  // two directions per link
+  for (int i = 0; i < 4; ++i) w.f64(0.0);
+  w.u64(kHostileLength);  // node 0's bucket row
+  ckpt::Reader r = committed(w, "hostile_netflow");
+  expect_length_rejected([&] { collector.load(r); }, "NetFlow");
+}
+
+TEST(HostileSnapshot, MonitorSampleLengthIsBoundedBeforeAllocation) {
+  rebalance::LoadMonitor monitor(1.0);
+  ckpt::Writer w;
+  w.tag(0x6d6f6e69);  // "moni"
+  w.f64(1.0);
+  w.u64(1);  // one sample
+  w.f64(0.5);
+  w.u64(kHostileLength);  // its engine_events vector
+  ckpt::Reader r = committed(w, "hostile_monitor");
+  expect_length_rejected([&] { monitor.load(r); }, "load-monitor");
+}
+
+/// TinyNet on two engines with one CBR endpoint on host a, snapshotted at
+/// t = 5 while packets are in flight.
+struct TinySnapshot {
+  TinyNet fx;
+  std::shared_ptr<traffic::CbrTraffic> workload;
+
+  TinySnapshot() {
+    traffic::CbrFlowSpec ab;
+    ab.src = fx.a;
+    ab.dst = fx.b;
+    ab.message_bytes = 9000;
+    ab.interval_s = 0.3;
+    traffic::CbrParams params;
+    params.duration_s = 8;
+    params.seed = 5;
+    workload = std::make_shared<traffic::CbrTraffic>(
+        std::vector<traffic::CbrFlowSpec>{ab}, params);
+  }
+
+  std::unique_ptr<emu::Emulator> make() {
+    auto emulator = std::make_unique<emu::Emulator>(
+        fx.net, *fx.tables, std::vector<int>{0, 0, 1, 1}, 2);
+    workload->install(*emulator);
+    return emulator;
+  }
+
+  std::vector<unsigned char> payload() {
+    const std::string dir = fresh_dir("hostile_" + current_test());
+    auto emulator = make();
+    emulator->set_checkpoint_schedule(schedule(dir, 5.0), 9.0);
+    emulator->run(9.0);
+    const auto snaps = ckpt::list_checkpoints(dir);
+    EXPECT_EQ(snaps.size(), 1u);
+    if (snaps.empty()) return {};
+    const std::vector<unsigned char> bytes = file_bytes(snaps.front().second);
+    return {bytes.begin() + 20, bytes.end()};
+  }
+
+  /// Restore `payload` (CRC not involved) into a freshly built emulator.
+  void restore(std::vector<unsigned char> payload) {
+    auto emulator = make();
+    ckpt::Reader r(std::move(payload));
+    emulator->restore(r);
+  }
+};
+
+// Layout offsets of the fields patched below. Emulator section: snapshot tag
+// and time, emulator tag, node/engine counts, lookahead, four node engines
+// (72 bytes), then per host 15 u64 counters and one f64 (128 bytes), the
+// endpoint flag and the endpoint word count.
+constexpr std::size_t kHostAEndpointFlag = 72 + 128;
+constexpr std::size_t kHostAWordCount = kHostAEndpointFlag + 1;
+constexpr std::uint32_t kTagKernelLp = 0x6b6c7073;  // "klps"
+// After the per-engine tag: 12 eight-byte counters, then the series length.
+constexpr std::size_t kLpSeriesLength = 4 + 12 * 8;
+
+TEST(HostileSnapshot, EndpointWordCountIsBoundedBeforeAllocation) {
+  TinySnapshot snap;
+  std::vector<unsigned char> payload = snap.payload();
+  ASSERT_EQ(payload.at(kHostAEndpointFlag), 1u);
+  ASSERT_LT(get_u64(payload, kHostAWordCount), 64u);
+  put_u64(payload, kHostAWordCount, kHostileLength);
+  expect_length_rejected([&] { snap.restore(payload); }, "emulator section");
+}
+
+TEST(HostileSnapshot, KernelSeriesLengthIsBoundedBeforeAllocation) {
+  TinySnapshot snap;
+  std::vector<unsigned char> payload = snap.payload();
+  const std::size_t at = find_tag(payload, kTagKernelLp) + kLpSeriesLength;
+  ASSERT_LT(get_u64(payload, at), 64u);
+  put_u64(payload, at, kHostileLength);
+  expect_length_rejected([&] { snap.restore(payload); }, "per-engine section");
+}
+
+/// Offset of engine 0's pending-event count.
+std::size_t pending_count_offset(const std::vector<unsigned char>& payload) {
+  const std::size_t series = find_tag(payload, kTagKernelLp) + kLpSeriesLength;
+  return series + 8 + 8 * get_u64(payload, series);
+}
+
+TEST(HostileSnapshot, KernelPendingCountIsBoundedBeforeAllocation) {
+  TinySnapshot snap;
+  std::vector<unsigned char> payload = snap.payload();
+  const std::size_t at = pending_count_offset(payload);
+  ASSERT_GT(get_u64(payload, at), 0u);
+  ASSERT_LT(get_u64(payload, at), 1000u);
+  put_u64(payload, at, kHostileLength);
+  expect_length_rejected([&] { snap.restore(payload); }, "per-engine section");
+}
+
+// Engine 0's first pending event: time, origin, sequence, then the node.
+constexpr std::size_t kEventNode = 8 + 4 + 8;
+constexpr std::size_t kEventPayloadFlag = kEventNode + 8;
+
+TEST(HostileSnapshot, PendingEventNodeOutOfRangeIsRejected) {
+  TinySnapshot snap;
+  std::vector<unsigned char> payload = snap.payload();
+  const std::size_t event = pending_count_offset(payload) + 8;
+  ASSERT_LT(get_u64(payload, event + kEventNode), 4u);
+  put_u64(payload, event + kEventNode, 1000);
+  try {
+    snap.restore(payload);
+    FAIL() << "expected the out-of-range event node to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("node"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileSnapshot, NullPendingPayloadIsRejected) {
+  TinySnapshot snap;
+  std::vector<unsigned char> payload = snap.payload();
+  const std::size_t flag =
+      pending_count_offset(payload) + 8 + kEventPayloadFlag;
+  ASSERT_EQ(payload.at(flag), 1u);
+  // A well-formed null payload: the flag reads 0 and no packet body
+  // follows. The body is 74 bytes, plus 65 when it carries a message.
+  const bool has_message = payload.at(flag + 1 + 41) != 0;
+  const std::size_t body = 74 + (has_message ? 65 : 0);
+  payload[flag] = 0;
+  payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(flag + 1),
+                payload.begin() + static_cast<std::ptrdiff_t>(flag + 1 + body));
+  try {
+    snap.restore(payload);
+    FAIL() << "expected the null packet payload to be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("payload"), std::string::npos)
+        << e.what();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation test of Emulator::restore
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotMutation, OnlyCheckpointOrArgumentErrorsEscapeRestore) {
+  FormatNet fx;
+  const std::vector<unsigned char> valid =
+      format_snapshot(fx, des::SyncMode::GlobalWindow);
+  ASSERT_FALSE(valid.empty());
+
+  // Offsets holding a small u64: the count and length fields (and some
+  // other small values), the targets of the inflated-length mutations.
+  std::vector<std::size_t> small;
+  for (std::size_t at = 0; at + 8 <= valid.size(); ++at)
+    if (get_u64(valid, at) < 4096) small.push_back(at);
+  ASSERT_FALSE(small.empty());
+  const std::uint64_t inflated[] = {std::uint64_t{1} << 31, kHostileLength,
+                                    std::uint64_t{1} << 62, ~std::uint64_t{0}};
+
+  constexpr int kMutations = 900;
+  Rng rng(20261017);
+  int rejected = 0;
+  int accepted = 0;
+  for (int m = 0; m < kMutations; ++m) {
+    std::vector<unsigned char> payload = valid;
+    std::string what;
+    switch (m % 3) {
+      case 0: {  // byte flips
+        const int flips = 1 + static_cast<int>(rng() % 4);
+        for (int f = 0; f < flips; ++f) {
+          const std::size_t at = rng() % payload.size();
+          payload[at] ^= static_cast<unsigned char>(1 + rng() % 255);
+          what += " flip@" + std::to_string(at);
+        }
+        break;
+      }
+      case 1: {  // truncation
+        const std::size_t keep = rng() % payload.size();
+        payload.resize(keep);
+        what = " truncate@" + std::to_string(keep);
+        break;
+      }
+      default: {  // inflated length field
+        const std::size_t at = small[rng() % small.size()];
+        const std::uint64_t v = inflated[rng() % 4];
+        put_u64(payload, at, v);
+        what = " u64@" + std::to_string(at) + "=" + std::to_string(v);
+        break;
+      }
+    }
+    FormatNet::Run run = fx.make(des::SyncMode::GlobalWindow);
+    rebalance::Controller& controller = *run.controller;
+    ckpt::Reader r(std::move(payload));
+    try {
+      run.emulator->restore(
+          r, [&controller](ckpt::Reader& rr) { controller.load_state(rr); });
+      ++accepted;
+    } catch (const ckpt::CkptError&) {
+      ++rejected;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << m << what << " escaped as "
+                    << typeid(e).name() << ": " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);  // flips inside doubles restore fine
 }
 
 }  // namespace
