@@ -810,8 +810,13 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
   io.f64(self.stats_.bucket_width);
   io.f64(self.sim_position_);
   // The safepoint time: the restored run resumes here.
-  if constexpr (kLoad) io.f64(self.resume_time_);
-  else io.f64(self.now());
+  SimTime resume = kLoad ? 0.0 : self.now();
+  io.f64(resume);
+  MASSF_REQUIRE(std::isfinite(resume) && resume >= 0,
+                "checkpointed safepoint time " << resume
+                    << " is not a finite non-negative time — the snapshot "
+                       "is corrupt");
+  if constexpr (kLoad) self.resume_time_ = resume;
 
   // Live aggregate counters. GlobalWindow charges the safepoint rendezvous
   // *after* the hook returns (Kernel::quiesce), and the restored run skips
@@ -895,10 +900,22 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
                 });
     }
     io.len(pending, kEventBytes, "per-engine section");
-    for (Impl::Event& e : pending) {
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      Impl::Event& e = pending[i];
       io.f64(e.t);
       io.u32(e.origin);
       io.u64(e.seq);
+      MASSF_REQUIRE(std::isfinite(e.t) && e.t >= resume,
+                    "checkpointed pending event time "
+                        << e.t << " is not a finite time at or after the "
+                        << "safepoint time " << resume
+                        << " — the snapshot is corrupt");
+      MASSF_REQUIRE(i == 0 || Impl::EventLater{}(e, pending[i - 1]),
+                    "checkpointed pending event (t " << e.t << ", origin "
+                        << e.origin << ", seq " << e.seq
+                        << ") does not follow its predecessor in ascending "
+                        << "(time, origin, seq) order — the snapshot is "
+                           "corrupt");
       io.i64(e.packet.node);
       payload(io, e.packet);
     }

@@ -888,6 +888,20 @@ void Emulator::serialize_payload(Io& io, Self& self, Event& e) {
                     << e.node << " outside this network's "
                     << self.network_.node_count()
                     << " nodes — the snapshot is corrupt");
+  // Delivery and control dispatch index host state with these ids. Wire
+  // packets name both hosts; control events name their host in dst, except
+  // the host-less epoch boundary.
+  const auto is_host = [&](NodeId v) {
+    return v >= 0 && v < self.network_.node_count();
+  };
+  MASSF_REQUIRE(is_control(p->kind)
+                    ? p->kind == PacketKind::CtrlEpoch || is_host(p->dst)
+                    : is_host(p->src) && is_host(p->dst),
+                "snapshot pending event at node "
+                    << e.node << " names packet hosts " << p->src << " → "
+                    << p->dst << " outside this network's "
+                    << self.network_.node_count()
+                    << " nodes — the snapshot is corrupt");
   io.u8(p->has_message);
   io.u64(p->flow);
   io.u64(p->probe_id);
@@ -897,6 +911,12 @@ void Emulator::serialize_payload(Io& io, Self& self, Event& e) {
     auto& m = p->message;
     io.i64(m.src);
     io.i64(m.dst);
+    MASSF_REQUIRE(is_host(m.src) && is_host(m.dst),
+                  "snapshot pending event at node "
+                      << e.node << " names message hosts " << m.src << " → "
+                      << m.dst << " outside this network's "
+                      << self.network_.node_count()
+                      << " nodes — the snapshot is corrupt");
     io.f64(m.bytes);
     io.i64(m.tag);
     io.u64(m.id);

@@ -62,10 +62,11 @@ struct EmulatorConfig {
   double bucket_width = 2.0;
   /// Engine cost model for modeled emulation time.
   des::CostModel cost{};
-  /// Record NetFlow profiles (PROFILE needs them). Not cheap: on a 4-CPU
-  /// x86-64 VM (Release, perfbench/README.md) turning it on cost 24% of
-  /// `campus_profile`'s and 69% of `lb_fault`'s run time, mostly the
-  /// per-node flow map.
+  /// Record NetFlow profiles (PROFILE needs them). Each hop costs a hash
+  /// probe and an in-place update of the node's flow record, and a new
+  /// flow appends one record. On a 4-CPU x86-64 VM (Release, perfbench
+  /// traced runs, `emu.netflow_s` over `run_s`) turning it on cost 10% of
+  /// `campus_profile`'s and 27% of `lb_fault`'s run time.
   bool collect_netflow = true;
   /// Reliable-delivery retry policy (used by send_reliable only).
   ReliablePolicy reliable{};

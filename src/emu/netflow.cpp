@@ -1,10 +1,66 @@
 #include "emu/netflow.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "util/error.hpp"
 
 namespace massf::emu {
+
+namespace {
+// Fibonacci hashing: the multiply carries every id bit into the high bits
+// the slot is taken from, so ICMP/ACK ids (`base ^ small counter`) spread
+// as well as the mixed data-flow ids.
+constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
+constexpr std::size_t kMinIndexSize = 8;
+
+std::vector<FlowRecord> sorted_by_flow(std::vector<FlowRecord> records) {
+  std::sort(records.begin(), records.end(),
+            [](const FlowRecord& a, const FlowRecord& b) {
+              return a.flow < b.flow;
+            });
+  return records;
+}
+}  // namespace
+
+std::size_t NetFlowCollector::FlowTable::probe(std::uint64_t flow) const {
+  const std::size_t mask = index.size() - 1;
+  for (auto s = static_cast<std::size_t>((flow * kFibonacci) >> shift);;
+       s = (s + 1) & mask) {
+    const std::uint32_t slot = index[s];
+    if (slot == 0 || records[slot - 1].flow == flow) return s;
+  }
+}
+
+void NetFlowCollector::FlowTable::rehash(std::size_t size) {
+  index.assign(size, 0);
+  shift = 64 - std::countr_zero(size);
+  for (std::size_t i = 0; i < records.size(); ++i)
+    index[probe(records[i].flow)] = static_cast<std::uint32_t>(i + 1);
+}
+
+FlowRecord& NetFlowCollector::FlowTable::find_or_insert(std::uint64_t flow,
+                                                        SimTime t) {
+  std::size_t s = 0;
+  if (!index.empty()) {
+    s = probe(flow);
+    if (index[s] != 0) return records[index[s] - 1];
+  }
+  MASSF_CHECK(records.size() < std::numeric_limits<std::uint32_t>::max(),
+              "flow table slot overflow: over 2^32 - 1 flows at one node");
+  if (2 * (records.size() + 1) > index.size()) {
+    // massf-analyze: allow(hot-path-alloc) — index doubling: amortized,
+    // bounded by the distinct flows per node.
+    rehash(std::max(kMinIndexSize, 2 * index.size()));
+    s = probe(flow);
+  }
+  // massf-analyze: allow(hot-path-alloc) — one record per distinct flow at
+  // this node, doubling-amortized.
+  records.push_back({flow, 0, 0, t, 0});
+  index[s] = static_cast<std::uint32_t>(records.size());
+  return records.back();
+}
 
 NetFlowCollector::NetFlowCollector(NodeId node_count, LinkId link_count,
                                    double bucket_width)
@@ -12,7 +68,7 @@ NetFlowCollector::NetFlowCollector(NodeId node_count, LinkId link_count,
       node_packets_(static_cast<std::size_t>(node_count), 0.0),
       link_packets_by_dir_(2 * static_cast<std::size_t>(link_count), 0.0),
       node_buckets_(static_cast<std::size_t>(node_count)),
-      node_flow_records_(static_cast<std::size_t>(node_count)) {
+      node_flow_tables_(static_cast<std::size_t>(node_count)) {
   MASSF_REQUIRE(bucket_width > 0, "bucket width must be positive");
 }
 
@@ -28,13 +84,9 @@ void NetFlowCollector::record_node(NodeId node, const Packet& packet,
   if (buckets.size() <= bucket) buckets.resize(bucket + 1, 0.0);
   buckets[bucket] += packet.packets;
 
-  auto& records = node_flow_records_[static_cast<std::size_t>(node)];
-  auto [it, inserted] = records.try_emplace(packet.flow);
-  FlowRecord& record = it->second;
-  if (inserted) {
-    record.flow = packet.flow;
-    record.first_seen = t;
-  }
+  FlowRecord& record =
+      node_flow_tables_[static_cast<std::size_t>(node)].find_or_insert(
+          packet.flow, t);
   record.packets += packet.packets;
   record.bytes += packet.bytes;
   record.last_seen = std::max(record.last_seen, t);
@@ -64,14 +116,10 @@ std::vector<std::vector<double>> NetFlowCollector::node_series() const {
 
 std::vector<FlowRecord> NetFlowCollector::node_flows(NodeId node) const {
   MASSF_REQUIRE(node >= 0 && static_cast<std::size_t>(node) <
-                                 node_flow_records_.size(),
+                                 node_flow_tables_.size(),
                 "node out of range");
-  std::vector<FlowRecord> out;
-  out.reserve(node_flow_records_[static_cast<std::size_t>(node)].size());
-  for (const auto& [flow, record] :
-       node_flow_records_[static_cast<std::size_t>(node)])
-    out.push_back(record);
-  return out;
+  return sorted_by_flow(
+      node_flow_tables_[static_cast<std::size_t>(node)].records);
 }
 
 double NetFlowCollector::total_node_packets() const {
@@ -100,24 +148,31 @@ void NetFlowCollector::serialize(Io& io, Self& self) {
                 "checkpointed NetFlow link table does not match this network");
   for (auto& p : self.link_packets_by_dir_) io.f64(p);
   for (auto& row : self.node_buckets_) io.f64s(row, "NetFlow section");
-  for (auto& records : self.node_flow_records_) {
-    // std::map iterates in key order, so the record stream is
-    // deterministic.
+  for (std::size_t node = 0; node < self.node_flow_tables_.size(); ++node) {
+    auto& table = self.node_flow_tables_[node];
+    // Records are written sorted by flow id, so the stream does not depend
+    // on arrival order; load requires that order.
     std::vector<FlowRecord> list;
-    if constexpr (!Io::kLoading)
-      for (const auto& [flow, record] : records) list.push_back(record);
+    if constexpr (!Io::kLoading) list = sorted_by_flow(table.records);
     io.len(list, kFlowRecordBytes, "NetFlow section");
-    for (FlowRecord& record : list) {
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      FlowRecord& record = list[i];
       io.u64(record.flow);
       io.f64(record.packets);
       io.f64(record.bytes);
       io.f64(record.first_seen);
       io.f64(record.last_seen);
+      MASSF_REQUIRE(i == 0 || list[i - 1].flow < record.flow,
+                    "checkpointed NetFlow section lists flow "
+                        << record.flow << " after flow " << list[i - 1].flow
+                        << " at node " << node
+                        << " — flow ids must be strictly increasing; the "
+                           "snapshot is corrupt");
     }
     if constexpr (Io::kLoading) {
-      records.clear();
+      table = FlowTable{};
       for (const FlowRecord& record : list)
-        records.emplace(record.flow, record);
+        table.find_or_insert(record.flow, record.first_seen) = record;
     }
   }
 }

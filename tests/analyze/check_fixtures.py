@@ -27,6 +27,18 @@ REPO = os.path.dirname(os.path.dirname(HERE))
 ANALYZE = os.path.join(REPO, "tools", "massf_analyze.py")
 FIXTURES = os.path.join(HERE, "fixtures")
 
+# Findings a trip tree must report by name, beyond "some finding for the
+# rule": a tree that already trips elsewhere would otherwise hide a growth
+# call the analyzer stopped recognizing.
+EXPECTED_FINDINGS = {
+    "trip_hot_path_alloc": [
+        "'g_backlog.push_back'",
+        "'g_flow_records.try_emplace'",
+        "'g_flow_bytes.emplace_hint'",
+        "'g_flow_last_seen.insert_or_assign'",
+    ],
+}
+
 
 def run(extra: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
@@ -75,6 +87,10 @@ def main() -> None:
                 if f"[{rule}]" not in proc.stdout:
                     fail(f"{directory}: findings do not mention [{rule}]:\n"
                          f"{proc.stdout}")
+                for expected in EXPECTED_FINDINGS.get(directory, []):
+                    if expected not in proc.stdout:
+                        fail(f"{directory}: no finding for {expected}:\n"
+                             f"{proc.stdout}")
             else:
                 if proc.returncode != 0:
                     fail(f"{directory}: expected clean (exit 0), got "

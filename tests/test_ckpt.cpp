@@ -23,6 +23,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -1112,10 +1113,11 @@ struct TinySnapshot {
     return emulator;
   }
 
-  std::vector<unsigned char> payload() {
+  /// The payload of the one snapshot, taken at `at` (< 9).
+  std::vector<unsigned char> payload(double at = 5.0) {
     const std::string dir = fresh_dir("hostile_" + current_test());
     auto emulator = make();
-    emulator->set_checkpoint_schedule(schedule(dir, 5.0), 9.0);
+    emulator->set_checkpoint_schedule(schedule(dir, at), 9.0);
     emulator->run(9.0);
     const auto snaps = ckpt::list_checkpoints(dir);
     EXPECT_EQ(snaps.size(), 1u);
@@ -1176,6 +1178,18 @@ TEST(HostileSnapshot, KernelPendingCountIsBoundedBeforeAllocation) {
   expect_length_rejected([&] { snap.restore(payload); }, "per-engine section");
 }
 
+/// `load` must throw std::invalid_argument whose message mentions `what`.
+void expect_rejected(const std::function<void()>& load,
+                     const std::string& what) {
+  try {
+    load();
+    ADD_FAILURE() << "expected a rejection mentioning '" << what << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
 // Engine 0's first pending event: time, origin, sequence, then the node.
 constexpr std::size_t kEventNode = 8 + 4 + 8;
 constexpr std::size_t kEventPayloadFlag = kEventNode + 8;
@@ -1186,14 +1200,17 @@ TEST(HostileSnapshot, PendingEventNodeOutOfRangeIsRejected) {
   const std::size_t event = pending_count_offset(payload) + 8;
   ASSERT_LT(get_u64(payload, event + kEventNode), 4u);
   put_u64(payload, event + kEventNode, 1000);
-  try {
-    snap.restore(payload);
-    FAIL() << "expected the out-of-range event node to be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("node"), std::string::npos)
-        << e.what();
-  }
+  expect_rejected([&] { snap.restore(payload); }, "node");
 }
+
+// Packet body: src, dst, bytes, packets, ttl, then the kind byte and the
+// message flag, ending 74 bytes in; a message adds 65 bytes, src and dst
+// first.
+constexpr std::size_t kPacketDst = 8;
+constexpr std::size_t kPacketKind = 40;
+constexpr std::size_t kPacketHasMessage = 41;
+constexpr std::size_t kPacketBody = 74;
+constexpr std::size_t kMessageBody = 65;
 
 TEST(HostileSnapshot, NullPendingPayloadIsRejected) {
   TinySnapshot snap;
@@ -1202,19 +1219,192 @@ TEST(HostileSnapshot, NullPendingPayloadIsRejected) {
       pending_count_offset(payload) + 8 + kEventPayloadFlag;
   ASSERT_EQ(payload.at(flag), 1u);
   // A well-formed null payload: the flag reads 0 and no packet body
-  // follows. The body is 74 bytes, plus 65 when it carries a message.
-  const bool has_message = payload.at(flag + 1 + 41) != 0;
-  const std::size_t body = 74 + (has_message ? 65 : 0);
+  // follows.
+  const bool has_message = payload.at(flag + 1 + kPacketHasMessage) != 0;
+  const std::size_t body = kPacketBody + (has_message ? kMessageBody : 0);
   payload[flag] = 0;
   payload.erase(payload.begin() + static_cast<std::ptrdiff_t>(flag + 1),
                 payload.begin() + static_cast<std::ptrdiff_t>(flag + 1 + body));
-  try {
-    snap.restore(payload);
-    FAIL() << "expected the null packet payload to be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("payload"), std::string::npos)
-        << e.what();
+  expect_rejected([&] { snap.restore(payload); }, "payload");
+}
+
+/// A NetFlow section for one node and no links whose flow list holds one
+/// record per id in `flows`, in that order.
+ckpt::Reader netflow_listing(const std::vector<std::uint64_t>& flows,
+                             const std::string& label) {
+  ckpt::Writer w;
+  w.tag(0x6e666c77);  // "nflw"
+  w.f64(2.0);
+  w.u64(1);  // one node
+  w.f64(static_cast<double>(flows.size()));
+  w.u64(0);  // no links
+  w.u64(0);  // node 0's empty bucket row
+  w.u64(flows.size());
+  for (const std::uint64_t flow : flows) {
+    w.u64(flow);
+    w.f64(1.0);     // packets
+    w.f64(1500.0);  // bytes
+    w.f64(0.5);     // first seen
+    w.f64(0.5);     // last seen
   }
+  return committed(w, label);
+}
+
+TEST(HostileSnapshot, NetFlowDuplicateFlowIdIsRejected) {
+  emu::NetFlowCollector collector(1, 0);
+  ckpt::Reader valid = netflow_listing({5, 9}, "netflow_valid");
+  collector.load(valid);
+  EXPECT_EQ(collector.node_flows(0).size(), 2u);
+  ckpt::Reader r = netflow_listing({5, 5}, "netflow_duplicate");
+  expect_rejected([&] { collector.load(r); }, "NetFlow section");
+}
+
+TEST(HostileSnapshot, NetFlowUnsortedFlowIdsAreRejected) {
+  emu::NetFlowCollector collector(1, 0);
+  ckpt::Reader r = netflow_listing({7, 3}, "netflow_unsorted");
+  expect_rejected([&] { collector.load(r); }, "NetFlow section");
+}
+
+double get_f64(const std::vector<unsigned char>& b, std::size_t at) {
+  const std::uint64_t bits = get_u64(b, at);
+  double v = 0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+void put_f64(std::vector<unsigned char>& b, std::size_t at, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof v);
+  put_u64(b, at, bits);
+}
+
+/// Where one pending event sits in a snapshot payload.
+struct PendingAt {
+  std::size_t event;  // its time field
+  std::size_t body;   // its packet's src field
+  emu::PacketKind kind;
+  bool has_message;
+};
+
+/// Every pending event of the first `engines` engines, in payload order.
+std::vector<PendingAt> pending_events(const std::vector<unsigned char>& payload,
+                                      int engines) {
+  std::vector<PendingAt> out;
+  std::size_t lp = find_tag(payload, kTagKernelLp);
+  for (int e = 0; e < engines; ++e) {
+    const std::size_t series = lp + kLpSeriesLength;
+    std::size_t at = series + 8 + 8 * get_u64(payload, series);
+    const std::uint64_t count = get_u64(payload, at);
+    at += 8;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::size_t body = at + kEventPayloadFlag + 1;
+      const PendingAt p{
+          at, body,
+          static_cast<emu::PacketKind>(payload.at(body + kPacketKind)),
+          payload.at(body + kPacketHasMessage) != 0};
+      out.push_back(p);
+      at = p.body + kPacketBody + (p.has_message ? kMessageBody : 0);
+    }
+    lp = at;
+  }
+  return out;
+}
+
+/// A TinySnapshot taken while one message crosses r0→r1: engine 0 holds
+/// the next CBR timer, engine 1 the message's two trains, the second one
+/// carrying the message.
+struct MidFlight {
+  static constexpr double kAt = 5.19;
+  TinySnapshot snap;
+  std::vector<unsigned char> payload = snap.payload(kAt);
+  std::vector<PendingAt> events = pending_events(payload, 2);
+
+  bool as_described() const {
+    return events.size() == 3 && events[0].kind == emu::PacketKind::CtrlTimer &&
+           events[1].kind == emu::PacketKind::Data && !events[1].has_message &&
+           events[2].kind == emu::PacketKind::Data && events[2].has_message &&
+           get_f64(payload, events[0].event) > kAt;
+  }
+
+  /// The unpatched payload restores; the patched one is rejected with a
+  /// message mentioning `what`.
+  void expect_patch_rejected(
+      const std::function<void(std::vector<unsigned char>&)>& patch,
+      const std::string& what) {
+    ASSERT_TRUE(as_described());
+    EXPECT_NO_THROW(snap.restore(payload));
+    std::vector<unsigned char> patched = payload;
+    patch(patched);
+    expect_rejected([&] { snap.restore(patched); }, what);
+  }
+};
+
+TEST(HostileSnapshot, NaNPendingEventTimeIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) {
+        put_f64(p, m.events[0].event, std::numeric_limits<double>::quiet_NaN());
+      },
+      "pending event time");
+}
+
+TEST(HostileSnapshot, NegativePendingEventTimeIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected([&](auto& p) { put_f64(p, m.events[0].event, -1.0); },
+                          "pending event time");
+}
+
+TEST(HostileSnapshot, PendingEventBeforeSafepointIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) { put_f64(p, m.events[0].event, MidFlight::kAt - 0.5); },
+      "pending event time");
+}
+
+TEST(HostileSnapshot, PendingEventsOutOfOrderAreRejected) {
+  // Engine 1's first train moves past its second.
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) { put_f64(p, m.events[1].event, MidFlight::kAt + 1.0); },
+      "ascending (time, origin, seq) order");
+}
+
+TEST(HostileSnapshot, PacketSourceOutOfRangeIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected([&](auto& p) { put_u64(p, m.events[1].body, 1000); },
+                          "packet hosts");
+}
+
+TEST(HostileSnapshot, PacketDestinationOutOfRangeIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) { put_u64(p, m.events[1].body + kPacketDst, 1000); },
+      "packet hosts");
+}
+
+TEST(HostileSnapshot, ControlEventHostOutOfRangeIsRejected) {
+  // handle_control indexes host state with the timer's dst.
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) { put_u64(p, m.events[0].body + kPacketDst, 1000); },
+      "packet hosts");
+}
+
+TEST(HostileSnapshot, MessageSourceOutOfRangeIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) { put_u64(p, m.events[2].body + kPacketBody, 1000); },
+      "message hosts");
+}
+
+TEST(HostileSnapshot, MessageDestinationOutOfRangeIsRejected) {
+  MidFlight m;
+  m.expect_patch_rejected(
+      [&](auto& p) {
+        put_u64(p, m.events[2].body + kPacketBody + kPacketDst,
+                static_cast<std::uint64_t>(-7));
+      },
+      "message hosts");
 }
 
 // ---------------------------------------------------------------------------

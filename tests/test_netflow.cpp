@@ -4,10 +4,19 @@
 // order.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "ckpt/ckpt.hpp"
 #include "emu/emulator.hpp"
 #include "emu/netflow.hpp"
 #include "routing/routing.hpp"
 #include "topology/network.hpp"
+#include "util/rng.hpp"
 
 namespace massf::emu {
 namespace {
@@ -70,6 +79,125 @@ TEST(NetFlow, SeriesPaddedToEqualWidth) {
   EXPECT_DOUBLE_EQ(series[0][0], 1.0);
   EXPECT_DOUBLE_EQ(series[1][7], 2.0);
   EXPECT_DOUBLE_EQ(series[0][7], 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Flow table against a std::map reference model.
+// ---------------------------------------------------------------------------
+
+/// Multiplicative inverse of an odd `c` modulo 2^64 (Newton iteration).
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t c) {
+  std::uint64_t x = c;  // correct to 3 bits; each step doubles that
+  for (int i = 0; i < 5; ++i) x *= 2 - c * x;
+  return x;
+}
+
+/// Flow ids of the kinds the emulator produces, plus adversarial ones.
+std::vector<std::uint64_t> flow_pool(Rng& rng) {
+  constexpr std::uint64_t kIcmpBase = 0xfeedface00000000ULL;
+  constexpr std::uint64_t kAckBase = 0xacced00000000000ULL;
+  constexpr std::uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+  constexpr std::uint64_t kUnhash = inverse_mod_2_64(kFibonacci);
+  static_assert(kUnhash * kFibonacci == 1);
+  std::vector<std::uint64_t> pool;
+  for (int k = 0; k < 700; ++k) pool.push_back(rng());  // mixed data ids
+  for (std::uint64_t k = 0; k < 200; ++k) {
+    pool.push_back(kIcmpBase ^ k);  // base ^ small counter
+    pool.push_back(kAckBase ^ k);
+    pool.push_back(k << 40);  // equal low bits
+  }
+  // Ids whose hashes agree in their top 48 bits: one home slot for every
+  // index size up to 2^48, so they probe past each other.
+  for (std::uint64_t k = 0; k < 64; ++k)
+    pool.push_back(kUnhash * (0x5bd1e99500000000ULL | k));
+  return pool;
+}
+
+std::vector<unsigned char> saved_bytes(const NetFlowCollector& collector,
+                                       const std::string& path) {
+  ckpt::Writer w;
+  collector.save(w);
+  w.commit(path);
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void expect_matches(const NetFlowCollector& collector,
+                    const std::vector<std::map<std::uint64_t, FlowRecord>>&
+                        model) {
+  double sum = 0;
+  for (std::size_t n = 0; n < model.size(); ++n) {
+    const auto flows = collector.node_flows(static_cast<NodeId>(n));
+    ASSERT_EQ(flows.size(), model[n].size()) << "node " << n;
+    auto want = model[n].begin();
+    for (const FlowRecord& got : flows) {
+      const FlowRecord& r = (want++)->second;
+      EXPECT_EQ(got.flow, r.flow);
+      EXPECT_EQ(got.packets, r.packets);
+      EXPECT_EQ(got.bytes, r.bytes);
+      EXPECT_EQ(got.first_seen, r.first_seen);
+      EXPECT_EQ(got.last_seen, r.last_seen);
+      sum += got.packets;
+    }
+  }
+  EXPECT_EQ(collector.total_node_packets(), sum);
+}
+
+TEST(NetFlow, FlowTableMatchesOrderedMapModel) {
+  constexpr int kNodes = 3;
+  Rng rng(20261017);
+  std::vector<std::vector<std::uint64_t>> pools;
+  for (int n = 0; n < kNodes; ++n) pools.push_back(flow_pool(rng));
+  std::vector<std::map<std::uint64_t, FlowRecord>> model(kNodes);
+  NetFlowCollector collector(kNodes, 0, 1.0);
+
+  // Records one random train into the collector(s) and the model, with
+  // the update rule of a NetFlow record.
+  const auto record = [&](std::vector<NetFlowCollector*> into) {
+    const auto node = static_cast<NodeId>(rng.next_below(kNodes));
+    const auto& pool = pools[static_cast<std::size_t>(node)];
+    const std::uint64_t flow = pool[rng.next_below(pool.size())];
+    const int packets = 1 + static_cast<int>(rng.next_below(4));
+    const double bytes =
+        1500.0 * packets - static_cast<double>(rng.next_below(900));
+    const double t = rng.next_double(0.0, 50.0);
+    for (NetFlowCollector* c : into)
+      c->record_node(node, make_packet(0, 1, flow, packets, bytes), t);
+    auto [it, inserted] =
+        model[static_cast<std::size_t>(node)].try_emplace(flow);
+    FlowRecord& r = it->second;
+    if (inserted) {
+      r.flow = flow;
+      r.first_seen = t;
+    }
+    r.packets += packets;
+    r.bytes += bytes;
+    r.last_seen = std::max(r.last_seen, t);
+  };
+
+  for (int i = 0; i < 20000; ++i) record({&collector});
+  for (const auto& flows : model)
+    ASSERT_GT(flows.size(), 1000u);  // index 8 -> >= 2048 slots
+  expect_matches(collector, model);
+
+  // save -> load -> save is byte-identical, and the restored table keeps
+  // accumulating exactly like the original.
+  const std::string dir = ::testing::TempDir() + "massf_netflow_model";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<unsigned char> first =
+      saved_bytes(collector, dir + "/" + ckpt::checkpoint_filename(0));
+  NetFlowCollector restored(kNodes, 0, 1.0);
+  ckpt::Reader r =
+      ckpt::Reader::from_file(dir + "/" + ckpt::checkpoint_filename(0));
+  restored.load(r);
+  EXPECT_EQ(saved_bytes(restored, dir + "/" + ckpt::checkpoint_filename(1)),
+            first);
+  expect_matches(restored, model);
+  for (int i = 0; i < 5000; ++i) record({&collector, &restored});
+  expect_matches(restored, model);
+  EXPECT_EQ(saved_bytes(restored, dir + "/" + ckpt::checkpoint_filename(2)),
+            saved_bytes(collector, dir + "/" + ckpt::checkpoint_filename(3)));
 }
 
 // ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ ALLOC_FNS = frozenset({"malloc", "calloc", "realloc", "strdup",
                        "aligned_alloc", "make_unique", "make_shared"})
 GROW_FNS = frozenset({"push_back", "emplace_back", "emplace", "insert",
                       "push_front", "emplace_front", "push", "append",
-                      "resize"})
+                      "resize", "try_emplace", "emplace_hint",
+                      "insert_or_assign"})
 WALLCLOCK_IDS = frozenset({"system_clock", "high_resolution_clock",
                            "gettimeofday", "localtime", "gmtime", "mktime"})
 RNG_IDS = frozenset({"random_device", "mt19937", "mt19937_64",
