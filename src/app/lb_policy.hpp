@@ -80,7 +80,6 @@ class LbPolicy {
     (void)now;
   }
 
-  std::size_t backend_count() const { return backend_ids_.size(); }
   const std::vector<std::uint64_t>& backend_ids() const {
     return backend_ids_;
   }

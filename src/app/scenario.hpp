@@ -39,8 +39,6 @@ struct LbScenarioParams {
   bool reliable = true;
   double reliable_timeout_s = 0.25;  // base retransmit timeout (ms-scale RTTs)
   std::uint64_t seed = 0x6c62736365ULL;  // "lbsce"
-
-  int total_users() const { return client_hosts * users_per_host; }
 };
 
 /// The built scenario: topology plus the node roles the workload and fault

@@ -107,7 +107,7 @@ void Writer::commit(const std::string& path) const {
   if (f == nullptr)
     throw CkptError("checkpoint: cannot open '" + tmp + "' for writing");
   auto fail = [&](const char* what) {
-    // massf-lint: allow(unchecked-io) — best-effort cleanup after a failure
+    // massf-check: allow(unchecked-io) — best-effort cleanup after a failure
     std::fclose(f);
     std::remove(tmp.c_str());
     throw CkptError(std::string("checkpoint: ") + what + " failed for '" +
@@ -130,7 +130,7 @@ void Writer::commit(const std::string& path) const {
   if (::fsync(::fileno(f)) != 0) fail("fsync");
 #endif
   if (std::fclose(f) != 0) {
-    // massf-lint: allow(unchecked-io) — best-effort cleanup after a failure
+    // massf-check: allow(unchecked-io) — best-effort cleanup after a failure
     std::remove(tmp.c_str());
     throw CkptError("checkpoint: close failed for '" + tmp + "'");
   }
@@ -140,7 +140,7 @@ void Writer::commit(const std::string& path) const {
   maybe_crash("mid-write");
 
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    // massf-lint: allow(unchecked-io) — best-effort cleanup after a failure
+    // massf-check: allow(unchecked-io) — best-effort cleanup after a failure
     std::remove(tmp.c_str());
     throw CkptError("checkpoint: rename '" + tmp + "' -> '" + path +
                     "' failed");
@@ -152,7 +152,7 @@ Reader Reader::from_file(const std::string& path) {
   if (f == nullptr)
     throw CkptError("checkpoint: cannot open '" + path + "' for reading");
   auto fail = [&](const std::string& what) {
-    // massf-lint: allow(unchecked-io) — best-effort cleanup after a failure
+    // massf-check: allow(unchecked-io) — best-effort cleanup after a failure
     std::fclose(f);
     throw CkptError("checkpoint '" + path + "': " + what);
   };

@@ -152,7 +152,7 @@ struct Kernel::Impl {
     const Event& top() const { return sorted ? v.back() : v.front(); }
     void push(Event e) {
       to_heap();
-      // massf-analyze: allow(hot-path-alloc) — pops never shrink the queue,
+      // massf-check: allow(hot-path-alloc) — pops never shrink the queue,
       // so growth stops at the LP's pending-event high-water mark.
       v.push_back(std::move(e));
       std::push_heap(v.begin(), v.end(), EventLater{});
@@ -279,7 +279,7 @@ struct Kernel::Impl {
       lp.dirty_dsts.reserve(static_cast<std::size_t>(lp_count));
       for (Outbox& box : lp.outbox) box.events.reserve(kOutboxFlushEvents);
     }
-    // massf-lint: allow(quadratic-reserve) — engine-count², not node-count².
+    // massf-check: allow(quadratic-reserve) — engine-count², not node-count².
     channel_of.assign(lps.size() * lps.size(), -1);
   }
 
@@ -295,7 +295,7 @@ struct Kernel::Impl {
             ch->free_cache}) {
         while (node != nullptr) {
           Channel::RunNode* next = node->next.load(std::memory_order_relaxed);
-          delete node;  // massf-lint: allow(raw-new)
+          delete node;  // massf-check: allow(raw-new)
           node = next;
         }
       }
@@ -311,7 +311,7 @@ struct Kernel::Impl {
   void clear_channels() {
     free_run_nodes();
     channels.clear();
-    // massf-lint: allow(quadratic-reserve) — engine-count², not node-count².
+    // massf-check: allow(quadratic-reserve) — engine-count², not node-count².
     channel_of.assign(lps.size() * lps.size(), -1);
   }
 
@@ -325,7 +325,8 @@ struct Kernel::Impl {
       ch->src = static_cast<std::uint32_t>(src);
       ch->dst = static_cast<std::uint32_t>(dst);
       // Queue stub (the consumed sentinel); freed by the ~Impl sweep.
-      ch->head = ch->tail = new Channel::RunNode;  // massf-lint: allow(raw-new)
+      // massf-check: allow(raw-new)
+      ch->head = ch->tail = new Channel::RunNode;
       channels.push_back(std::move(ch));
     }
     Channel& ch = *channels[static_cast<std::size_t>(slot)];
@@ -398,7 +399,7 @@ struct Kernel::Impl {
                       (was_empty || incoming > queue.size());
     for (Event& event : batch) {
       if (bulk)
-        // massf-analyze: allow(hot-path-alloc) — the same queue capacity as
+        // massf-check: allow(hot-path-alloc) — the same queue capacity as
         // EventHeap::push: growth stops at the pending-event high-water mark.
         queue.v.push_back(event);
       else
@@ -431,9 +432,9 @@ struct Kernel::Impl {
     }
     // Cold path: the steady state recycles. Owned by the channel queue
     // until the ~Impl sweep.
-    // massf-analyze: allow(hot-path-alloc) — node-pool refill, runs only
+    // massf-check: allow(hot-path-alloc) — node-pool refill, runs only
     // until the free list reaches the in-flight high-water mark.
-    return new Channel::RunNode;  // massf-lint: allow(raw-new)
+    return new Channel::RunNode;  // massf-check: allow(raw-new)
   }
 
   /// Return a spent stub to the sender (receiver side of the Treiber
@@ -508,7 +509,7 @@ struct Kernel::Impl {
     if (next == nullptr) return;
     const std::size_t before = out.size();
     do {
-      // massf-analyze: allow(hot-path-alloc) — scratch keeps its capacity
+      // massf-check: allow(hot-path-alloc) — scratch keeps its capacity
       // across drains (clear() never shrinks); steady state reuses it.
       out.insert(out.end(), next->events.begin(), next->events.end());
       next->events.clear();  // keep the capacity; the node recycles
@@ -547,7 +548,7 @@ struct Kernel::Impl {
   /// and Threaded mode. Runs single-threaded with every worker parked.
   /// Receive costs are folded straight into busy_total, which every step
   /// keeps folded (window_busy is 0 on entry).
-  // massf-analyze: hot-path-root (channel drain, runs once per window)
+  // massf-check: hot-path-root (channel drain, runs once per window)
   void drain_all_channels(double per_remote_cost) {
     for (std::size_t s = 0; s < lps.size(); ++s) flush_channels(s, true);
     for (auto& chp : channels)
@@ -663,7 +664,7 @@ void check_remote_time(SimTime t, double lookahead) {
 
 }  // namespace
 
-// massf-analyze: hot-path-root (per-packet local enqueue)
+// massf-check: hot-path-root (per-packet local enqueue)
 void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
   check_local_target(lp, lp_count_, t);
   MASSF_REQUIRE(sink_ != nullptr,
@@ -673,7 +674,7 @@ void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
       {t, static_cast<std::uint32_t>(lp), state.seq_counter++, event});
 }
 
-// massf-analyze: hot-path-root (per-packet cross-engine enqueue)
+// massf-check: hot-path-root (per-packet cross-engine enqueue)
 void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
   check_remote_time(t, remote_lookahead(to_lp));
   MASSF_REQUIRE(sink_ != nullptr,
@@ -771,7 +772,7 @@ std::uint64_t Kernel::events_executed(int lp) const {
 constexpr std::size_t kChannelBytes = 4 + 4 + 8 + 8 + 8 + 8;
 constexpr std::size_t kEventBytes = 8 + 4 + 8 + 8 + 1;
 
-// massf-analyze: determinism-root (every byte written must be reproducible)
+// massf-check: determinism-root (every byte written must be reproducible)
 template <class Io, class Self, class Payload, class Drop>
 void Kernel::serialize(Io& io, Self& self, const Payload& payload,
                        const Drop& drop) {
@@ -1151,6 +1152,15 @@ void Kernel::run_workers(SimTime end_time, std::size_t workers) {
       for (std::size_t i = run.first_lp(w); i < run.first_lp(w + 1); ++i)
         lps[i].doorbell = &run.doorbells[w];
   }
+  // A restored ChannelLookahead run resumes inside the quiescent step its
+  // snapshot was taken in: clocks restart from the safepoint, and the rest
+  // of that step (later safepoints, then the idle jump or the stop) runs
+  // before any worker, exactly as it did in the uninterrupted run.
+  if (resume_time_ > 0 && sync_mode_ == SyncMode::ChannelLookahead) {
+    for (std::size_t i = 0; i < run.lps; ++i)
+      run.clocks[i].v.store(resume_time_, std::memory_order_relaxed);
+    quiesce(run);
+  }
   // Worker 0 runs on the calling thread.
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
@@ -1162,8 +1172,8 @@ void Kernel::run_workers(SimTime end_time, std::size_t workers) {
   if (auto first = run.failure.take()) std::rethrow_exception(first);
 }
 
-// massf-analyze: hot-path-root (the worker loop: per-LP steps and sync)
-// massf-analyze: determinism-root (executes events into lp.history)
+// massf-check: hot-path-root (the worker loop: per-LP steps and sync)
+// massf-check: determinism-root (executes events into lp.history)
 void Kernel::work(Run& run, std::size_t worker) {
   const std::size_t lo = run.first_lp(worker);
   const std::size_t hi = run.first_lp(worker + 1);

@@ -273,7 +273,7 @@ std::uint64_t Emulator::send_reliable(NodeId src, NodeId dst, double bytes,
   if (recorder_ != nullptr)
     recorder_->on_send(src, dst, bytes, tag, message_id, at);
 
-  // massf-analyze: allow(hot-path-alloc) — in-flight reliable window:
+  // massf-check: allow(hot-path-alloc) — in-flight reliable window:
   // bounded by outstanding sends, shrinks on ack; rehash is amortized.
   sender.pending.emplace(
       message_id, PendingReliable{dst, bytes, tag, at, /*attempts=*/1, corr});
@@ -625,7 +625,7 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
           ack->probe_id = message.id;
           ++receiver.trains_injected;
           transmit(at, ack, t);
-          // massf-analyze: allow(hot-path-alloc) — dedup state is the
+          // massf-check: allow(hot-path-alloc) — dedup state is the
           // protocol: one entry per reliable message id, ever.
           if (!receiver.reliable_seen.insert(message.id).second) {
             ++receiver.duplicate_deliveries;

@@ -375,9 +375,6 @@ class Emulator : private des::EventSink {
                        static_cast<std::size_t>(dir)];
   }
 
-  /// Per-engine kernel event counts as doubles (the paper's load vector).
-  std::vector<double> engine_loads() const { return kernel_stats().loads(); }
-
   /// Packet slots ever materialized by the train pool — tracks the peak
   /// number of simultaneously in-flight trains, far below the total train
   /// count when recycling works (the allocation-free hot-path invariant).
@@ -426,9 +423,9 @@ class Emulator : private des::EventSink {
     // determinism: both containers see only find/insert/erase by key —
     // never iteration — so their (hash-dependent) element order cannot
     // reach event order. See DESIGN.md §9.
-    // massf-lint: allow(unordered-container)
+    // massf-check: allow(unordered-container)
     std::unordered_map<std::uint64_t, PendingReliable> pending;  // as sender
-    // massf-lint: allow(unordered-container)
+    // massf-check: allow(unordered-container)
     std::unordered_set<std::uint64_t> reliable_seen;             // as receiver
   };
 

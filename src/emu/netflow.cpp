@@ -50,12 +50,12 @@ FlowRecord& NetFlowCollector::FlowTable::find_or_insert(std::uint64_t flow,
   MASSF_CHECK(records.size() < std::numeric_limits<std::uint32_t>::max(),
               "flow table slot overflow: over 2^32 - 1 flows at one node");
   if (2 * (records.size() + 1) > index.size()) {
-    // massf-analyze: allow(hot-path-alloc) — index doubling: amortized,
+    // massf-check: allow(hot-path-alloc) — index doubling: amortized,
     // bounded by the distinct flows per node.
     rehash(std::max(kMinIndexSize, 2 * index.size()));
     s = probe(flow);
   }
-  // massf-analyze: allow(hot-path-alloc) — one record per distinct flow at
+  // massf-check: allow(hot-path-alloc) — one record per distinct flow at
   // this node, doubling-amortized.
   records.push_back({flow, 0, 0, t, 0});
   index[s] = static_cast<std::uint32_t>(records.size());
@@ -79,7 +79,7 @@ void NetFlowCollector::record_node(NodeId node, const Packet& packet,
 
   auto& buckets = node_buckets_[static_cast<std::size_t>(node)];
   const auto bucket = static_cast<std::size_t>(t / bucket_width_);
-  // massf-analyze: allow(hot-path-alloc) — time-bucket growth: one
+  // massf-check: allow(hot-path-alloc) — time-bucket growth: one
   // high-water resize per bucket width of sim time, doubling-amortized.
   if (buckets.size() <= bucket) buckets.resize(bucket + 1, 0.0);
   buckets[bucket] += packet.packets;

@@ -114,7 +114,7 @@ class PacketPool {
   Packet* acquire(int shard) {
     Shard& s = shards_[static_cast<std::size_t>(shard)];
     if (s.free_list.empty()) {
-      // massf-analyze: allow(hot-path-alloc) — pool refill: runs only
+      // massf-check: allow(hot-path-alloc) — pool refill: runs only
       // until storage reaches the in-flight high-water mark.
       s.storage.emplace_back();
       return &s.storage.back();
@@ -128,7 +128,7 @@ class PacketPool {
   /// Return a Packet to `shard`'s free list (the releasing engine's shard,
   /// not necessarily the acquiring one).
   void release(int shard, Packet* p) {
-    // massf-analyze: allow(hot-path-alloc) — free-list capacity tracks the
+    // massf-check: allow(hot-path-alloc) — free-list capacity tracks the
     // pool high-water mark; growth is doubling-amortized and bounded.
     shards_[static_cast<std::size_t>(shard)].free_list.push_back(p);
   }

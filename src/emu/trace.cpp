@@ -81,7 +81,7 @@ void TraceRecorder::on_send(NodeId src, NodeId dst, double bytes, int tag,
   m.tag = tag;
   m.sent_at = at;
   m.required_received = received_by_host_[static_cast<std::size_t>(src)];
-  // massf-analyze: allow(hot-path-alloc) — trace capture is opt-in
+  // massf-check: allow(hot-path-alloc) — trace capture is opt-in
   // instrumentation; the measured hot path runs with recorder_ == nullptr.
   sends_by_host_[static_cast<std::size_t>(src)].push_back(m);
 }

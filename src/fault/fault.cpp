@@ -28,7 +28,7 @@ void FaultPlan::link_down(LinkId link, double at) {
 }
 
 void FaultPlan::link_up(LinkId link, double at) {
-  // massf-analyze: allow(hot-path-alloc) — fault scripts are built before
+  // massf-check: allow(hot-path-alloc) — fault scripts are built before
   // run(); the apparent hot edge is a short-name collision with the const
   // query FaultTimeline::link_up (the analyzer resolves by name, not type).
   events_.push_back({at, FaultKind::LinkUp, link});

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "util/string_util.hpp"
 
@@ -38,65 +41,81 @@ std::string write_metis(const Graph& graph) {
 }
 
 Graph read_metis(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  int line_number = 0;
-
-  auto next_content_line = [&]() -> bool {
-    while (std::getline(is, line)) {
-      ++line_number;
-      const std::string trimmed = trim(line);
-      if (!trimmed.empty() && trimmed[0] != '%') return true;
+  // Content lines first: the header's counts are checked against what the
+  // file holds before anything is sized from them.
+  std::vector<std::pair<int, std::string>> lines;  // (line number, text)
+  {
+    std::istringstream is(text);
+    std::string line;
+    for (int number = 1; std::getline(is, line); ++number) {
+      std::string trimmed = trim(line);
+      if (!trimmed.empty() && trimmed[0] != '%')
+        lines.emplace_back(number, std::move(trimmed));
     }
-    return false;
-  };
-
-  MASSF_REQUIRE(next_content_line(), "empty METIS file");
-  const auto header = split_whitespace(line);
+  }
+  MASSF_REQUIRE(!lines.empty(), "empty METIS file");
+  const auto header = split_whitespace(lines[0].second);
   MASSF_REQUIRE(header.size() >= 2 && header.size() <= 4,
-                "METIS header line " << line_number << " malformed");
-  const auto n = static_cast<VertexId>(parse_int(header[0]));
-  const auto m = parse_int(header[1]);
+                "METIS header line " << lines[0].first << " malformed");
+  const long long n = parse_int(header[0]);
+  const long long m = parse_int(header[1]);
   const std::string fmt = header.size() >= 3 ? header[2] : "000";
-  const int ncon =
-      header.size() >= 4 ? static_cast<int>(parse_int(header[3])) : 1;
+  const long long ncon = header.size() >= 4 ? parse_int(header[3]) : 1;
   const bool has_vertex_weights = fmt.size() >= 2 && fmt[1] == '1';
   const bool has_edge_weights = fmt.size() >= 3 && fmt[2] == '1';
   MASSF_REQUIRE(fmt == "000" || fmt == "001" || fmt == "011" || fmt == "010",
                 "unsupported METIS fmt '" << fmt << "'");
+  const auto vertex_lines = static_cast<long long>(lines.size()) - 1;
+  MASSF_REQUIRE(n >= 0 && n <= vertex_lines &&
+                    n <= std::numeric_limits<VertexId>::max(),
+                "METIS header declares " << n << " vertices but the file has "
+                                         << vertex_lines << " vertex lines");
+  // Weight components come from the vertex lines, so ncon is bounded by
+  // the tokens on each line (checked as the weights are read); without
+  // vertex weights there is nothing for a second constraint to carry.
+  MASSF_REQUIRE(ncon >= 1 && ncon <= std::numeric_limits<int>::max() &&
+                    (has_vertex_weights || ncon == 1),
+                "METIS header declares " << ncon << " constraints"
+                    << (has_vertex_weights ? "" : " without vertex weights"));
 
-  GraphBuilder builder(ncon);
-  for (VertexId v = 0; v < n; ++v) builder.add_vertex();
-
+  // Vertices are added as their lines are read and edges once every
+  // endpoint exists, so memory tracks the file's content, not its header.
+  GraphBuilder builder(static_cast<int>(ncon));
+  struct Edge {
+    VertexId u, v;
+    double weight;
+  };
+  std::vector<Edge> edges;
+  std::vector<double> weights;
   for (VertexId v = 0; v < n; ++v) {
-    MASSF_REQUIRE(next_content_line(),
-                  "METIS file ends before vertex " << v + 1);
+    const auto& [line_number, line] = lines[static_cast<std::size_t>(v) + 1];
     const auto tokens = split_whitespace(line);
     std::size_t pos = 0;
+    weights.clear();
     if (has_vertex_weights) {
-      std::vector<double> weights;
-      for (int c = 0; c < ncon; ++c) {
-        MASSF_REQUIRE(pos < tokens.size(),
-                      "line " << line_number << ": missing vertex weight");
+      MASSF_REQUIRE(static_cast<long long>(tokens.size()) >= ncon,
+                    "line " << line_number << ": missing vertex weight");
+      for (long long c = 0; c < ncon; ++c)
         weights.push_back(parse_double(tokens[pos++]));
-      }
-      builder.set_vertex_weights(v, weights);
     }
+    builder.add_vertex(weights);
     while (pos < tokens.size()) {
-      const auto target = static_cast<VertexId>(parse_int(tokens[pos++]) - 1);
+      const long long id = parse_int(tokens[pos++]);
       double weight = 1.0;
       if (has_edge_weights) {
         MASSF_REQUIRE(pos < tokens.size(),
                       "line " << line_number << ": missing edge weight");
         weight = parse_double(tokens[pos++]);
       }
-      MASSF_REQUIRE(target >= 0 && target < n,
+      MASSF_REQUIRE(id >= 1 && id <= n,
                     "line " << line_number << ": neighbor out of range");
       // Each undirected edge appears twice; add it once (from the smaller
       // endpoint) to avoid doubling weights in the builder's merge.
-      if (v < target) builder.add_edge(v, target, weight);
+      const auto target = static_cast<VertexId>(id - 1);
+      if (v < target) edges.push_back({v, target, weight});
     }
   }
+  for (const Edge& e : edges) builder.add_edge(e.u, e.v, e.weight);
   Graph graph = builder.build();
   MASSF_REQUIRE(graph.edge_count() == m,
                 "METIS header declares " << m << " edges but file has "

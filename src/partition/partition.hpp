@@ -101,8 +101,4 @@ double worst_balance_ratio(const graph::Graph& graph,
 void validate_assignment(const graph::Graph& graph,
                          const Assignment& assignment, int parts);
 
-/// Number of vertices with at least one neighbor in another block.
-std::int64_t boundary_size(const graph::Graph& graph,
-                           const Assignment& assignment);
-
 }  // namespace massf::partition

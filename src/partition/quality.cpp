@@ -70,19 +70,4 @@ void validate_assignment(const graph::Graph& graph,
                             << assignment[v]);
 }
 
-std::int64_t boundary_size(const graph::Graph& graph,
-                           const Assignment& assignment) {
-  std::int64_t count = 0;
-  for (graph::VertexId u = 0; u < graph.vertex_count(); ++u) {
-    for (graph::VertexId v : graph.neighbors(u)) {
-      if (assignment[static_cast<std::size_t>(u)] !=
-          assignment[static_cast<std::size_t>(v)]) {
-        ++count;
-        break;
-      }
-    }
-  }
-  return count;
-}
-
 }  // namespace massf::partition

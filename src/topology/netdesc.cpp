@@ -1,6 +1,8 @@
 #include "topology/netdesc.hpp"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -79,7 +81,10 @@ Network read_netdesc(const std::string& text) {
 
   auto parse_as = [&](const std::string& token) -> int {
     if (!starts_with(token, "as=")) fail("expected as=<int>, got '" + token + "'");
-    return static_cast<int>(parse_int(token.substr(3)));
+    const long long as_id = parse_int(token.substr(3));
+    if (as_id < 0 || as_id > std::numeric_limits<int>::max())
+      fail("AS id out of range in '" + token + "'");
+    return static_cast<int>(as_id);
   };
 
   while (std::getline(is, line)) {
@@ -111,10 +116,10 @@ Network read_netdesc(const std::string& text) {
                "two distinct nodes)");
         const double bandwidth = parse_bandwidth(tokens[3]);
         const double latency = parse_latency(tokens[4]);
-        if (bandwidth <= 0)
-          fail("link bandwidth must be positive, got " + tokens[3]);
-        if (latency <= 0)
-          fail("link latency must be positive, got " + tokens[4]);
+        if (!(bandwidth > 0) || !std::isfinite(bandwidth))
+          fail("link bandwidth must be positive and finite, got " + tokens[3]);
+        if (!(latency > 0) || !std::isfinite(latency))
+          fail("link latency must be positive and finite, got " + tokens[4]);
         net.add_link(a, b, bandwidth, latency);
       } else {
         fail("unknown directive '" + tokens[0] + "'");
@@ -127,13 +132,6 @@ Network read_netdesc(const std::string& text) {
 
   validate_network(net);
   return net;
-}
-
-void save_netdesc(const Network& network, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  out << write_netdesc(network);
-  if (!out) throw std::runtime_error("write failed for " + path);
 }
 
 Network load_netdesc(const std::string& path) {

@@ -29,8 +29,7 @@ std::string write_netdesc(const Network& network);
 /// on malformed input. The result is validated (connected, unique names).
 Network read_netdesc(const std::string& text);
 
-/// File helpers.
-void save_netdesc(const Network& network, const std::string& path);
+/// Read a file and parse it with read_netdesc.
 Network load_netdesc(const std::string& path);
 
 /// Parse "100Mbps"-style bandwidth to bits/second.

@@ -99,10 +99,6 @@ void Network::set_node_domain(NodeId id, int domain) {
   nodes_[static_cast<std::size_t>(id)].domain_id = domain;
 }
 
-int Network::node_domain(NodeId id) const {
-  return node(id).domain_id;
-}
-
 int Network::domain_count() const {
   int max_domain = 0;
   for (const Node& n : nodes_) max_domain = std::max(max_domain, n.domain_id);
@@ -118,7 +114,7 @@ std::vector<int> Network::domain_of_nodes() const {
 
 int Network::as_count() const {
   // Sort + unique instead of a hash set: same complexity class for this
-  // setup-time query, and massf-lint's unordered-container rule stays
+  // setup-time query, and massf-check's unordered-container rule stays
   // trivially satisfied (no hash-ordered state anywhere near topology).
   std::vector<int> ids;
   ids.reserve(nodes_.size());

@@ -77,8 +77,6 @@ class Network {
 
   /// Assign a node to a domain (see Node::domain_id).
   void set_node_domain(NodeId id, int domain);
-  /// The node's domain id (0 when never assigned).
-  int node_domain(NodeId id) const;
   /// Max domain id in use + 1 (1 for a flat network).
   int domain_count() const;
   /// Domain id per node, indexed by NodeId — the form the hierarchical

@@ -22,7 +22,7 @@
 //     one participant it completes on arrival, so a single-worker run pays
 //     a few uncontended atomics per phase and never waits.
 //
-// Every busy-wait loop in src/ must go through this header — massf-lint's
+// Every busy-wait loop in src/ must go through this header — massf-check's
 // busy-wait rule flags raw yield/empty-while polls elsewhere.
 #pragma once
 

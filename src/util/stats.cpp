@@ -86,10 +86,4 @@ std::vector<double> moving_average(std::span<const double> xs,
   return out;
 }
 
-double relative_difference(double a, double b) {
-  const double denom = std::max(std::abs(a), std::abs(b));
-  if (denom == 0.0) return 0.0;
-  return std::abs(a - b) / denom;
-}
-
 }  // namespace massf

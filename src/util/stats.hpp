@@ -57,7 +57,4 @@ double max_over_mean(std::span<const double> loads);
 std::vector<double> moving_average(std::span<const double> xs,
                                    std::size_t half_window);
 
-/// Relative difference |a-b| / max(|a|,|b|); 0 when both are 0.
-double relative_difference(double a, double b);
-
 }  // namespace massf

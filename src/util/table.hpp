@@ -26,8 +26,6 @@ class Table {
   Table& cell(long long value);
   Table& cell(int value);
 
-  std::size_t row_count() const { return rows_.size(); }
-
   /// Render with a header rule and 2-space column gaps.
   std::string to_string() const;
   void print(std::ostream& os) const;

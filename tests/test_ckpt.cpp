@@ -1005,6 +1005,51 @@ TEST(SnapshotFormat, GoldenPayloadSizeAndCrcPerSyncMode) {
   }
 }
 
+TEST(SnapshotFormat, RestoredRunKeepsTheUninterruptedCountersAndSnapshots) {
+  // A run restored from a snapshot carries on exactly as the uninterrupted
+  // run did after that safepoint: the same history, channel stats, idle
+  // jumps and modeled time, and a byte-identical next snapshot.
+  ChaosNet fx;
+  for (const des::SyncMode sync :
+       {des::SyncMode::GlobalWindow, des::SyncMode::ChannelLookahead}) {
+    SCOPED_TRACE(name(sync));
+    const std::string base_dir =
+        fresh_dir(std::string("resume_base_") + name(sync));
+    auto base = fx.make(3, sync, nullptr);
+    base->set_checkpoint_schedule(schedule(base_dir, kPeriod), kHorizon);
+    base->run(kHorizon, des::ExecutionMode::Sequential);
+    const auto snaps = ckpt::list_checkpoints(base_dir);
+    ASSERT_GE(snaps.size(), 2u);
+
+    const std::string dir = fresh_dir(std::string("resume_") + name(sync));
+    auto revived = fx.make(3, sync, nullptr);
+    ckpt::Reader reader = ckpt::Reader::from_file(snaps[0].second);
+    revived->restore(reader);
+    revived->set_checkpoint_schedule(
+        schedule(dir, kPeriod, 32, snaps[0].first + 1), kHorizon);
+    revived->run(kHorizon, des::ExecutionMode::Sequential);
+
+    const des::KernelStats& a = base->kernel_stats();
+    const des::KernelStats& b = revived->kernel_stats();
+    EXPECT_EQ(a.history_hash, b.history_hash);
+    EXPECT_EQ(a.idle_jumps, b.idle_jumps);
+    EXPECT_EQ(a.modeled_time, b.modeled_time);
+    ASSERT_EQ(a.channels.size(), b.channels.size());
+    for (std::size_t c = 0; c < a.channels.size(); ++c) {
+      SCOPED_TRACE(std::to_string(a.channels[c].src) + "->" +
+                   std::to_string(a.channels[c].dst));
+      EXPECT_EQ(a.channels[c].delivered, b.channels[c].delivered);
+      EXPECT_EQ(a.channels[c].throttled, b.channels[c].throttled);
+      EXPECT_EQ(a.channels[c].max_lag, b.channels[c].max_lag);
+    }
+    const auto resumed = ckpt::list_checkpoints(dir);
+    ASSERT_FALSE(resumed.empty());
+    EXPECT_EQ(resumed.front().first, snaps[1].first);
+    EXPECT_TRUE(file_bytes(resumed.front().second) ==
+                file_bytes(snaps[1].second));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Hostile snapshot fields: each value below passes the CRC (it was written
 // by Writer, or the payload is parsed directly), so only the field parser

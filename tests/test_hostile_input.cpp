@@ -1,0 +1,198 @@
+// Hostile text inputs: the netdesc and METIS readers must reject malformed
+// files with std::invalid_argument (their documented error) — never with
+// another exception, undefined behaviour, or an allocation sized by an
+// unchecked header field. ctest label "hostile"; the ckpt-asan/ckpt-ubsan
+// presets run it under the sanitizers.
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
+#include <string>
+#include <typeinfo>
+#include <utility>
+#include <vector>
+
+#include "graph/graph_io.hpp"
+#include "topology/netdesc.hpp"
+#include "util/rng.hpp"
+
+namespace massf {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Hostile METIS headers and ids
+// ---------------------------------------------------------------------------
+
+TEST(HostileGraph, VertexCountBeyondTheFileIsRejectedBeforeAllocation) {
+  // Three lines declaring 2·10⁹ vertices: rejected from the line count, not
+  // after building two billion vertices.
+  try {
+    graph::read_metis("2000000000 1\n2\n1\n");
+    FAIL() << "accepted a header declaring more vertices than lines";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("2 vertex lines"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileGraph, VertexCountBeyondInt32IsRejected) {
+  // 2³² + 2 would truncate to a valid-looking 2.
+  EXPECT_THROW(graph::read_metis("4294967298 1 010\n1 2\n1 1\n"),
+               std::invalid_argument);
+}
+
+TEST(HostileGraph, ConstraintCountIsBoundedByTheWeightsPresent) {
+  // ncon sizes every vertex's weight vector: 10⁸ constraints over lines
+  // holding one weight each must be rejected, not allocated.
+  EXPECT_THROW(graph::read_metis("2 1 010 100000000\n1 2\n1 1\n"),
+               std::invalid_argument);
+  // Without vertex weights there is nothing to fill extra constraints.
+  EXPECT_THROW(graph::read_metis("2 1 000 5\n2\n1\n"), std::invalid_argument);
+  EXPECT_THROW(graph::read_metis("2 1 010 0\n1 2\n1 1\n"),
+               std::invalid_argument);
+  // Multi-constraint files with the weights present still parse.
+  const graph::Graph g = graph::read_metis("2 1 010 2\n1 5 2\n3 4 1\n");
+  EXPECT_EQ(g.constraint_count(), 2);
+  EXPECT_DOUBLE_EQ(g.vertex_weights(1)[1], 4.0);
+}
+
+TEST(HostileGraph, NeighbourIdBeyondInt32IsRejected) {
+  // 2³² + 2 − 1 would truncate to vertex 1, a valid neighbour.
+  EXPECT_THROW(graph::read_metis("2 1\n4294967298\n1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(graph::read_metis("2 1\n-4294967295\n1\n"),
+               std::invalid_argument);
+}
+
+TEST(HostileNetdesc, OutOfRangeNumbersAreRejected) {
+  const std::string nodes = "router r0 as=0\nhost h0 as=0\n";
+  EXPECT_NO_THROW(topology::read_netdesc(nodes + "link h0 r0 1Gbps 1ms\n"));
+  // 2³² + 1 would truncate to AS 1.
+  EXPECT_THROW(topology::read_netdesc("router r0 as=4294967297\n"),
+               std::invalid_argument);
+  EXPECT_THROW(topology::read_netdesc(nodes + "link h0 r0 1e400Gbps 1ms\n"),
+               std::invalid_argument);
+  EXPECT_THROW(topology::read_netdesc(nodes + "link h0 r0 1Gbps 1e999s\n"),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation of valid files
+// ---------------------------------------------------------------------------
+
+const char* const kHostileIntegers[] = {
+    "0", "-1", "2147483648", "4294967297", "9223372036854775807",
+    "99999999999999999999", "1e400"};
+
+/// Apply `count` seeded mutations — byte flips, truncations, and a
+/// numeric token replaced by a hostile integer — to `valid`, hand each to
+/// `parse`, and require that only std::invalid_argument escapes. Returns
+/// {rejected, accepted}.
+template <class Parse>
+std::pair<int, int> mutate_and_parse(const std::string& valid, int count,
+                                     std::uint64_t seed, const Parse& parse) {
+  // Start offsets of the digit runs: the inflated-integer targets.
+  std::vector<std::size_t> numbers;
+  for (std::size_t at = 0; at < valid.size(); ++at)
+    if (std::isdigit(static_cast<unsigned char>(valid[at])) != 0 &&
+        (at == 0 || std::isdigit(static_cast<unsigned char>(valid[at - 1])) ==
+                        0))
+      numbers.push_back(at);
+  EXPECT_FALSE(numbers.empty());
+
+  Rng rng(seed);
+  int rejected = 0;
+  int accepted = 0;
+  for (int m = 0; m < count; ++m) {
+    std::string text = valid;
+    std::string what;
+    switch (m % 3) {
+      case 0: {  // byte flips
+        const int flips = 1 + static_cast<int>(rng() % 4);
+        for (int f = 0; f < flips; ++f) {
+          const std::size_t at = rng() % text.size();
+          text[at] = static_cast<char>(text[at] ^ (1 + rng() % 255));
+          what += " flip@" + std::to_string(at);
+        }
+        break;
+      }
+      case 1: {  // truncation
+        const std::size_t keep = rng() % text.size();
+        text.resize(keep);
+        what = " truncate@" + std::to_string(keep);
+        break;
+      }
+      default: {  // inflated integer
+        const std::size_t at = numbers[rng() % numbers.size()];
+        std::size_t end = at;
+        while (end < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[end])) != 0)
+          ++end;
+        const char* value =
+            kHostileIntegers[rng() % std::size(kHostileIntegers)];
+        text.replace(at, end - at, value);
+        what = " int@" + std::to_string(at) + "=" + value;
+        break;
+      }
+    }
+    try {
+      parse(text);
+      ++accepted;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << m << what << " escaped as "
+                    << typeid(e).name() << ": " << e.what();
+    }
+  }
+  return {rejected, accepted};
+}
+
+TEST(InputMutation, OnlyArgumentErrorsEscapeReadNetdesc) {
+  const std::string valid =
+      "# two ASes, a core link, and four stub hosts\n"
+      "router core0 as=0\n"
+      "router core1 as=1\n"
+      "router edge10 as=1\n"
+      "host h0 as=0\n"
+      "host h1 as=0\n"
+      "host h2 as=1\n"
+      "host h3 as=1\n"
+      "link h0 core0 100Mbps 0.1ms\n"
+      "link h1 core0 100Mbps 0.1ms\n"
+      "link core0 core1 1Gbps 2ms\n"
+      "link core1 edge10 1Gbps 0.5ms\n"
+      "link h2 edge10 10Mbps 50us\n"
+      "link h3 core1 1e8bps 0.001s\n";
+  ASSERT_EQ(topology::read_netdesc(valid).node_count(), 7);
+  const auto [rejected, accepted] =
+      mutate_and_parse(valid, 900, 20261018, [](const std::string& text) {
+        (void)topology::read_netdesc(text);
+      });
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);  // flips inside comments and numbers parse fine
+}
+
+TEST(InputMutation, OnlyArgumentErrorsEscapeReadMetis) {
+  graph::GraphBuilder b(2);
+  for (int i = 0; i < 8; ++i)
+    b.add_vertex(std::vector<double>{1.0 + i, 10.0 + i});
+  for (int i = 0; i < 8; ++i) b.add_edge(i, (i + 1) % 8, 2.0 + i);
+  b.add_edge(0, 4, 9.0);
+  b.add_edge(2, 6, 3.0);
+  const std::string valid =
+      "% an 8-ring with two chords, two constraints\n" +
+      graph::write_metis(b.build());
+  ASSERT_EQ(graph::read_metis(valid).vertex_count(), 8);
+  const auto [rejected, accepted] =
+      mutate_and_parse(valid, 900, 20261019, [](const std::string& text) {
+        (void)graph::read_metis(text);
+      });
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
+}
+
+}  // namespace
+}  // namespace massf

@@ -214,12 +214,17 @@ TEST_P(MultilevelSweep, ValidBalancedAndBeatsRandom) {
   EXPECT_LT(result.edge_cut, random_cut * 0.8);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, MultilevelSweep,
-    ::testing::Values(SweepCase{60, 0.8, 2, 1}, SweepCase{60, 0.8, 3, 2},
-                      SweepCase{120, 1.0, 4, 3}, SweepCase{250, 1.5, 5, 4},
-                      SweepCase{250, 1.5, 8, 5}, SweepCase{500, 2.0, 8, 6},
-                      SweepCase{500, 1.0, 16, 7}, SweepCase{800, 1.2, 20, 8}));
+// gtest names each case after the raw bytes of its SweepCase, padding
+// included. Static storage zero-fills that padding, so the names are the
+// same on every run; stack temporaries (::testing::Values) leave whatever
+// the stack held there.
+const SweepCase kSweepCases[] = {
+    {60, 0.8, 2, 1},   {60, 0.8, 3, 2},  {120, 1.0, 4, 3},
+    {250, 1.5, 5, 4},  {250, 1.5, 8, 5}, {500, 2.0, 8, 6},
+    {500, 1.0, 16, 7}, {800, 1.2, 20, 8}};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, MultilevelSweep,
+                         ::testing::ValuesIn(kSweepCases));
 
 class MultiConstraintSweep : public ::testing::TestWithParam<int> {};
 

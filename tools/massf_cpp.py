@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""massf_cpp: the shared C++ lexing layer under massf-lint and massf-analyze.
+"""massf_cpp: the C++ lexing layer under massf-check (and the baseline and
+SARIF helpers it shares with tidy_sarif).
 
-Both tools reason about C++ with line-keyed heuristics, so they share one
-scrubber/tokenizer instead of two divergent regex stacks:
+Per-file rules and the whole-program index read the same scrubbed lines,
+so a rule can never match inside a comment or a literal:
 
   * scrub(lines)            comment/string/char-literal removal that is
                             raw-string aware (R"delim(...)delim" spanning
@@ -12,16 +13,16 @@ scrubber/tokenizer instead of two divergent regex stacks:
                             comment, a string literal, or a raw string.
   * tokenize(code_lines)    a flat token stream (identifiers / numbers /
                             punctuation, each with its 1-based line) for
-                            the structural passes: massf-lint's scope
-                            tracking, massf-analyze's function indexer.
+                            the whole-program function indexer.
   * statement_end(...)      where the statement covering a line actually
                             ends — the generalized continuation rule that
                             lets an allow() on a declaration cover the
                             whole wrapped statement, not just one line.
   * sarif_report(...)       SARIF 2.1.0 serialization shared by
-                            massf-analyze and tidy_sarif (the clang-tidy
+                            massf-check and tidy_sarif (the clang-tidy
                             gate), so CI consumes one format from every
                             analyzer.
+  * load_baseline(path)     the baseline file format both gates share.
 
 Nothing here preprocesses: `#if 0` blocks still lex, macros do not expand.
 That is deliberate — the tools are invariant scanners, not compilers, and
@@ -31,6 +32,7 @@ conditional code should obey the invariants in every configuration.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 
@@ -40,7 +42,7 @@ _RAW_STRING_OPEN_RE = re.compile(r'R"([^ ()\\\t\v\f\n]{0,16})\(')
 
 # A scrubbed code line ending in one of these is mid-expression: the next
 # line continues the same statement (binary operator, open comma, a
-# `return` with the value wrapped, ...). Used both by massf-lint's
+# `return` with the value wrapped, ...). Used both by the
 # statement-initial unchecked-io checker and by generalized allow()
 # scoping.
 CONTINUATION_END_RE = re.compile(r"(?:[&|(,=+\-*/%<>!?:]|\breturn)\s*$")
@@ -230,3 +232,13 @@ def sarif_report(tool_name: str, info_uri: str,
         }],
     }
     return json.dumps(sarif, indent=2, sort_keys=False) + "\n"
+
+
+def load_baseline(path: str) -> set[str]:
+    """Keys of a baseline file: one per line, `#` comments and blank lines
+    skipped. A missing file is an empty baseline."""
+    if not os.path.exists(path):
+        return set()
+    with open(path, encoding="utf-8") as fh:
+        return {line.strip() for line in fh
+                if line.strip() and not line.lstrip().startswith("#")}

@@ -5,7 +5,7 @@ run-clang-tidy's exit code is all-or-nothing and its output is plain text,
 so promoting clang-tidy from advisory to gating needs a shim: parse the
 warning lines, drop entries recorded in the checked-in baseline
 (tools/clang_tidy.baseline), emit the survivors as SARIF 2.1.0 (same
-serializer as massf-analyze, so CI uploads one format), and exit nonzero
+serializer as massf-check, so CI uploads one format), and exit nonzero
 only on unbaselined findings.
 
 Baseline keys are `check|path|normalized message` — line-number-free, so
@@ -80,18 +80,6 @@ def baseline_key(f: dict) -> str:
     return f"{f['rule']}|{f['path']}|{f['message']}"
 
 
-def load_baseline(path: str) -> set[str]:
-    keys: set[str] = set()
-    if not os.path.exists(path):
-        return keys
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                keys.add(line)
-    return keys
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="tidy_sarif", description=__doc__,
@@ -127,7 +115,7 @@ def main(argv: list[str]) -> int:
               f"{args.write_baseline}")
         return 0
 
-    baseline = load_baseline(args.baseline) if args.baseline else set()
+    baseline = massf_cpp.load_baseline(args.baseline) if args.baseline else set()
     fresh = [f for f in findings if baseline_key(f) not in baseline]
     stale = baseline - {baseline_key(f) for f in findings}
     if stale:
