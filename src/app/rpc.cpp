@@ -71,8 +71,8 @@ void ServerEndpoint::receive(emu::AppApi& api,
   const double done = begin + draw_service();
   worker_free_[worker] = done;
   const std::uint64_t job = ++job_seq_;
-  // massf-check: allow(hot-path-alloc) — bounded by in-flight jobs; the
-  // table is reserve()d at start and rehash cost is amortized O(1).
+  // Bounded by in-flight jobs; the table is reserve()d at start and
+  // rehash cost is amortized O(1).
   jobs_.emplace(job, Job{message.src, message.corr});
   api.set_timer(done - now, static_cast<std::int64_t>(job));
 }
@@ -159,8 +159,7 @@ void LoadBalancerEndpoint::receive(emu::AppApi& api,
                  corr_user(message.corr));
     const std::size_t backend = policy_->pick(key, now);
     const std::uint64_t flight = ++flight_seq_;
-    // massf-check: allow(hot-path-alloc) — bounded by in-flight requests;
-    // the table is reserve()d at start.
+    // Bounded by in-flight requests; the table is reserve()d at start.
     inflight_.emplace(flight,
                       Flight{message.src, message.corr, message.bytes, now,
                              static_cast<std::uint32_t>(backend)});
@@ -298,8 +297,7 @@ void ClientEndpoint::on_timer(emu::AppApi& api, std::int64_t tag) {
       params_.user_base +
       rng_.next_below(static_cast<std::uint64_t>(params_.users));
   const std::uint64_t corr = pack_corr(user, seq_++);
-  // massf-check: allow(hot-path-alloc) — bounded by in-flight requests;
-  // the table is reserve()d at start.
+  // Bounded by in-flight requests; the table is reserve()d at start.
   outstanding_.emplace(corr, api.now());
   ++counters_->requests_sent;
   if (params_.reliable)

@@ -130,7 +130,7 @@ void Writer::commit(const std::string& path) const {
   if (::fsync(::fileno(f)) != 0) fail("fsync");
 #endif
   if (std::fclose(f) != 0) {
-    // massf-check: allow(unchecked-io) — best-effort cleanup after a failure
+    // Best-effort cleanup after a failure.
     std::remove(tmp.c_str());
     throw CkptError("checkpoint: close failed for '" + tmp + "'");
   }
@@ -140,7 +140,7 @@ void Writer::commit(const std::string& path) const {
   maybe_crash("mid-write");
 
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    // massf-check: allow(unchecked-io) — best-effort cleanup after a failure
+    // Best-effort cleanup after a failure.
     std::remove(tmp.c_str());
     throw CkptError("checkpoint: rename '" + tmp + "' -> '" + path +
                     "' failed");

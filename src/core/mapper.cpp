@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "partition/refine.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace massf::mapping {
@@ -46,6 +48,27 @@ bool better_mapping(const MappingResult& a, const MappingResult& b) {
   if (std::abs(a.worst_balance - b.worst_balance) > 1e-9)
     return a.worst_balance < b.worst_balance;
   return a.traffic_cut < b.traffic_cut;
+}
+
+/// Runs `trials` (at least one) seeded partitioning trials in parallel, each
+/// into its own slot, and keeps the best in trial order: the mapping the
+/// sequential loop would keep, whatever the worker count. Trial t partitions
+/// with seed mix_seed(base.seed, salt + t).
+template <typename Trial>
+MappingResult best_of_trials(const partition::PartitionOptions& base,
+                             int trials, std::uint64_t salt,
+                             const Trial& trial) {
+  std::vector<MappingResult> candidates(
+      static_cast<std::size_t>(std::max(1, trials)));
+  util::parallel_for(candidates.size(), [&](std::size_t, std::size_t t) {
+    partition::PartitionOptions popts = base;
+    popts.seed = mix_seed(base.seed, salt + t);
+    candidates[t] = trial(popts);
+  });
+  std::size_t best = 0;
+  for (std::size_t t = 1; t < candidates.size(); ++t)
+    if (better_mapping(candidates[t], candidates[best])) best = t;
+  return std::move(candidates[best]);
 }
 
 /// Per-constraint tolerances for a mapping graph with `segments` segment
@@ -124,17 +147,13 @@ MappingResult Mapper::map_top(const MappingOptions& options) const {
       network_, structure_, compute, {}, options.memory_priority, latency);
   popts.epsilon_per_constraint = constraint_epsilons(options, 0);
 
-  MappingResult best;
-  for (int trial = 0; trial < std::max(1, options.trials); ++trial) {
-    popts.seed = mix_seed(options.partition.seed, 0x70AD + trial);
-    partition::PartitionResult result =
-        partition::partition_multilevel(g, popts);
-    MappingResult candidate =
-        finish(Approach::Top, std::move(result), options, nullptr, 0);
-    if (trial == 0 || better_mapping(candidate, best))
-      best = std::move(candidate);
-  }
-  return best;
+  return best_of_trials(
+      popts, options.trials, 0x70AD,
+      [&](const partition::PartitionOptions& trial_opts) {
+        return finish(Approach::Top,
+                      partition::partition_multilevel(g, trial_opts), options,
+                      nullptr, 0);
+      });
 }
 
 std::vector<routing::Flow> Mapper::foreground_flows(
@@ -286,19 +305,15 @@ MappingResult Mapper::map_place(const traffic::Workload& workload,
 
   const partition::ObjectiveWeights objectives =
       make_objectives(network_, structure_, estimate.link_load);
-  MappingResult best;
-  for (int trial = 0; trial < std::max(1, options.trials); ++trial) {
-    popts.seed = mix_seed(options.partition.seed, 0x97ACE + trial);
-    partition::MultiObjectiveResult result =
-        partition::partition_multiobjective(g, objectives,
-                                            options.latency_priority, popts);
-    MappingResult candidate = finish(
-        Approach::Place, std::move(result.partition), options,
-        &estimate.link_load, 0);
-    if (trial == 0 || better_mapping(candidate, best))
-      best = std::move(candidate);
-  }
-  return best;
+  return best_of_trials(
+      popts, options.trials, 0x97ACE,
+      [&](const partition::PartitionOptions& trial_opts) {
+        return finish(Approach::Place,
+                      partition::partition_multiobjective(
+                          g, objectives, options.latency_priority, trial_opts)
+                          .partition,
+                      options, &estimate.link_load, 0);
+      });
 }
 
 MappingResult Mapper::map_profile(
@@ -321,20 +336,16 @@ MappingResult Mapper::map_profile(
 
   const partition::ObjectiveWeights objectives =
       make_objectives(network_, structure_, estimate.link_load);
-  MappingResult best;
-  for (int trial = 0; trial < std::max(1, options.trials); ++trial) {
-    popts.seed = mix_seed(options.partition.seed, 0x9120F17E + trial);
-    partition::MultiObjectiveResult result =
-        partition::partition_multiobjective(g, objectives,
-                                            options.latency_priority, popts);
-    MappingResult candidate = finish(
-        Approach::Profile, std::move(result.partition), options,
-        &estimate.link_load,
-        static_cast<int>(estimate.node_segment_load.size()));
-    if (trial == 0 || better_mapping(candidate, best))
-      best = std::move(candidate);
-  }
-  return best;
+  return best_of_trials(
+      popts, options.trials, 0x9120F17E,
+      [&](const partition::PartitionOptions& trial_opts) {
+        return finish(Approach::Profile,
+                      partition::partition_multiobjective(
+                          g, objectives, options.latency_priority, trial_opts)
+                          .partition,
+                      options, &estimate.link_load,
+                      static_cast<int>(estimate.node_segment_load.size()));
+      });
 }
 
 MappingResult Mapper::map_incremental(const partition::Assignment& current,

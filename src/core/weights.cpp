@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "graph/maxflow.hpp"
 #include "util/error.hpp"
@@ -9,17 +10,21 @@
 namespace massf::mapping {
 
 std::vector<double> memory_weights(const Network& network) {
-  const std::vector<int> as_routers = network.routers_per_as();
-  std::vector<double> weights(static_cast<std::size_t>(network.node_count()));
-  for (NodeId v = 0; v < network.node_count(); ++v) {
-    const topology::Node& node = network.node(v);
-    if (node.kind == topology::NodeKind::Router) {
-      const double x =
-          static_cast<double>(as_routers[static_cast<std::size_t>(node.as_id)]);
-      weights[static_cast<std::size_t>(v)] = 10.0 + x * x;
-    } else {
-      weights[static_cast<std::size_t>(v)] = 1.0;
-    }
+  // Routers per AS come from sorting (as id, node) pairs, not from a table
+  // indexed by AS id: a netdesc may use any id up to INT_MAX, so memory
+  // must follow the router count, not the largest id.
+  std::vector<std::pair<int, NodeId>> routers;
+  for (NodeId v = 0; v < network.node_count(); ++v)
+    if (network.node(v).kind == topology::NodeKind::Router)
+      routers.emplace_back(network.node(v).as_id, v);
+  std::sort(routers.begin(), routers.end());
+  std::vector<double> weights(static_cast<std::size_t>(network.node_count()),
+                              1.0);
+  for (std::size_t lo = 0, hi = 0; lo < routers.size(); lo = hi) {
+    while (hi < routers.size() && routers[hi].first == routers[lo].first) ++hi;
+    const double x = static_cast<double>(hi - lo);
+    for (std::size_t k = lo; k < hi; ++k)
+      weights[static_cast<std::size_t>(routers[k].second)] = 10.0 + x * x;
   }
   return weights;
 }

@@ -1,7 +1,5 @@
 #include "des/kernel.hpp"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -14,6 +12,7 @@
 #include <utility>
 
 #include "ckpt/ckpt.hpp"
+#include "util/parallel.hpp"
 #include "util/spinwait.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -57,17 +56,6 @@ constexpr std::uint32_t kTagKernel = 0x6b726e6c;    // "krnl"
 constexpr std::uint32_t kTagChannels = 0x6b636873;  // "kchs"
 constexpr std::uint32_t kTagLp = 0x6b6c7073;        // "klps"
 constexpr std::uint32_t kTagKernelEnd = 0x6b656e64; // "kend"
-
-/// CPUs this process may run on: its affinity mask (a CPU-limited container
-/// counts its own share), else hardware_concurrency; at least 1.
-std::size_t usable_cpus() {
-#if defined(__linux__)
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0)
-    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
-#endif
-  return std::max(1U, std::thread::hardware_concurrency());
-}
 
 /// First-exception box shared by the worker threads of a run. `failed` is
 /// the lock-free flag the hot loops poll; the exception itself travels
@@ -509,8 +497,8 @@ struct Kernel::Impl {
     if (next == nullptr) return;
     const std::size_t before = out.size();
     do {
-      // massf-check: allow(hot-path-alloc) — scratch keeps its capacity
-      // across drains (clear() never shrinks); steady state reuses it.
+      // Scratch keeps its capacity across drains (clear() never shrinks);
+      // steady state reuses it.
       out.insert(out.end(), next->events.begin(), next->events.end());
       next->events.clear();  // keep the capacity; the node recycles
       Channel::RunNode* spent = ch.tail;
@@ -973,7 +961,8 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
   run_until(end_time,
             mode == ExecutionMode::Sequential
                 ? 1
-                : std::min(static_cast<std::size_t>(lp_count_), usable_cpus()));
+                : std::min(static_cast<std::size_t>(lp_count_),
+                           util::usable_cpus()));
 }
 
 void Kernel::run_until(SimTime end_time, std::size_t workers) {

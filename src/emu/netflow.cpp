@@ -50,8 +50,7 @@ FlowRecord& NetFlowCollector::FlowTable::find_or_insert(std::uint64_t flow,
   MASSF_CHECK(records.size() < std::numeric_limits<std::uint32_t>::max(),
               "flow table slot overflow: over 2^32 - 1 flows at one node");
   if (2 * (records.size() + 1) > index.size()) {
-    // massf-check: allow(hot-path-alloc) — index doubling: amortized,
-    // bounded by the distinct flows per node.
+    // Index doubling: amortized, bounded by the distinct flows per node.
     rehash(std::max(kMinIndexSize, 2 * index.size()));
     s = probe(flow);
   }

@@ -1,10 +1,12 @@
 #include "routing/hierarchical.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace massf::routing {
 
@@ -246,156 +248,187 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
   }
 
   // ---- Per-domain restricted all-pairs tables ----
+  // The calling thread decides sharing and allocates every new table in
+  // domain order (the lookups read these tables over a whole run, so their
+  // layout must not depend on the worker count); the workers only fill
+  // them, each domain from its own scratch. Every table cell is written by
+  // exactly one job with the same operations as the plain loop, so the
+  // tables are bit-identical for every W.
   h.domains_.resize(static_cast<std::size_t>(domains));
   h.shared_domains_ = 0;
-  {
-    // Scratch reused across domains (sized for the largest).
-    std::int64_t max_dom = 0;
-    for (int i = 0; i < domains; ++i)
-      max_dom = std::max(max_dom,
-                         topo.dom_node_off[static_cast<std::size_t>(i) + 1] -
-                             topo.dom_node_off[static_cast<std::size_t>(i)]);
-    std::vector<double> sdist(static_cast<std::size_t>(max_dom));
-    std::vector<int> parent(static_cast<std::size_t>(max_dom));
-    std::vector<char> done(static_cast<std::size_t>(max_dom));
+  std::vector<std::pair<int, DomainTable*>> to_fill;  // (domain, table)
+  for (int i = 0; i < domains; ++i) {
+    const std::int64_t node_lo = topo.dom_node_off[static_cast<std::size_t>(i)];
+    const int d = static_cast<int>(
+        topo.dom_node_off[static_cast<std::size_t>(i) + 1] - node_lo);
+    const std::int64_t link_lo = topo.dom_link_off[static_cast<std::size_t>(i)];
+    const std::int64_t link_hi =
+        topo.dom_link_off[static_cast<std::size_t>(i) + 1];
+
+    std::vector<char> node_mask(static_cast<std::size_t>(d));
+    for (int k = 0; k < d; ++k)
+      node_mask[static_cast<std::size_t>(k)] = h.active_[static_cast<std::size_t>(
+          topo.dom_nodes[static_cast<std::size_t>(node_lo + k)])];
+    std::vector<char> link_mask(static_cast<std::size_t>(link_hi - link_lo));
+    for (std::int64_t k = link_lo; k < link_hi; ++k)
+      link_mask[static_cast<std::size_t>(k - link_lo)] =
+          link_active(topo.dom_links[static_cast<std::size_t>(k)]) ? 1 : 0;
+
+    if (previous != nullptr) {
+      const auto& prior = previous->domains_[static_cast<std::size_t>(i)];
+      if (prior && prior->node_mask == node_mask &&
+          prior->link_mask == link_mask) {
+        h.domains_[static_cast<std::size_t>(i)] = prior;
+        h.shared_domains_++;
+        continue;
+      }
+    }
+
+    DomainTable dt;
+    dt.size = d;
+    dt.dist.assign(static_cast<std::size_t>(d) * static_cast<std::size_t>(d),
+                   kInf);
+    dt.next.assign(static_cast<std::size_t>(d) * static_cast<std::size_t>(d),
+                   kNoHop);
+    dt.node_mask = std::move(node_mask);
+    dt.link_mask = std::move(link_mask);
+    auto table = std::make_shared<DomainTable>(std::move(dt));
+    to_fill.push_back({i, table.get()});
+    h.domains_[static_cast<std::size_t>(i)] = std::move(table);
+  }
+
+  // Per-worker scratch, reused across the jobs one worker runs. The heap
+  // is a plain vector under push_heap/pop_heap with std::greater — the
+  // operations std::priority_queue performs — so pop order is unchanged,
+  // without an allocation per Dijkstra source.
+  using Item = std::pair<double, int>;
+  struct Scratch {
+    std::vector<double> sdist;
+    std::vector<int> parent;
+    std::vector<char> done;
     std::vector<int> settle;
-    settle.reserve(static_cast<std::size_t>(max_dom));
+    std::vector<Item> heap;
     std::vector<std::int64_t> ladj_off;
+    std::vector<std::int64_t> cursor;
     std::vector<int> ladj_to;
     std::vector<double> ladj_lat;
+  };
+  std::vector<Scratch> scratch(util::usable_cpus());
+  const auto heap_push = [](std::vector<Item>& heap, double dist, int node) {
+    heap.emplace_back(dist, node);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
+  const auto heap_pop = [](std::vector<Item>& heap) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const Item top = heap.back();
+    heap.pop_back();
+    return top;
+  };
 
-    for (int i = 0; i < domains; ++i) {
-      const std::int64_t node_lo = topo.dom_node_off[static_cast<std::size_t>(i)];
-      const std::int64_t node_hi =
-          topo.dom_node_off[static_cast<std::size_t>(i) + 1];
-      const int d = static_cast<int>(node_hi - node_lo);
-      const std::int64_t link_lo = topo.dom_link_off[static_cast<std::size_t>(i)];
-      const std::int64_t link_hi =
-          topo.dom_link_off[static_cast<std::size_t>(i) + 1];
+  util::parallel_for(to_fill.size(), [&](std::size_t worker, std::size_t job) {
+    const auto [i, table] = to_fill[job];
+    DomainTable& dt = *table;
+    Scratch& s = scratch[worker];
+    const int d = dt.size;
+    const std::int64_t link_lo = topo.dom_link_off[static_cast<std::size_t>(i)];
+    const std::int64_t link_hi =
+        topo.dom_link_off[static_cast<std::size_t>(i) + 1];
+    if (s.sdist.size() < static_cast<std::size_t>(d)) {
+      s.sdist.resize(static_cast<std::size_t>(d));
+      s.parent.resize(static_cast<std::size_t>(d));
+      s.done.resize(static_cast<std::size_t>(d));
+      s.settle.reserve(static_cast<std::size_t>(d));
+    }
 
-      std::vector<char> node_mask(static_cast<std::size_t>(d));
-      for (int k = 0; k < d; ++k)
-        node_mask[static_cast<std::size_t>(k)] = h.active_[static_cast<std::size_t>(
-            topo.dom_nodes[static_cast<std::size_t>(node_lo + k)])];
-      std::vector<char> link_mask(static_cast<std::size_t>(link_hi - link_lo));
-      for (std::int64_t k = link_lo; k < link_hi; ++k)
-        link_mask[static_cast<std::size_t>(k - link_lo)] =
-            link_active(topo.dom_links[static_cast<std::size_t>(k)]) ? 1 : 0;
+    // Local adjacency over the domain's live intra links (both
+    // directions; parallel links kept — the Dijkstra relaxes each).
+    s.ladj_off.assign(static_cast<std::size_t>(d) + 1, 0);
+    for (std::int64_t k = link_lo; k < link_hi; ++k) {
+      if (!dt.link_mask[static_cast<std::size_t>(k - link_lo)]) continue;
+      const topology::Link& link =
+          network.link(topo.dom_links[static_cast<std::size_t>(k)]);
+      if (!node_active(link.a) || !node_active(link.b)) continue;
+      s.ladj_off[static_cast<std::size_t>(
+          topo.local_of[static_cast<std::size_t>(link.a)]) + 1]++;
+      s.ladj_off[static_cast<std::size_t>(
+          topo.local_of[static_cast<std::size_t>(link.b)]) + 1]++;
+    }
+    for (int v = 0; v < d; ++v)
+      s.ladj_off[static_cast<std::size_t>(v) + 1] +=
+          s.ladj_off[static_cast<std::size_t>(v)];
+    s.ladj_to.resize(
+        static_cast<std::size_t>(s.ladj_off[static_cast<std::size_t>(d)]));
+    s.ladj_lat.resize(s.ladj_to.size());
+    s.cursor.assign(s.ladj_off.begin(), s.ladj_off.end() - 1);
+    for (std::int64_t k = link_lo; k < link_hi; ++k) {
+      if (!dt.link_mask[static_cast<std::size_t>(k - link_lo)]) continue;
+      const topology::Link& link =
+          network.link(topo.dom_links[static_cast<std::size_t>(k)]);
+      if (!node_active(link.a) || !node_active(link.b)) continue;
+      const int la = topo.local_of[static_cast<std::size_t>(link.a)];
+      const int lb = topo.local_of[static_cast<std::size_t>(link.b)];
+      std::int64_t at = s.cursor[static_cast<std::size_t>(la)]++;
+      s.ladj_to[static_cast<std::size_t>(at)] = lb;
+      s.ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
+      at = s.cursor[static_cast<std::size_t>(lb)]++;
+      s.ladj_to[static_cast<std::size_t>(at)] = la;
+      s.ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
+    }
 
-      if (previous != nullptr) {
-        const auto& prior = previous->domains_[static_cast<std::size_t>(i)];
-        if (prior && prior->node_mask == node_mask &&
-            prior->link_mask == link_mask) {
-          h.domains_[static_cast<std::size_t>(i)] = prior;
-          h.shared_domains_++;
+    // Restricted Dijkstra from every live local source, with the dense
+    // backend's tie-break (strict improvement, or equal cost with a
+    // lower-id parent) so restricted first hops match it bit-for-bit.
+    for (int ls = 0; ls < d; ++ls) {
+      if (!dt.node_mask[static_cast<std::size_t>(ls)]) continue;
+      std::fill(s.sdist.begin(), s.sdist.begin() + d, kInf);
+      std::fill(s.parent.begin(), s.parent.begin() + d, -1);
+      std::fill(s.done.begin(), s.done.begin() + d, 0);
+      s.settle.clear();
+      s.heap.clear();
+      s.sdist[static_cast<std::size_t>(ls)] = 0;
+      heap_push(s.heap, 0.0, ls);
+      while (!s.heap.empty()) {
+        const auto [dd, u] = heap_pop(s.heap);
+        if (s.done[static_cast<std::size_t>(u)]) continue;
+        s.done[static_cast<std::size_t>(u)] = 1;
+        s.settle.push_back(u);
+        for (std::int64_t k = s.ladj_off[static_cast<std::size_t>(u)];
+             k < s.ladj_off[static_cast<std::size_t>(u) + 1]; ++k) {
+          const int to = s.ladj_to[static_cast<std::size_t>(k)];
+          const double cand = dd + s.ladj_lat[static_cast<std::size_t>(k)];
+          double& best = s.sdist[static_cast<std::size_t>(to)];
+          const bool improves =
+              cand < best ||
+              (cand == best && s.parent[static_cast<std::size_t>(to)] >= 0 &&
+               u < s.parent[static_cast<std::size_t>(to)]);
+          if (improves && !s.done[static_cast<std::size_t>(to)]) {
+            best = cand;
+            s.parent[static_cast<std::size_t>(to)] = u;
+            heap_push(s.heap, cand, to);
+          }
+        }
+      }
+      double* drow = dt.dist.data() +
+                     static_cast<std::size_t>(ls) * static_cast<std::size_t>(d);
+      std::uint16_t* nrow = dt.next.data() + static_cast<std::size_t>(ls) *
+                                                 static_cast<std::size_t>(d);
+      for (const int v : s.settle) {
+        drow[v] = s.sdist[static_cast<std::size_t>(v)];
+        if (v == ls) {
+          nrow[v] = static_cast<std::uint16_t>(ls);
           continue;
         }
+        const int p = s.parent[static_cast<std::size_t>(v)];
+        nrow[v] = p == ls ? static_cast<std::uint16_t>(v) : nrow[p];
       }
-
-      DomainTable dt;
-      dt.size = d;
-      dt.dist.assign(static_cast<std::size_t>(d) * static_cast<std::size_t>(d),
-                     kInf);
-      dt.next.assign(static_cast<std::size_t>(d) * static_cast<std::size_t>(d),
-                     kNoHop);
-      dt.node_mask = std::move(node_mask);
-      dt.link_mask = std::move(link_mask);
-
-      // Local adjacency over the domain's live intra links (both
-      // directions; parallel links kept — the Dijkstra relaxes each).
-      ladj_off.assign(static_cast<std::size_t>(d) + 1, 0);
-      for (std::int64_t k = link_lo; k < link_hi; ++k) {
-        if (!dt.link_mask[static_cast<std::size_t>(k - link_lo)]) continue;
-        const topology::Link& link =
-            network.link(topo.dom_links[static_cast<std::size_t>(k)]);
-        if (!node_active(link.a) || !node_active(link.b)) continue;
-        ladj_off[static_cast<std::size_t>(
-            topo.local_of[static_cast<std::size_t>(link.a)]) + 1]++;
-        ladj_off[static_cast<std::size_t>(
-            topo.local_of[static_cast<std::size_t>(link.b)]) + 1]++;
-      }
-      for (int v = 0; v < d; ++v)
-        ladj_off[static_cast<std::size_t>(v) + 1] +=
-            ladj_off[static_cast<std::size_t>(v)];
-      ladj_to.resize(static_cast<std::size_t>(ladj_off[static_cast<std::size_t>(d)]));
-      ladj_lat.resize(ladj_to.size());
-      {
-        std::vector<std::int64_t> cursor(ladj_off.begin(), ladj_off.end() - 1);
-        for (std::int64_t k = link_lo; k < link_hi; ++k) {
-          if (!dt.link_mask[static_cast<std::size_t>(k - link_lo)]) continue;
-          const topology::Link& link =
-              network.link(topo.dom_links[static_cast<std::size_t>(k)]);
-          if (!node_active(link.a) || !node_active(link.b)) continue;
-          const int la = topo.local_of[static_cast<std::size_t>(link.a)];
-          const int lb = topo.local_of[static_cast<std::size_t>(link.b)];
-          std::int64_t at = cursor[static_cast<std::size_t>(la)]++;
-          ladj_to[static_cast<std::size_t>(at)] = lb;
-          ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
-          at = cursor[static_cast<std::size_t>(lb)]++;
-          ladj_to[static_cast<std::size_t>(at)] = la;
-          ladj_lat[static_cast<std::size_t>(at)] = link.latency_s;
-        }
-      }
-
-      // Restricted Dijkstra from every live local source, with the dense
-      // backend's tie-break (strict improvement, or equal cost with a
-      // lower-id parent) so restricted first hops match it bit-for-bit.
-      for (int ls = 0; ls < d; ++ls) {
-        if (!dt.node_mask[static_cast<std::size_t>(ls)]) continue;
-        std::fill(sdist.begin(), sdist.begin() + d, kInf);
-        std::fill(parent.begin(), parent.begin() + d, -1);
-        std::fill(done.begin(), done.begin() + d, 0);
-        settle.clear();
-        using Item = std::pair<double, int>;
-        std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-        sdist[static_cast<std::size_t>(ls)] = 0;
-        heap.emplace(0.0, ls);
-        while (!heap.empty()) {
-          const auto [dd, u] = heap.top();
-          heap.pop();
-          if (done[static_cast<std::size_t>(u)]) continue;
-          done[static_cast<std::size_t>(u)] = 1;
-          settle.push_back(u);
-          for (std::int64_t k = ladj_off[static_cast<std::size_t>(u)];
-               k < ladj_off[static_cast<std::size_t>(u) + 1]; ++k) {
-            const int to = ladj_to[static_cast<std::size_t>(k)];
-            const double cand = dd + ladj_lat[static_cast<std::size_t>(k)];
-            double& best = sdist[static_cast<std::size_t>(to)];
-            const bool improves =
-                cand < best ||
-                (cand == best && parent[static_cast<std::size_t>(to)] >= 0 &&
-                 u < parent[static_cast<std::size_t>(to)]);
-            if (improves && !done[static_cast<std::size_t>(to)]) {
-              best = cand;
-              parent[static_cast<std::size_t>(to)] = u;
-              heap.emplace(cand, to);
-            }
-          }
-        }
-        double* drow = dt.dist.data() +
-                       static_cast<std::size_t>(ls) * static_cast<std::size_t>(d);
-        std::uint16_t* nrow = dt.next.data() +
-                              static_cast<std::size_t>(ls) *
-                                  static_cast<std::size_t>(d);
-        for (const int v : settle) {
-          drow[v] = sdist[static_cast<std::size_t>(v)];
-          if (v == ls) {
-            nrow[v] = static_cast<std::uint16_t>(ls);
-            continue;
-          }
-          const int p = parent[static_cast<std::size_t>(v)];
-          nrow[v] = p == ls ? static_cast<std::uint16_t>(v) : nrow[p];
-        }
-      }
-      h.domains_[static_cast<std::size_t>(i)] =
-          std::make_shared<const DomainTable>(std::move(dt));
     }
-  }
+  });
 
   // ---- Exact border-to-border distances over the quotient graph ----
   // (vertices: borders; edges: restricted intra-domain border pairs plus
   // live inter-domain links — exact because every shortest path decomposes
-  // into maximal intra-domain segments between borders).
+  // into maximal intra-domain segments between borders). The graph is built
+  // here; the rows, one Dijkstra per live border, fan out like the domains.
   const int B = static_cast<int>(topo.borders.size());
   h.border_dist_.assign(static_cast<std::size_t>(B) * static_cast<std::size_t>(B),
                         kInf);
@@ -434,30 +467,30 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
       badj[static_cast<std::size_t>(b)].emplace_back(a, link.latency_s);
     }
 
-    std::vector<char> done(static_cast<std::size_t>(B));
-    for (int a = 0; a < B; ++a) {
-      if (!node_active(topo.borders[static_cast<std::size_t>(a)])) continue;
+    util::parallel_for(static_cast<std::size_t>(B), [&](std::size_t worker,
+                                                         std::size_t source) {
+      const int a = static_cast<int>(source);
+      if (!node_active(topo.borders[source])) return;
+      Scratch& s = scratch[worker];
       double* row = h.border_dist_.data() +
                     static_cast<std::size_t>(a) * static_cast<std::size_t>(B);
-      std::fill(done.begin(), done.end(), 0);
-      using Item = std::pair<double, int>;
-      std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+      s.done.assign(static_cast<std::size_t>(B), 0);
+      s.heap.clear();
       row[a] = 0;
-      heap.emplace(0.0, a);
-      while (!heap.empty()) {
-        const auto [dd, u] = heap.top();
-        heap.pop();
-        if (done[static_cast<std::size_t>(u)]) continue;
-        done[static_cast<std::size_t>(u)] = 1;
+      heap_push(s.heap, 0.0, a);
+      while (!s.heap.empty()) {
+        const auto [dd, u] = heap_pop(s.heap);
+        if (s.done[static_cast<std::size_t>(u)]) continue;
+        s.done[static_cast<std::size_t>(u)] = 1;
         for (const auto& [to, w] : badj[static_cast<std::size_t>(u)]) {
           const double cand = dd + w;
-          if (cand < row[to] && !done[static_cast<std::size_t>(to)]) {
+          if (cand < row[to] && !s.done[static_cast<std::size_t>(to)]) {
             row[to] = cand;
-            heap.emplace(cand, to);
+            heap_push(s.heap, cand, to);
           }
         }
       }
-    }
+    });
   }
 
   // ---- Reachability: BFS component labels over the live adjacency ----

@@ -124,15 +124,6 @@ int Network::as_count() const {
   return static_cast<int>(ids.size());
 }
 
-std::vector<int> Network::routers_per_as() const {
-  int max_as = -1;
-  for (const Node& n : nodes_) max_as = std::max(max_as, n.as_id);
-  std::vector<int> counts(static_cast<std::size_t>(max_as + 1), 0);
-  for (const Node& n : nodes_)
-    if (n.kind == NodeKind::Router) ++counts[static_cast<std::size_t>(n.as_id)];
-  return counts;
-}
-
 double Network::total_incident_bandwidth(NodeId id) const {
   double total = 0;
   for (LinkId l : incident_links(id)) total += link(l).bandwidth_bps;

@@ -85,8 +85,6 @@ class Network {
 
   /// Number of distinct AS ids in use.
   int as_count() const;
-  /// Routers per AS id (index = as id; dense as ids are expected).
-  std::vector<int> routers_per_as() const;
 
   /// Sum of incident link bandwidth (both directions counted once each
   /// direction? No: per-link per-direction bandwidth, summed over incident

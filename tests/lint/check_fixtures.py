@@ -48,6 +48,12 @@ FIXTURES = os.path.join(HERE, "fixtures")
 # rule": a tree that already trips elsewhere would otherwise hide a growth
 # call the checker stopped recognizing.
 EXPECTED_FINDINGS = {
+    "trip_unused_allow": [
+        "src/app/pool.cpp:3: [unused-allow] allow(raw-new)",
+        "src/des/cleanup.cpp:7: [unused-allow] allow(unchecked-io)",
+        "src/emu/dispatch.cpp:12: [unused-allow] allow(hot-path-alloc)",
+        "src/emu/flights.cpp:11: [unused-allow] allow(hot-path-alloc)",
+    ],
     "trip_hot_path_alloc": [
         "'g_backlog.push_back'",
         "'g_flow_records.try_emplace'",

@@ -4,9 +4,11 @@
 // unchecked header field. ctest label "hostile"; the ckpt-asan/ckpt-ubsan
 // presets run it under the sanitizers.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cctype>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -14,7 +16,10 @@
 #include <utility>
 #include <vector>
 
+#include "core/mapper.hpp"
+#include "core/weights.hpp"
 #include "graph/graph_io.hpp"
+#include "routing/routing.hpp"
 #include "topology/netdesc.hpp"
 #include "util/rng.hpp"
 
@@ -76,6 +81,36 @@ TEST(HostileNetdesc, OutOfRangeNumbersAreRejected) {
                std::invalid_argument);
   EXPECT_THROW(topology::read_netdesc(nodes + "link h0 r0 1Gbps 1e999s\n"),
                std::invalid_argument);
+}
+
+TEST(HostileNetdesc, LargeAsIdsMapWithoutATablePerAsId) {
+  // AS ids near INT_MAX are valid netdesc input. The memory weights count
+  // routers per AS; a table indexed by AS id would take 8 GB here, so the
+  // mapping runs in a child process capped at 3 GB of address space. The
+  // sanitizers reserve terabytes of shadow memory up front, so their
+  // builds map without the cap.
+  const topology::Network net = topology::read_netdesc(
+      "router r0 as=2000000000\nrouter r1 as=2000000000\n"
+      "router r2 as=2147483647\nhost h0 as=2000000000\n"
+      "host h1 as=2147483647\n"
+      "link r0 r1 1Gbps 1ms\nlink r1 r2 1Gbps 2ms\n"
+      "link h0 r0 100Mbps 0.1ms\nlink h1 r2 100Mbps 0.1ms\n");
+  const auto map_capped = [&net] {
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+    const rlimit cap{3UL << 30, 3UL << 30};
+    if (setrlimit(RLIMIT_AS, &cap) != 0) std::_Exit(3);
+#endif
+    const routing::RoutingTables routes = routing::RoutingTables::build(net);
+    mapping::MappingOptions options;
+    options.engines = 2;
+    const mapping::MappingResult result =
+        mapping::Mapper(net, routes).map_top(options);
+    const std::vector<double> weights = mapping::memory_weights(net);
+    const bool ok = result.node_engine.size() == 5 && weights[0] == 14.0 &&
+                    weights[2] == 11.0 && weights[3] == 1.0;
+    std::_Exit(ok ? 0 : 1);
+  };
+  EXPECT_EXIT(map_capped(), ::testing::ExitedWithCode(0), "");
 }
 
 // ---------------------------------------------------------------------------

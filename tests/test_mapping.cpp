@@ -31,11 +31,15 @@ struct Fixture {
 TEST(Weights, MemoryFormulaMatchesPaper) {
   const Network net = make_teragrid();  // ASes of different sizes
   const auto weights = memory_weights(net);
-  const auto as_routers = net.routers_per_as();
+  const auto is_router = [&](topology::NodeId v) {
+    return net.node(v).kind == topology::NodeKind::Router;
+  };
   for (topology::NodeId v = 0; v < net.node_count(); ++v) {
     const auto& node = net.node(v);
-    if (node.kind == topology::NodeKind::Router) {
-      const double x = as_routers[static_cast<std::size_t>(node.as_id)];
+    if (is_router(v)) {
+      double x = 0;  // routers in v's AS
+      for (topology::NodeId u = 0; u < net.node_count(); ++u)
+        if (is_router(u) && net.node(u).as_id == node.as_id) x += 1;
       EXPECT_DOUBLE_EQ(weights[static_cast<std::size_t>(v)], 10 + x * x);
     } else {
       EXPECT_DOUBLE_EQ(weights[static_cast<std::size_t>(v)], 1.0);

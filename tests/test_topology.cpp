@@ -2,6 +2,7 @@
 // the netdesc text format.
 #include <gtest/gtest.h>
 
+#include "core/weights.hpp"
 #include "graph/algorithms.hpp"
 #include "topology/netdesc.hpp"
 #include "topology/network.hpp"
@@ -52,16 +53,18 @@ TEST(Network, ValidationCatchesDuplicateNamesAndDisconnection) {
 }
 
 TEST(Network, RoutersPerAs) {
+  // The memory weight 10 + x² reads x = routers in the node's AS.
   Network net;
   net.add_router("a", 0);
   net.add_router("b", 2);
   net.add_router("c", 2);
   net.add_host("h", 1);
-  const auto counts = net.routers_per_as();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 1);
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_EQ(counts[2], 2);
+  const auto weights = mapping::memory_weights(net);
+  ASSERT_EQ(weights.size(), 4u);
+  EXPECT_EQ(weights[0], 10.0 + 1 * 1);
+  EXPECT_EQ(weights[1], 10.0 + 2 * 2);
+  EXPECT_EQ(weights[2], 10.0 + 2 * 2);
+  EXPECT_EQ(weights[3], 1.0);
   EXPECT_EQ(net.as_count(), 3);
 }
 

@@ -29,6 +29,10 @@ scopes, wait/allocation/taint sites) and reason across translation units:
   hot-path-alloc       allocation reachable from a hot-path root
   determinism-taint    nondeterminism reachable from a determinism root
 
+One rule judges the others' exceptions after they ran:
+
+  unused-allow         an allow(<rule>) comment that suppresses nothing
+
 Source comments (inert to the compiler)
 ---------------------------------------
     // massf-check: allow(<rule>[, <rule>...]) — why this site is safe
@@ -42,7 +46,10 @@ continuation line of the statement that follows (unbalanced parentheses or
 a line ending mid-expression extend it). On a call line it also prunes
 lock-across-wait / hot-path-alloc / determinism-taint traversal through
 that call (an audited cold branch). grep "massf-check: allow" lists every
-exception to the invariants. A root-driven rule fails (exit 2) when the
+exception to the invariants. An allow counts as used only where it hides
+a finding, or prunes a call edge whose callees would then yield findings;
+one that does neither is itself a finding (unused-allow), so exceptions do
+not outlive the code they excused. A root-driven rule fails (exit 2) when the
 tree annotates none of its roots, so it can never pass vacuously.
 
 Whole-program model and its limits
@@ -67,7 +74,9 @@ Usage
 -----
     tools/massf_check.py                     # check the tree (exit 1 on findings)
     tools/massf_check.py --root DIR          # check another src/-shaped tree
-    tools/massf_check.py --only RULE         # one rule
+    tools/massf_check.py --only RULE         # one rule (--only unused-allow
+                                             runs every rule, reports only
+                                             dead allows)
     tools/massf_check.py --sarif FILE        # also write SARIF 2.1.0
     tools/massf_check.py --write-baseline    # record current findings, exit 0
     tools/massf_check.py --list-rules
@@ -140,7 +149,12 @@ class SourceFile:
         with open(path, encoding="utf-8", errors="replace") as fh:
             self.raw_lines = fh.read().splitlines()
         self.code_lines = massf_cpp.scrub(self.raw_lines)
-        self.allows: dict[int, set[str]] = {}
+        # covered line -> rule -> lines of the allow() comments covering it
+        self.allows: dict[int, dict[str, list[int]]] = {}
+        self.allow_sites: list[tuple[int, str]] = []   # (line, rule)
+        self.used: set[tuple[int, str]] = set()      # hid a finding
+        self.pruning: set[tuple[int, str]] = set()   # cut a call edge
+        self.disabled: tuple[int, str] | None = None  # one allow switched off
         self.annotations: list[tuple[int, str]] = []
         for idx, raw in enumerate(self.raw_lines, start=1):
             for match in ALLOW_RE.finditer(raw):
@@ -151,8 +165,11 @@ class SourceFile:
                     fail(f"unknown rule(s) {sorted(unknown)} in allow() at "
                          f"{rel}:{idx}: choose from {sorted(RULES)}")
                 last = massf_cpp.allow_extent(self.code_lines, idx)
-                for covered in range(idx, last + 1):
-                    self.allows.setdefault(covered, set()).update(rules)
+                for rule in sorted(rules):
+                    self.allow_sites.append((idx, rule))
+                    for covered in range(idx, last + 1):
+                        self.allows.setdefault(covered, {}).setdefault(
+                            rule, []).append(idx)
             note = ANNOTATION_RE.search(raw)
             if note:
                 self.annotations.append((idx, note.group(1)))
@@ -161,8 +178,26 @@ class SourceFile:
     def tokens(self) -> list[Token]:
         return massf_cpp.tokenize(self.code_lines)
 
+    def sites(self, rule: str, line: int) -> list[tuple[int, str]]:
+        """The (allow line, rule) entries covering line."""
+        return [(site, rule)
+                for site in self.allows.get(line, {}).get(rule, ())
+                if (site, rule) != self.disabled]
+
+    def covers(self, rule: str, line: int) -> bool:
+        return bool(self.sites(rule, line))
+
+    def use(self, rule: str, line: int) -> None:
+        """Mark the allow(rule) comments covering line as used."""
+        self.used.update(self.sites(rule, line))
+
     def allowed(self, rule: str, line: int) -> bool:
-        return rule in self.allows.get(line, ())
+        """Whether an allow(rule) covers line. Ask only where a True answer
+        suppresses something: it marks those allows as used."""
+        if not self.covers(rule, line):
+            return False
+        self.use(rule, line)
+        return True
 
 
 # --------------------------------------------------------------------------
@@ -772,11 +807,11 @@ def check_lock_cycle(index: Index) -> list[Finding]:
         sf = index.file_of(f)
         extra = entry[f.qname] - f.requires
         for acq in f.sites.acquisitions:
-            if sf.allowed("lock-cycle", acq.line):
+            held = sorted((acq.held_before | extra) - {acq.lock})
+            if not held or sf.allowed("lock-cycle", acq.line):
                 continue
-            for held in acq.held_before | extra:
-                if held != acq.lock:
-                    edges.setdefault((held, acq.lock), (f, acq.line))
+            for lock in held:
+                edges.setdefault((lock, acq.lock), (f, acq.line))
     graph: dict[str, set[str]] = {}
     for (a, b) in edges:
         graph.setdefault(a, set()).add(b)
@@ -806,8 +841,8 @@ def check_lock_across_wait(index: Index) -> list[Finding]:
             if may_wait[f.qname]:
                 continue
             sf = index.file_of(f)
-            if any(not sf.allowed(rule, call.line)
-                   and any(may_wait[g.qname] for g in index.resolve(call))
+            if any(any(may_wait[g.qname] for g in index.resolve(call))
+                   and not sf.allowed(rule, call.line)
                    for call in f.sites.calls):
                 may_wait[f.qname] = True
                 changed = True
@@ -824,11 +859,11 @@ def check_lock_across_wait(index: Index) -> list[Finding]:
                     f"thread holding a lock can deadlock its waker"))
         for call in f.sites.calls:
             held = base | call.held
-            if not held or sf.allowed(rule, call.line):
+            if not held:
                 continue
             g = next((g for g in index.resolve(call) if may_wait[g.qname]),
                      None)
-            if g is not None:
+            if g is not None and not sf.allowed(rule, call.line):
                 findings.append(index.finding(
                     rule, f, call.line,
                     f"call to '{g.tail}' (which may park/wait) while "
@@ -840,7 +875,8 @@ def reachable(index: Index, root: str, rule: str) -> dict[str, str]:
     """BFS over call edges from the functions annotated `root`; an
     allow(<rule>) on a call line prunes traversal through that call.
     Returns qname -> provenance chain. A tree without the root fails: the
-    rule would otherwise pass vacuously."""
+    rule would otherwise pass vacuously. Allows that cut off a callee the
+    closure never reaches are recorded in SourceFile.pruning."""
     prov: dict[str, str] = {}
     frontier: list[Func] = []
     for r in index.functions:
@@ -850,16 +886,22 @@ def reachable(index: Index, root: str, rule: str) -> dict[str, str]:
     if not frontier:
         fail(f"no '// massf-check: {root}' annotation in the checked tree "
              f"— the {rule} rule would pass vacuously")
+    pruned: list[tuple[SourceFile, int, list[Func]]] = []
     while frontier:
         f = frontier.pop()
         sf = index.file_of(f)
         for call in f.sites.calls:
-            if sf.allowed(rule, call.line):
+            callees = index.resolve(call)
+            if sf.covers(rule, call.line):
+                pruned.append((sf, call.line, callees))
                 continue
-            for g in index.resolve(call):
+            for g in callees:
                 if g.qname not in prov:
                     prov[g.qname] = f"{prov[f.qname]} -> {g.tail}"
                     frontier.append(g)
+    for sf, line, callees in pruned:
+        if any(g.qname not in prov for g in callees):
+            sf.pruning.update(sf.sites(rule, line))
     return prov
 
 
@@ -872,8 +914,6 @@ def check_hot_path_alloc(index: Index) -> list[Finding]:
             continue
         sf = index.file_of(f)
         for line, kind, detail in f.sites.allocs:
-            if sf.allowed(rule, line):
-                continue
             if kind == "grow":
                 if index.by_short.get(detail.rsplit(".", 1)[-1]):
                     continue   # in-tree method: the call edge covers it
@@ -886,6 +926,8 @@ def check_hot_path_alloc(index: Index) -> list[Finding]:
                 what = "raw 'new'"
             else:
                 what = f"allocating call '{detail}'"
+            if sf.allowed(rule, line):
+                continue
             findings.append(index.finding(
                 rule, f, line,
                 f"{what} reachable from the hot path [{prov[f.qname]}]"))
@@ -913,14 +955,58 @@ def check_determinism_taint(index: Index) -> list[Finding]:
         has_unordered_iter = any(k == "unordered-iteration"
                                  for _, k, _ in f.sites.taints)
         for line, kind, detail in f.sites.taints:
-            if sf.allowed(rule, line):
-                continue
             if kind == "float-accum" and not has_unordered_iter:
                 continue   # ordered accumulation is deterministic
+            if sf.allowed(rule, line):
+                continue
             findings.append(index.finding(
                 rule, f, line,
                 f"{TAINT_LABELS[kind]}: '{detail}' on a path into the "
                 f"history-hash / checkpoint bytes [{prov[f.qname]}]"))
+    return findings
+
+
+UNUSED_ALLOW = "unused-allow"
+
+
+def prune_hides_findings(index: Index, sf: SourceFile, site: int,
+                         rule: str, baseline: dict[str, set[str]]) -> bool:
+    """Re-run `rule` with one pruning allow switched off: the allow is live
+    only if the callees it cut off then yield findings."""
+    if rule not in baseline:
+        baseline[rule] = {f.key() for f in RULES[rule].check(index)}
+    marks = [(f, set(f.used), set(f.pruning)) for f in index.files.values()]
+    sf.disabled = (site, rule)
+    try:
+        found = {f.key() for f in RULES[rule].check(index)}
+    finally:
+        sf.disabled = None
+        for f, used, pruning in marks:
+            f.used, f.pruning = used, pruning
+    return bool(found - baseline[rule])
+
+
+def check_unused_allows(sources: list[SourceFile], ran: list[Rule],
+                        index: Index | None) -> list[Finding]:
+    """allow() entries of a rule that ran over their file but hid no
+    finding, and whose pruned call edges hide none either: nothing they
+    excuse exists any more."""
+    names = {r.name for r in ran}
+    baseline: dict[str, set[str]] = {}
+    findings = []
+    for sf in sources:
+        if not RULES[UNUSED_ALLOW].applies_to(sf.rel):
+            continue
+        for line, rule in sf.allow_sites:
+            if rule not in names or (line, rule) in sf.used:
+                continue
+            if (line, rule) in sf.pruning and index is not None and \
+                    prune_hides_findings(index, sf, line, rule, baseline):
+                continue
+            findings.append(Finding(
+                UNUSED_ALLOW, sf.rel, line,
+                f"allow({rule}) suppresses nothing — delete it",
+                sf.code_lines[line - 1]))
     return findings
 
 
@@ -983,8 +1069,8 @@ RULES: dict[str, Rule] = {rule.name: rule for rule in [
     Rule("unchecked-io", "file", ("src",),
          "file-I/O result silently discarded: an unchecked short "
          "fwrite/fread or failed fclose turns a crash-safe checkpoint into "
-         "a torn one — check the return value, or cast to void with an "
-         "allow() on audited cleanup paths",
+         "a torn one — check the return value, or cast it to void on "
+         "audited cleanup paths",
          check_unchecked_io),
     Rule("quadratic-reserve", "file", ("src",),
          "same-token X * X capacity request (reserve/resize/assign): an "
@@ -1010,6 +1096,11 @@ RULES: dict[str, Rule] = {rule.name: rule for rule in [
          "unordered float accumulation) on a path reaching the "
          "history-hash accumulator or checkpoint serialization",
          check_determinism_taint),
+    Rule(UNUSED_ALLOW, "program", ("src",),
+         "allow() comment that hides no finding and prunes no call edge "
+         "of the rule it names: a dead exception outlives the code it "
+         "excused and would silently cover the next real finding there",
+         check_unused_allows),
 ]}
 
 
@@ -1032,20 +1123,27 @@ def collect_files(root: str) -> list[tuple[str, str]]:
 
 
 def run_checks(root: str, active: list[Rule]) -> list[Finding]:
-    """Every finding of the active rules under root, allows applied."""
+    """Every finding of the active rules under root, allows applied.
+    unused-allow needs every other rule's verdicts, so when it is active
+    all rules run and only the active rules' findings are kept."""
     files = collect_files(root)
     if not files:
         fail(f"no sources under {root}")
+    judge = RULES[UNUSED_ALLOW] in active
+    ran = [r for r in RULES.values()
+           if r.name != UNUSED_ALLOW and (judge or r in active)]
     findings: list[Finding] = []
+    sources: list[SourceFile] = []
     program: list[SourceFile] = []
-    program_rules = [r for r in active if r.scope == "program"]
+    program_rules = [r for r in ran if r.scope == "program"]
     for path, rel in files:
-        file_rules = [r for r in active
+        file_rules = [r for r in ran
                       if r.scope == "file" and r.applies_to(rel)]
         in_program = any(r.applies_to(rel) for r in program_rules)
         if not file_rules and not in_program:
             continue
         sf = SourceFile(path, rel)
+        sources.append(sf)
         if in_program:
             program.append(sf)
         for rule in file_rules:
@@ -1054,10 +1152,12 @@ def run_checks(root: str, active: list[Rule]) -> list[Finding]:
                                  sf.code_lines[idx - 1])
                          for idx in rule.check(sf.code_lines)
                          if not sf.allowed(rule.name, idx)]
-    if program_rules:
-        index = Index(program)
-        for rule in program_rules:
-            findings += rule.check(index)
+    index = Index(program) if program_rules else None
+    for rule in program_rules:
+        findings += rule.check(index)
+    if judge:
+        findings = [f for f in findings if RULES[f.rule] in active]
+        findings += check_unused_allows(sources, ran, index)
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 
