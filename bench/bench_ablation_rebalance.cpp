@@ -14,17 +14,15 @@
 // topology with 3 engines; ADAPTIVE is PROFILE's static mapping plus a
 // rebalance::Controller wired in via Experiment::set_emulator_hook(). The
 // modeled max/mean engine-load imbalance is reported for the whole run and
-// per segment, alongside the migration counters from RunMetrics. The
-// binary exits non-zero unless ADAPTIVE actually migrated and reduced both
-// the post-drift (segment 2) and whole-run imbalance vs static PROFILE.
+// per segment, alongside the migration counters from RunMetrics. Gates
+// (bench::Report; the exit status is 0 only if all pass): ADAPTIVE
+// migrated at least once and reduced both the post-drift (segment 2) and
+// whole-run imbalance vs static PROFILE.
 //
 //   $ ./bench_ablation_rebalance [BENCH_rebalance.json]
 //
-// bench/run.sh rebalance builds Release and records the JSON (the
-// imbalance columns are modeled and build-independent, but the file must
-// never look authoritative when assertions are enabled).
+// bench/run.sh rebalance builds Release and records the JSON.
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -110,50 +108,26 @@ ApproachResult fill(std::string name, const mapping::RunMetrics& metrics) {
   return r;
 }
 
-void write_json(std::ostream& out, const std::vector<ApproachResult>& all,
-                const std::string& context, const std::string& run_config,
-                double seg2_ratio, double total_ratio, bool ok) {
-  out << "{\n  \"benchmark\": \"bench_ablation_rebalance\",\n"
-      << "  \"build_type\": \"release\",\n"
-      << "  \"context\": " << context << ",\n"
-      << "  \"run_config\": " << run_config << ",\n"
-      << "  \"workload\": \"drifting scalapack->gridnpb on campus, 3 "
-         "engines\",\n"
-      << "  \"horizon_s\": " << kHorizon << ",\n"
-      << "  \"segment_split_s\": " << kSegmentSplit << ",\n"
-      << "  \"imbalance_metric\": \"max/mean engine kernel events\",\n"
-      << "  \"adaptive_over_profile_seg2\": " << seg2_ratio << ",\n"
-      << "  \"adaptive_over_profile_total\": " << total_ratio << ",\n"
-      << "  \"accept\": " << (ok ? "true" : "false") << ",\n"
-      << "  \"approaches\": [\n";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const ApproachResult& r = all[i];
-    out << "    {\"name\": \"" << r.name
-        << "\", \"imbalance_total\": " << r.imbalance_total
-        << ", \"imbalance_seg1\": " << r.imbalance_seg1
-        << ", \"imbalance_seg2\": " << r.imbalance_seg2
-        << ", \"emulation_time_s\": " << r.emulation_time
-        << ", \"safepoints\": " << r.safepoints
-        << ", \"rebalances\": " << r.rebalances
-        << ", \"nodes_migrated\": " << r.nodes_migrated
-        << ", \"migration_bytes\": " << r.migration_bytes
-        << ", \"events_rehomed\": " << r.events_rehomed << "}"
-        << (i + 1 < all.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+bench::Json to_json(const ApproachResult& r) {
+  return bench::Json()
+      .add("name", r.name)
+      .add("imbalance_total", r.imbalance_total)
+      .add("imbalance_seg1", r.imbalance_seg1)
+      .add("imbalance_seg2", r.imbalance_seg2)
+      .add("emulation_time_s", r.emulation_time)
+      .add("safepoints", r.safepoints)
+      .add("rebalances", r.rebalances)
+      .add("nodes_migrated", r.nodes_migrated)
+      .add("migration_bytes", r.migration_bytes)
+      .add("events_rehomed", r.events_rehomed);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  (void)argc;
-  (void)argv;
-  std::cerr << "bench_ablation_rebalance: refusing to record results from a "
-               "debug build. Build Release — see "
-               "bench/run.sh rebalance.\n";
-  return 1;
-#else
+  // The runs are Sequential; the widest pool is the mapper's four
+  // partition trials (make_setup), fanned out over the usable CPUs.
+  bench::Report report("rebalance", 4);
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_rebalance.json";
   std::cout << "=== Ablation: adaptive rebalancing on a drifting workload "
                "===\n(ScaLapack finishes mid-run, GridNPB on disjoint hosts "
@@ -215,26 +189,31 @@ int main(int argc, char** argv) {
 
   const ApproachResult& profile = all[2];
   const ApproachResult& adaptive = all[3];
-  const double seg2_ratio = adaptive.imbalance_seg2 / profile.imbalance_seg2;
-  const double total_ratio =
-      adaptive.imbalance_total / profile.imbalance_total;
-  const bool ok = adaptive.rebalances >= 1 &&
-                  adaptive.imbalance_seg2 < profile.imbalance_seg2 &&
-                  adaptive.imbalance_total < profile.imbalance_total;
-  std::cout << "\nadaptive/profile imbalance: seg2 " << seg2_ratio
-            << ", whole run " << total_ratio << ", " << adaptive.rebalances
-            << " migration(s)\n";
-
-  std::ofstream out(out_path);
-  // No fault plan in this ablation, so the recorded fault seed is 0.
-  write_json(out, all, bench::context_json(topo.engines, "  "),
-             bench::run_config_json(0, "  "),
-             seg2_ratio, total_ratio, ok);
-  std::cout << "wrote " << out_path << "\n";
-  if (!ok)
-    std::cerr << "bench_ablation_rebalance: acceptance checks FAILED (need "
-                 ">= 1 migration and adaptive < PROFILE imbalance on seg2 "
-                 "and the whole run)\n";
-  return ok ? 0 : 1;
-#endif
+  report.run_config.add("workload",
+                        "drifting scalapack->gridnpb on campus")
+      .add("engines", topo.engines)
+      .add("horizon_s", kHorizon)
+      .add("segment_split_s", kSegmentSplit)
+      .add("imbalance_metric", "max/mean engine kernel events")
+      .add("rebalance_start_s", rcfg.start_s)
+      .add("rebalance_period_s", rcfg.period_s)
+      .add("rebalance_window_s", rcfg.window_s)
+      .add("trigger", rcfg.policy.trigger)
+      .add("hysteresis", rcfg.policy.hysteresis)
+      .add("cooldown_s", rcfg.policy.cooldown_s);
+  bench::Json approaches = bench::Json::array();
+  for (const ApproachResult& r : all) approaches.push(to_json(r));
+  report.results.add("approaches", std::move(approaches));
+  report.gate("migrations/adaptive", static_cast<double>(adaptive.rebalances),
+              1, true, adaptive.rebalances >= 1,
+              "ADAPTIVE migrations >= 1");
+  report.gate("imbalance_seg2/adaptive", adaptive.imbalance_seg2,
+              profile.imbalance_seg2, true,
+              adaptive.imbalance_seg2 < profile.imbalance_seg2,
+              "ADAPTIVE segment-2 imbalance < PROFILE's (the threshold)");
+  report.gate("imbalance_total/adaptive", adaptive.imbalance_total,
+              profile.imbalance_total, true,
+              adaptive.imbalance_total < profile.imbalance_total,
+              "ADAPTIVE whole-run imbalance < PROFILE's (the threshold)");
+  return report.write(out_path);
 }

@@ -9,8 +9,8 @@
 // epochs (healthy / degraded / recovered), and the per-epoch latency
 // histograms land in BENCH_lb.json as p50/p90/p99 per policy x epoch.
 //
-// Acceptance checks (exit status):
-//   * every policy drains: >= 99% of requests get responses by the horizon;
+// Gates (bench::Report; the exit status is 0 only if all pass):
+//   * drain/<policy>: >= 99% of requests get responses by the horizon;
 //   * in the degraded epoch, the latency-aware policies beat the oblivious
 //     baseline: peak-EWMA p99 < round-robin p99 AND least-request p99 <
 //     round-robin p99 — the paper-style claim that traffic-aware balancing
@@ -20,7 +20,6 @@
 // (e.g. 5000). The full 10^5-user run takes a few seconds per policy.
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -37,58 +36,25 @@ using Clock = std::chrono::steady_clock;
 using massf::app::LbRunResult;
 using massf::app::LbScenarioParams;
 using massf::app::PolicyKind;
+using massf::bench::Json;
 
 constexpr int kEngines = 4;
 constexpr double kOutageFrom = 2.0;
 constexpr double kOutageTo = 4.0;
 constexpr std::size_t kDegradedEpoch = 1;
 
-struct EpochRow {
-  double start = 0;
-  double end = 0;
-  std::uint64_t count = 0;
-  double p50 = 0;
-  double p90 = 0;
-  double p99 = 0;
-};
-
-struct PolicyRow {
-  PolicyKind kind = PolicyKind::RoundRobin;
-  double wall_s = 0;
-  std::uint64_t events = 0;
-  massf::app::ClientCounters clients;
-  massf::app::LbCounters lb;
-  std::vector<EpochRow> epochs;
-  EpochRow total;
-};
-
-EpochRow summarize(const massf::LatencyHistogram& h, double start,
-                   double end) {
-  EpochRow row;
-  row.start = start;
-  row.end = end;
-  row.count = h.count();
-  row.p50 = h.quantile(0.50);
-  row.p90 = h.quantile(0.90);
-  row.p99 = h.quantile(0.99);
-  return row;
-}
-
-void write_epoch(std::ofstream& out, const EpochRow& e,
-                 const std::string& indent) {
-  out << indent << "{\"start_s\": " << e.start << ", \"end_s\": " << e.end
-      << ", \"count\": " << e.count << ", \"p50_s\": " << e.p50
-      << ", \"p90_s\": " << e.p90 << ", \"p99_s\": " << e.p99 << "}";
+/// Appends a histogram's count and p50/p90/p99 to `row`.
+Json latency_json(const massf::LatencyHistogram& h, Json row = {}) {
+  return row.add("count", h.count())
+      .add("p50_s", h.quantile(0.50))
+      .add("p90_s", h.quantile(0.90))
+      .add("p99_s", h.quantile(0.99));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  std::cerr << "bench_lb_policies: refusing to record wall time from a "
-               "non-Release build\n";
-  return 1;
-#endif
+  massf::bench::Report report("lb", kEngines);
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_lb.json";
 
   std::int64_t users = 100000;
@@ -110,6 +76,17 @@ int main(int argc, char** argv) {
   params.duration_s = 6.0;
   params.server.workers = 4;
   params.server.mean_s = 2e-3;
+  report.run_config.add("users", users)
+      .add("client_hosts", params.client_hosts)
+      .add("users_per_host", params.users_per_host)
+      .add("backends", params.backends)
+      .add("rate_per_user_hz", params.rate_per_user)
+      .add("duration_s", params.duration_s)
+      .add("server_mean_s", params.server.mean_s)
+      .add("server_workers", params.server.workers)
+      .add("engines", kEngines)
+      .add("outage_s", Json::array({kOutageFrom, kOutageTo}))
+      .add("degraded_epoch", kDegradedEpoch);
 
   const massf::app::LbScenario scenario = massf::app::make_lb_scenario(params);
   const auto tables = massf::routing::RoutingTables::build(scenario.net);
@@ -128,8 +105,8 @@ int main(int argc, char** argv) {
       PolicyKind::RoundRobin, PolicyKind::LeastRequest, PolicyKind::PeakEwma,
       PolicyKind::RingHash, PolicyKind::Maglev};
 
-  bool ok = true;
-  std::vector<PolicyRow> rows;
+  Json policies = Json::array();
+  std::vector<double> degraded_p99;
   for (const PolicyKind kind : kinds) {
     LbScenarioParams p = params;
     p.policy = kind;
@@ -138,12 +115,10 @@ int main(int argc, char** argv) {
     const LbRunResult run = massf::app::run_lb_scenario(
         scenario, p, tables, kEngines, massf::des::ExecutionMode::Threaded,
         massf::des::SyncMode::ChannelLookahead, &timeline);
-    PolicyRow row;
-    row.kind = kind;
-    row.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    for (const std::uint64_t e : run.kernel.events_per_lp) row.events += e;
-    row.clients = run.clients;
-    row.lb = run.lb;
+    const double wall_s =
+        std::chrono::duration<double>(Clock::now() - t0).count();
+    std::uint64_t events = 0;
+    for (const std::uint64_t e : run.kernel.events_per_lp) events += e;
 
     if (run.latency.size() != 1) {
       std::cerr << "FAIL: expected one latency series, got "
@@ -151,99 +126,51 @@ int main(int argc, char** argv) {
       return 1;
     }
     const massf::emu::LatencySummary& series = run.latency.front();
-    row.total = summarize(series.total, 0.0, 0.0);
-    for (std::size_t e = 0; e < series.per_epoch.size(); ++e) {
-      const double start = run.epochs[e].start;
-      const double end = run.epochs[e].end;
-      row.epochs.push_back(summarize(series.per_epoch[e], start, end));
-    }
+    Json epochs = Json::array();
+    for (std::size_t e = 0; e < series.per_epoch.size(); ++e)
+      epochs.push(latency_json(series.per_epoch[e],
+                               Json()
+                                   .add("start_s", run.epochs[e].start)
+                                   .add("end_s", run.epochs[e].end)));
+    degraded_p99.push_back(series.per_epoch[kDegradedEpoch].quantile(0.99));
 
+    const massf::app::ClientCounters& clients = run.clients;
     const double drained =
-        row.clients.requests_sent == 0
+        clients.requests_sent == 0
             ? 0.0
-            : static_cast<double>(row.clients.responses_received) /
-                  static_cast<double>(row.clients.requests_sent);
-    if (drained < 0.99) {
-      std::cerr << "FAIL: " << massf::app::policy_name(kind) << " drained only "
-                << drained * 100 << "% of requests\n";
-      ok = false;
-    }
+            : static_cast<double>(clients.responses_received) /
+                  static_cast<double>(clients.requests_sent);
+    const std::string name = massf::app::policy_name(kind);
+    report.gate("drain/" + name, drained, 0.99, true, drained >= 0.99,
+                "fraction of requests answered by the horizon >= 0.99");
 
-    std::cout << massf::app::policy_name(kind) << ": "
-              << row.clients.requests_sent << " requests, "
-              << row.clients.responses_received << " responses, p99 total "
-              << row.total.p99 * 1e3 << " ms, degraded-epoch p99 "
-              << row.epochs[kDegradedEpoch].p99 * 1e3 << " ms | "
-              << row.events << " events in " << row.wall_s << " s\n";
-    rows.push_back(std::move(row));
+    std::cout << name << ": " << clients.requests_sent << " requests, "
+              << clients.responses_received << " responses, p99 total "
+              << series.total.quantile(0.99) * 1e3 << " ms, degraded-epoch p99 "
+              << degraded_p99.back() * 1e3 << " ms | " << events
+              << " events in " << wall_s << " s\n";
+    policies.push(Json()
+                      .add("policy", name)
+                      .add("wall_s", wall_s)
+                      .add("events", events)
+                      .add("requests_sent", clients.requests_sent)
+                      .add("responses_received", clients.responses_received)
+                      .add("send_failures", clients.send_failures)
+                      .add("backend_errors", run.lb.backend_errors)
+                      .add("stale_responses",
+                           clients.stale_responses + run.lb.stale_responses)
+                      .add("total", latency_json(series.total))
+                      .add("epochs", std::move(epochs)));
   }
+  report.results.add("policies", std::move(policies));
 
-  // The gate: traffic-aware policies must beat round-robin's tail exactly
-  // where the network is non-uniform (the degraded epoch).
-  const double rr_p99 = rows[0].epochs[kDegradedEpoch].p99;
-  const double lr_p99 = rows[1].epochs[kDegradedEpoch].p99;
-  const double ewma_p99 = rows[2].epochs[kDegradedEpoch].p99;
-  if (!(lr_p99 < rr_p99)) {
-    std::cerr << "FAIL: least-request degraded-epoch p99 " << lr_p99
-              << " s is not below round-robin's " << rr_p99 << " s\n";
-    ok = false;
+  // Traffic-aware policies must beat round-robin's tail exactly where the
+  // network is non-uniform (the degraded epoch).
+  for (const std::size_t i : {1, 2}) {
+    const std::string name = massf::app::policy_name(kinds[i]);
+    report.gate("degraded_p99/" + name, degraded_p99[i], degraded_p99[0],
+                true, degraded_p99[i] < degraded_p99[0],
+                name + " degraded-epoch p99 < round-robin's (the threshold)");
   }
-  if (!(ewma_p99 < rr_p99)) {
-    std::cerr << "FAIL: peak-EWMA degraded-epoch p99 " << ewma_p99
-              << " s is not below round-robin's " << rr_p99 << " s\n";
-    ok = false;
-  }
-
-  std::ofstream out(out_path);
-  out << "{\n  \"bench\": \"lb_policies\",\n"
-      << "  \"context\": " << massf::bench::context_json(kEngines, "  ")
-      << ",\n"
-      << "  \"run_config\": " << massf::bench::run_config_json(0, "  ")
-      << ",\n"
-      << "  \"scenario\": {\n"
-      << "    \"users\": " << users << ",\n"
-      << "    \"client_hosts\": " << params.client_hosts << ",\n"
-      << "    \"users_per_host\": " << params.users_per_host << ",\n"
-      << "    \"backends\": " << params.backends << ",\n"
-      << "    \"rate_per_user_hz\": " << params.rate_per_user << ",\n"
-      << "    \"duration_s\": " << params.duration_s << ",\n"
-      << "    \"server_mean_s\": " << params.server.mean_s << ",\n"
-      << "    \"server_workers\": " << params.server.workers << ",\n"
-      << "    \"engines\": " << kEngines << ",\n"
-      << "    \"outage\": [" << kOutageFrom << ", " << kOutageTo << "],\n"
-      << "    \"degraded_epoch\": " << kDegradedEpoch << "\n  },\n"
-      << "  \"policies\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PolicyRow& r = rows[i];
-    out << "    {\n      \"policy\": \"" << massf::app::policy_name(r.kind)
-        << "\",\n"
-        << "      \"wall_s\": " << r.wall_s << ",\n"
-        << "      \"events\": " << r.events << ",\n"
-        << "      \"requests_sent\": " << r.clients.requests_sent << ",\n"
-        << "      \"responses_received\": " << r.clients.responses_received
-        << ",\n"
-        << "      \"send_failures\": " << r.clients.send_failures << ",\n"
-        << "      \"backend_errors\": " << r.lb.backend_errors << ",\n"
-        << "      \"stale_responses\": "
-        << r.clients.stale_responses + r.lb.stale_responses << ",\n"
-        << "      \"total\": {\"count\": " << r.total.count
-        << ", \"p50_s\": " << r.total.p50 << ", \"p90_s\": " << r.total.p90
-        << ", \"p99_s\": " << r.total.p99 << "},\n"
-        << "      \"epochs\": [\n";
-    for (std::size_t e = 0; e < r.epochs.size(); ++e) {
-      write_epoch(out, r.epochs[e], "        ");
-      out << (e + 1 < r.epochs.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"gate\": {\n"
-      << "    \"degraded_epoch\": " << kDegradedEpoch << ",\n"
-      << "    \"round_robin_p99_s\": " << rr_p99 << ",\n"
-      << "    \"least_request_p99_s\": " << lr_p99 << ",\n"
-      << "    \"peak_ewma_p99_s\": " << ewma_p99 << ",\n"
-      << "    \"passed\": " << (ok ? "true" : "false") << "\n  }\n}\n";
-  out.close();
-
-  std::cout << (ok ? "PASS" : "FAIL") << ": wrote " << out_path << "\n";
-  return ok ? 0 : 1;
+  return report.write(out_path);
 }

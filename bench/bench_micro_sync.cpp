@@ -16,19 +16,15 @@
 // figure is the Sequential modeled-time ratio (global / channel): modeled
 // time is deterministic and machine-independent, while wall-clock on a
 // small shared machine mostly measures scheduler noise (threaded configs
-// are included for reference only). The binary exits non-zero unless the
-// history hash is identical across all 4 configs of each scenario and the
-// dumbbell ratio is >= 1.5.
+// are included for reference only). Gates (bench::Report; the exit status
+// is 0 only if all pass): the history hash is identical across all 4
+// configs of each scenario, and the dumbbell ratio is >= 1.5.
 //
 //   $ ./bench_micro_sync [BENCH_sync.json]
 //
-// bench/run.sh sync builds Release and records the JSON; a debug
-// build refuses to write results (modeled time is build-independent, but
-// the wall-clock columns would be garbage and the file must never look
-// authoritative when it is not).
+// bench/run.sh sync builds Release and records the JSON.
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -78,10 +74,11 @@ struct ScenarioResult {
         find(des::SyncMode::ChannelLookahead, des::ExecutionMode::Sequential);
     return g.modeled_time / c.modeled_time;
   }
-  bool hashes_identical() const {
+  std::size_t hash_mismatches() const {
+    std::size_t differ = 0;
     for (const ConfigResult& c : configs)
-      if (c.history_hash != configs.front().history_hash) return false;
-    return true;
+      differ += c.history_hash != configs.front().history_hash;
+    return differ;
   }
 };
 
@@ -166,6 +163,9 @@ ConfigResult run_dumbbell(des::SyncMode sync, des::ExecutionMode exec) {
 
 // ---- campus: full emulator stack under HTTP background -------------------
 
+constexpr int kCampusEngines = 3;
+constexpr double kCampusHorizon = 25.0;
+
 struct CampusFixture {
   topology::Network network = topology::make_campus();
   routing::RoutingTables routes = routing::RoutingTables::build(network);
@@ -175,7 +175,7 @@ struct CampusFixture {
   CampusFixture() {
     mapping::Mapper mapper(network, routes);
     mapping::MappingOptions options;
-    options.engines = 3;
+    options.engines = kCampusEngines;
     mapped = mapper.map_top(options);
 
     traffic::HttpParams http;
@@ -197,7 +197,7 @@ ConfigResult run_campus(const CampusFixture& fixture, des::SyncMode sync,
                          config);
   fixture.workload->install(emulator);
   const auto t0 = std::chrono::steady_clock::now();
-  emulator.run(25.0, exec);
+  emulator.run(kCampusHorizon, exec);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -226,76 +226,60 @@ ScenarioResult run_scenario(const std::string& name,
   return scenario;
 }
 
-void write_json(std::ostream& out, const std::vector<ScenarioResult>& all) {
-  // Widest worker pool: the 4-LP dumbbell's threaded configs.
-  out << "{\n  \"benchmark\": \"bench_micro_sync\",\n"
-      << "  \"context\": " << bench::context_json(4, "  ") << ",\n"
-      // Neither scenario injects faults.
-      << "  \"run_config\": " << bench::run_config_json(0, "  ") << ",\n"
-      << "  \"headline\": \"sequential modeled-time ratio global/channel\",\n"
-      << "  \"scenarios\": [\n";
-  for (std::size_t s = 0; s < all.size(); ++s) {
-    const ScenarioResult& scenario = all[s];
-    out << "    {\n      \"name\": \"" << scenario.name << "\",\n"
-        << "      \"modeled_speedup_channel_vs_global\": "
-        << scenario.modeled_speedup() << ",\n"
-        << "      \"hash_identical\": "
-        << (scenario.hashes_identical() ? "true" : "false") << ",\n"
-        << "      \"configs\": [\n";
-    for (std::size_t c = 0; c < scenario.configs.size(); ++c) {
-      const ConfigResult& r = scenario.configs[c];
-      out << "        {\"sync\": \"" << des::to_string(r.sync)
-          << "\", \"exec\": \""
-          << (r.exec == des::ExecutionMode::Sequential ? "sequential"
-                                                       : "threaded")
-          << "\", \"modeled_time_s\": " << r.modeled_time
-          << ", \"wall_time_s\": " << r.wall_time
-          << ", \"events\": " << r.events
-          << ", \"remote_messages\": " << r.remote_messages
-          << ", \"windows\": " << r.windows
-          << ", \"channel_advances\": " << r.channel_advances
-          << ", \"idle_jumps\": " << r.idle_jumps
-          << ", \"history_hash\": \"" << r.history_hash << "\"}"
-          << (c + 1 < scenario.configs.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (s + 1 < all.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+bench::Json to_json(const ScenarioResult& scenario) {
+  bench::Json configs = bench::Json::array();
+  for (const ConfigResult& r : scenario.configs)
+    configs.push(
+        bench::Json()
+            .add("sync", des::to_string(r.sync))
+            .add("exec", r.exec == des::ExecutionMode::Sequential
+                             ? "sequential"
+                             : "threaded")
+            .add("modeled_time_s", r.modeled_time)
+            .add("wall_time_s", r.wall_time)
+            .add("events", r.events)
+            .add("remote_messages", r.remote_messages)
+            .add("windows", r.windows)
+            .add("channel_advances", r.channel_advances)
+            .add("idle_jumps", r.idle_jumps)
+            .add("history_hash", std::to_string(r.history_hash)));
+  return bench::Json()
+      .add("name", scenario.name)
+      .add("modeled_speedup_channel_vs_global", scenario.modeled_speedup())
+      .add("configs", std::move(configs));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  (void)argc;
-  (void)argv;
-  std::cerr << "bench_micro_sync: refusing to record results from a debug "
-               "build (assertions enabled). Build Release — see "
-               "bench/run.sh sync.\n";
-  return 1;
-#else
+  // Widest worker pool: the 4-LP dumbbell's threaded configs.
+  bench::Report report("sync", 4);
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_sync.json";
+  report.run_config.add("dumbbell_end_s", kDumbbellEnd)
+      .add("dumbbell_fast_lookahead_s", kFastLa)
+      .add("dumbbell_slow_lookahead_s", kSlowLa)
+      .add("campus_engines", kCampusEngines)
+      .add("campus_horizon_s", kCampusHorizon);
+
   std::vector<ScenarioResult> all;
   all.push_back(run_scenario("dumbbell", nullptr));
   const CampusFixture campus;
   all.push_back(run_scenario("campus", &campus));
 
-  bool ok = true;
+  bench::Json scenarios = bench::Json::array();
   for (const ScenarioResult& scenario : all) {
-    const double speedup = scenario.modeled_speedup();
-    std::cout << scenario.name << ": modeled speedup "
-              << speedup << "x (channel vs global, sequential), hashes "
-              << (scenario.hashes_identical() ? "identical" : "DIFFER")
-              << "\n";
-    if (!scenario.hashes_identical()) ok = false;
-    if (scenario.name == "dumbbell" && speedup < 1.5) ok = false;
+    report.gate("hash_mismatches/" + scenario.name,
+                static_cast<double>(scenario.hash_mismatches()), 0, true,
+                scenario.hash_mismatches() == 0,
+                "configs whose history hash differs from the first == 0");
+    scenarios.push(to_json(scenario));
   }
-  std::ofstream out(out_path);
-  write_json(out, all);
-  std::cout << "wrote " << out_path << "\n";
-  if (!ok)
-    std::cerr << "bench_micro_sync: acceptance checks FAILED (need "
-                 "identical hashes and dumbbell speedup >= 1.5)\n";
-  return ok ? 0 : 1;
-#endif
+  report.results.add("headline",
+                     "sequential modeled-time ratio global/channel");
+  report.results.add("scenarios", std::move(scenarios));
+  const double speedup = all.front().modeled_speedup();
+  report.gate("modeled_speedup/dumbbell", speedup, 1.5, true, speedup >= 1.5,
+              "sequential modeled time, global window over channel "
+              "lookahead, >= 1.5");
+  return report.write(out_path);
 }

@@ -24,30 +24,30 @@
 // MASSF_WALLCLOCK_SCALE scales the simulated horizon (default 1.0; CI
 // smoke can pass e.g. 0.25).
 //
-// Acceptance gate (exit status):
-//   * always: history hashes identical across every config of every ring;
-//   * on hosts with >= 4 CPUs, for each ring with >= 4 LPs: best threaded
-//     events/sec >= 1.0x sequential events/sec (same sync mode).
-//     On narrower hosts the throughput clause is recorded as skipped in
-//     the JSON ("gate" object) — a 1-core container cannot falsify a
-//     parallelism claim.
+// Gates (bench::Report; the exit status is 0 only if every enforced gate
+// passes):
+//   * always: history hashes identical across every config of each ring;
+//   * for each ring with >= 4 LPs: best threaded events/sec >= 1.0x
+//     sequential events/sec (same sync mode), enforced only when this
+//     process may run on >= 4 CPUs (util::usable_cpus, the count the
+//     kernel sizes its worker pool by). On a narrower affinity mask the
+//     clause is recorded as not enforced — a threaded run there has fewer
+//     workers than LPs and cannot falsify a parallelism claim.
 //
 //   $ ./bench_wallclock [BENCH_wallclock.json]
 //
-// bench/run.sh wallclock builds Release and records the JSON; a
-// debug build refuses to write results.
+// bench/run.sh wallclock builds Release and records the JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "des/kernel.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -205,10 +205,11 @@ struct RingResult {
       if (c.sync == sync && c.exec == exec) return c;
     std::abort();
   }
-  bool hashes_identical() const {
+  std::size_t hash_mismatches() const {
+    std::size_t differ = 0;
     for (const ConfigResult& c : configs)
-      if (c.history_hash != configs.front().history_hash) return false;
-    return true;
+      differ += c.history_hash != configs.front().history_hash;
+    return differ;
   }
   /// Best threaded throughput relative to sequential, across sync modes
   /// (each threaded config against the sequential run of its own
@@ -239,97 +240,63 @@ RingResult run_ring_suite(int n) {
   return ring;
 }
 
-void write_json(std::ostream& out, const std::vector<RingResult>& all,
-                bool gate_enforced, const std::string& gate_reason) {
-  out << "{\n  \"benchmark\": \"bench_wallclock\",\n"
-      // The widest pool: ring/8's workers, capped at the CPU count.
-      << "  \"context\": "
-      << bench::context_json(
-             static_cast<int>(
-                 std::min(8U, std::thread::hardware_concurrency())),
-             "  ")
-      << ",\n"
-      // The rings inject no faults.
-      << "  \"fault_seed\": 0,\n"
-      << "  \"headline\": \"threaded events/sec vs sequential\",\n"
-      << "  \"gate\": {\"throughput_enforced\": "
-      << (gate_enforced ? "true" : "false") << ", \"reason\": \""
-      << gate_reason << "\"},\n"
-      << "  \"scale\": " << horizon_scale() << ",\n"
-      << "  \"replicas\": " << bench::replica_count() << ",\n"
-      << "  \"rings\": [\n";
-  for (std::size_t s = 0; s < all.size(); ++s) {
-    const RingResult& ring = all[s];
-    out << "    {\n      \"lps\": " << ring.lps << ",\n"
-        << "      \"hash_identical\": "
-        << (ring.hashes_identical() ? "true" : "false") << ",\n"
-        << "      \"best_threaded_vs_sequential\": " << ring.best_vs_sequential()
-        << ",\n"
-        << "      \"configs\": [\n";
-    for (std::size_t c = 0; c < ring.configs.size(); ++c) {
-      const ConfigResult& r = ring.configs[c];
-      out << "        {\"sync\": \"" << des::to_string(r.sync)
-          << "\", \"exec\": \"" << r.exec
-          << "\", \"wall_time_s\": " << r.wall_time
-          << ", \"events\": " << r.events
-          << ", \"events_per_sec\": " << r.events_per_sec
-          << ", \"remote_messages\": " << r.remote_messages
-          << ", \"windows\": " << r.windows
-          << ", \"channel_advances\": " << r.channel_advances
-          << ", \"handoff_runs\": " << r.handoff_runs
-          << ", \"parks\": " << r.parks
-          << ", \"history_hash\": \"" << r.history_hash << "\"}"
-          << (c + 1 < ring.configs.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (s + 1 < all.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
+bench::Json to_json(const RingResult& ring) {
+  bench::Json configs = bench::Json::array();
+  for (const ConfigResult& r : ring.configs)
+    configs.push(bench::Json()
+                     .add("sync", des::to_string(r.sync))
+                     .add("exec", r.exec)
+                     .add("wall_time_s", r.wall_time)
+                     .add("events", r.events)
+                     .add("events_per_sec", r.events_per_sec)
+                     .add("remote_messages", r.remote_messages)
+                     .add("windows", r.windows)
+                     .add("channel_advances", r.channel_advances)
+                     .add("handoff_runs", r.handoff_runs)
+                     .add("parks", r.parks)
+                     .add("history_hash", std::to_string(r.history_hash)));
+  return bench::Json()
+      .add("lps", ring.lps)
+      .add("best_threaded_vs_sequential", ring.best_vs_sequential())
+      .add("configs", std::move(configs));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-#ifndef NDEBUG
-  (void)argc;
-  (void)argv;
-  std::cerr << "bench_wallclock: refusing to record results from a debug "
-               "build (assertions enabled). Build Release — see "
-               "bench/run.sh wallclock.\n";
-  return 1;
-#else
+  // The widest pool: ring/8's workers, capped at the usable CPUs.
+  bench::Report report("wallclock", 8);
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_wallclock.json";
-  std::vector<RingResult> all;
-  for (int n : {2, 4, 8}) all.push_back(run_ring_suite(n));
+  report.run_config.add("scale", horizon_scale())
+      .add("horizon_s", kRingEnd * horizon_scale())
+      .add("replicas", bench::replica_count());
 
-  const unsigned num_cpus = std::thread::hardware_concurrency();
-  const bool gate_enforced = num_cpus >= 4;
-  const std::string gate_reason =
-      gate_enforced
-          ? "num_cpus >= 4: throughput clause enforced at rings >= 4 LPs"
-          : "num_cpus < 4: throughput clause recorded but not enforced "
-            "(cannot falsify a parallelism claim on a narrow host)";
+  const std::size_t cpus = util::usable_cpus();
+  const bool enforced = cpus >= 4;
+  const std::string throughput_reason =
+      enforced ? "best threaded events/sec >= 1.0x sequential; usable CPUs "
+                 ">= 4, so enforced"
+               : "best threaded events/sec >= 1.0x sequential; not enforced: "
+                 "usable CPUs " +
+                     std::to_string(cpus) +
+                     " < 4 cannot falsify a parallelism claim";
 
-  bool ok = true;
-  for (const RingResult& ring : all) {
-    const double vs_seq = ring.best_vs_sequential();
-    std::cout << "ring/" << ring.lps << ": threaded vs sequential " << vs_seq
-              << "x, hashes "
-              << (ring.hashes_identical() ? "identical" : "DIFFER") << "\n";
-    if (!ring.hashes_identical()) ok = false;
-    if (gate_enforced && ring.lps >= 4) {
-      if (vs_seq < 1.0) {
-        std::cerr << "bench_wallclock: ring/" << ring.lps
-                  << " threaded slower than sequential (" << vs_seq
-                  << "x < 1.0x)\n";
-        ok = false;
-      }
+  bench::Json rings = bench::Json::array();
+  for (const int n : {2, 4, 8}) {
+    const RingResult ring = run_ring_suite(n);
+    const std::string at = "/ring" + std::to_string(n);
+    report.gate("hash_mismatches" + at,
+                static_cast<double>(ring.hash_mismatches()), 0, true,
+                ring.hash_mismatches() == 0,
+                "configs whose history hash differs from the first == 0");
+    if (n >= 4) {
+      const double vs_seq = ring.best_vs_sequential();
+      report.gate("threaded_vs_sequential" + at, vs_seq, 1.0, enforced,
+                  vs_seq >= 1.0, throughput_reason);
     }
+    rings.push(to_json(ring));
   }
-  std::ofstream out(out_path);
-  write_json(out, all, gate_enforced, gate_reason);
-  std::cout << "wrote " << out_path << " (" << gate_reason << ")\n";
-  if (!ok)
-    std::cerr << "bench_wallclock: acceptance checks FAILED\n";
-  return ok ? 0 : 1;
-#endif
+  report.results.add("headline", "threaded events/sec vs sequential");
+  report.results.add("rings", std::move(rings));
+  return report.write(out_path);
 }

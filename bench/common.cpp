@@ -1,8 +1,12 @@
 #include "bench/common.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <sstream>
-#include <thread>
+#include <fstream>
+#include <iostream>
 
 #if defined(__linux__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -12,6 +16,7 @@
 #include "traffic/http.hpp"
 #include "traffic/scalapack.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace massf::bench {
@@ -150,7 +155,9 @@ std::size_t peak_rss_bytes() {
 #endif
 }
 
-std::string context_json(int max_threads, const std::string& indent) {
+namespace {
+
+Json context(int max_threads) {
 #ifdef NDEBUG
   const char* build = "Release";
 #else
@@ -161,26 +168,129 @@ std::string context_json(int max_threads, const std::string& indent) {
   // Best-effort: on failure the sentinel -1 values are recorded as-is.
   getloadavg(loads, 3);
 #endif
-  std::ostringstream out;
-  out << "{\n"
-      << indent << "  \"build_type\": \"" << build << "\",\n"
-      << indent << "  \"num_cpus\": " << std::thread::hardware_concurrency()
-      << ",\n"
-      << indent << "  \"max_threads\": " << max_threads << ",\n"
-      << indent << "  \"load_avg\": [" << loads[0] << ", " << loads[1] << ", "
-      << loads[2] << "],\n"
-      << indent << "  \"peak_rss_bytes\": " << peak_rss_bytes() << "\n"
-      << indent << "}";
-  return out.str();
+  const int cpus = static_cast<int>(util::usable_cpus());
+  return Json()
+      .add("build_type", build)
+      .add("num_cpus", cpus)
+      .add("max_threads", std::min(max_threads, cpus))
+      .add("load_avg", Json::array({loads[0], loads[1], loads[2]}))
+      .add("peak_rss_bytes", peak_rss_bytes());
 }
 
-std::string run_config_json(std::uint64_t fault_seed,
-                            const std::string& indent) {
-  std::ostringstream out;
-  out << "{\n"
-      << indent << "  \"fault_seed\": " << fault_seed << "\n"
-      << indent << "}";
-  return out.str();
+std::string quoted(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char escape[8];
+      std::snprintf(escape, sizeof escape, "\\u%04x", c);
+      out += escape;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"";
+}
+
+}  // namespace
+
+std::string context_json(int max_threads, const std::string& indent) {
+  return context(max_threads).dump(indent);
+}
+
+Json::Json(bool value) : kind_(Kind::Scalar), text_(value ? "true" : "false") {}
+
+Json::Json(double value) : kind_(Kind::Scalar), text_("null") {
+  if (!std::isfinite(value)) return;
+  // Six significant digits: enough for a measurement, short to read.
+  char buffer[32];
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                 std::chars_format::general, 6)
+                       .ptr;
+  text_.assign(buffer, end);
+}
+
+Json::Json(const char* value) : Json(std::string(value)) {}
+
+Json::Json(const std::string& value)
+    : kind_(Kind::Scalar), text_(quoted(value)) {}
+
+Json Json::array(std::initializer_list<Json> items) {
+  Json out;
+  out.kind_ = Kind::Array;
+  for (const Json& item : items) out.push(item);
+  return out;
+}
+
+Json& Json::add(const std::string& key, Json value) {
+  MASSF_CHECK(kind_ != Kind::Scalar, "cannot add a member to a scalar");
+  members_.emplace_back(key, std::move(value));
+  return *this;
+}
+
+std::string Json::dump(const std::string& indent) const {
+  if (kind_ == Kind::Scalar) return text_;
+  const bool flat = std::all_of(members_.begin(), members_.end(),
+                                [](const auto& m) {
+                                  return m.second.kind_ == Kind::Scalar;
+                                });
+  const std::string inner = indent + "  ";
+  std::string out = kind_ == Kind::Array ? "[" : "{";
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    out += i == 0 ? "" : ",";
+    out += flat ? (i == 0 ? "" : " ") : "\n" + inner;
+    if (kind_ == Kind::Object) out += quoted(members_[i].first) + ": ";
+    out += members_[i].second.dump(inner);
+  }
+  if (!flat) out += "\n" + indent;
+  return out + (kind_ == Kind::Array ? "]" : "}");
+}
+
+Report::Report(std::string bench, int max_threads)
+    : bench_(std::move(bench)), max_threads_(max_threads) {
+#ifndef NDEBUG
+  std::cerr << "bench " << bench_
+            << ": refusing to record results from a build with assertions "
+               "on; build Release (bench/run.sh "
+            << bench_ << ")\n";
+  std::exit(1);
+#endif
+}
+
+void Report::gate(const std::string& name, double value, double threshold,
+                  bool enforced, bool passed, const std::string& reason) {
+  gates_.push(Json()
+                  .add("name", name)
+                  .add("value", value)
+                  .add("threshold", threshold)
+                  .add("enforced", enforced)
+                  .add("passed", passed)
+                  .add("reason", reason));
+  if (enforced) passed_ = passed_ && passed;
+  std::cout << (!enforced ? "SKIP " : passed ? "PASS " : "FAIL ") << name
+            << ": " << value << " vs " << threshold << " (" << reason
+            << ")\n";
+}
+
+int Report::write(const std::string& path) const {
+  const Json file = Json()
+                        .add("bench", bench_)
+                        .add("context", context(max_threads_))
+                        .add("run_config", run_config)
+                        .add("results", results)
+                        .add("gates", gates_)
+                        .add("passed", passed_);
+  std::ofstream out(path);
+  out << file.dump() << "\n";
+  out.close();
+  if (!out) {
+    std::cerr << "bench " << bench_ << ": could not write " << path << "\n";
+    return 1;
+  }
+  std::cout << (passed_ ? "PASS" : "FAIL") << ": wrote " << path << "\n";
+  return passed_ ? 0 : 1;
 }
 
 CellResult run_cell(const TopologyCase& topo, App app, Approach approach) {

@@ -12,11 +12,17 @@
 //     (HC+VP+MB workflow);
 //   * measurements averaged over a few partition seeds (the paper's runs
 //     average real-machine noise; our determinism needs explicit replicas).
+//
+// The gated benches (bench/run.sh) write their result files through
+// Report below.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -71,21 +77,76 @@ int replica_count();
 std::size_t peak_rss_bytes();
 
 /// JSON object describing the host/build context a bench ran under: build
-/// type, CPU count, widest worker pool the bench spawns (`max_threads`,
-/// 0 = single-threaded), the 1/5/15-minute load averages (-1 where
-/// unavailable), and the process peak RSS at the time the context was
-/// stamped. Committed wall-clock numbers are uninterpretable without it —
-/// stamp this into every bench JSON that records wall time. `indent`
-/// prefixes every line after the first so the block nests at any depth.
+/// type, usable CPUs (`util::usable_cpus`, the count the kernel sizes its
+/// worker pool by), the widest worker pool the bench spawns (`max_threads`
+/// capped at the usable CPUs; 0 = single-threaded), the 1/5/15-minute load
+/// averages (-1 where unavailable), and the process peak RSS at the time
+/// the context was stamped. `indent` prefixes every line after the first
+/// so the block nests at any depth.
 std::string context_json(int max_threads, const std::string& indent);
 
-/// JSON block of the reproducibility-relevant run configuration shared by
-/// every config in a bench: the fault-plan RNG seed (0 = the run injected
-/// no faults). Per-config sync/exec modes stay in the per-config entries;
-/// this block carries what they all share. `indent` prefixes every line
-/// after the first, like context_json.
-std::string run_config_json(std::uint64_t fault_seed,
-                            const std::string& indent);
+/// A JSON value that keeps object members in insertion order and lays
+/// itself out: a container holding only scalars prints on one line, any
+/// other nests one member per line. Default-constructed, it is an empty
+/// object. Non-finite numbers print as null.
+class Json {
+ public:
+  Json() = default;
+  Json(bool value);
+  Json(double value);
+  Json(const char* value);
+  Json(const std::string& value);
+  template <typename T, typename = std::enable_if_t<
+                            std::is_integral_v<T> && !std::is_same_v<T, bool>>>
+  Json(T value) : kind_(Kind::Scalar), text_(std::to_string(value)) {}
+
+  static Json array(std::initializer_list<Json> items = {});
+
+  /// Appends a member to this object (an array ignores `key`).
+  Json& add(const std::string& key, Json value);
+  /// Appends an element to this array.
+  Json& push(Json value) { return add("", std::move(value)); }
+
+  /// The value as JSON text; lines after the first start with `indent`.
+  std::string dump(const std::string& indent = "") const;
+
+ private:
+  enum class Kind { Scalar, Array, Object };
+  Kind kind_ = Kind::Object;
+  std::string text_;  // a scalar's JSON text
+  std::vector<std::pair<std::string, Json>> members_;
+};
+
+/// The one result file of a gated bench: `bench`, `context`, `run_config`,
+/// `results`, `gates` and `passed`, in that order. Each acceptance clause
+/// is one gate; a gate that is not enforced records its outcome but does
+/// not count. Constructing a Report in a build with assertions on exits 1
+/// before any work: its wall-clock numbers would be meaningless.
+class Report {
+ public:
+  Report(std::string bench, int max_threads);
+
+  /// The sizes and settings the run used, after any environment caps.
+  Json run_config;
+  /// The bench's own rows.
+  Json results;
+
+  /// Records (and prints) one acceptance clause: `value` measured against
+  /// `threshold`, whether the clause held, and `reason`, the clause in
+  /// words or why it is not enforced.
+  void gate(const std::string& name, double value, double threshold,
+            bool enforced, bool passed, const std::string& reason);
+
+  /// Writes the file and returns the exit status: 0 if and only if every
+  /// enforced gate passed and the file was written.
+  int write(const std::string& path) const;
+
+ private:
+  std::string bench_;
+  int max_threads_;
+  Json gates_ = Json::array();
+  bool passed_ = true;
+};
 
 /// Averaged measurements of one (topology, app, approach) cell.
 struct CellResult {

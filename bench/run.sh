@@ -7,13 +7,18 @@
 # <name> is one of kernel, sync, wallclock, scale, lb, rebalance; it runs
 # bench_micro_kernel, bench_micro_sync, bench_wallclock, bench_scale,
 # bench_lb_policies or bench_ablation_rebalance and writes BENCH_<name>.json.
-# Every binary but bench_micro_kernel exits non-zero when its acceptance
-# gate fails (the gates are listed in each binary's header comment);
-# kernel's JSON is refused unless it claims a release binary.
+# Every binary but bench_micro_kernel writes its file through bench::Report
+# (bench/common.hpp): top-level keys bench, context, run_config, results,
+# gates and passed, one gate {name, value, threshold, enforced, passed,
+# reason} per acceptance clause (listed in each binary's header comment),
+# and exit status 0 if and only if every enforced gate passed.
+# tests/bench/check_reports.py (ctest bench_reports) checks the committed
+# files. kernel's google-benchmark JSON is refused unless it claims a
+# release binary.
 #
 # Configures and builds a dedicated Release tree, verifies the cache really
 # says Release (recording a debug build would publish numbers 10-50x off;
-# the binaries also refuse to run without NDEBUG), and only then runs the
+# bench::Report also refuses to run without NDEBUG), and only then runs the
 # benchmark. The benchmark's exit status is the script's.
 #
 # Environment: BUILD_DIR (default build-release), OUT (default

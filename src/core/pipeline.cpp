@@ -175,21 +175,21 @@ void Experiment::ensure_profile() {
 
   emu::EmulatorConfig config = setup_.emulator;
   config.collect_netflow = true;
-  emu::Emulator emulator(*setup_.network, *setup_.routes,
-                         initial.node_engine, setup_.engines, config);
-  emulator.set_fault_timeline(setup_.faults);
   const traffic::Workload& profiled = setup_.profile_workload
                                           ? *setup_.profile_workload
                                           : *setup_.workload;
-  profiled.install(emulator);
-  emulator.run(horizon_, setup_.mode);
+  const std::unique_ptr<emu::Emulator> emulator = build_emulator(
+      initial.node_engine, config,
+      [&profiled](emu::Emulator& e) { profiled.install(e); },
+      /*hooked=*/false);
+  emulator->run(horizon_, setup_.mode);
 
-  profiling_metrics_ = collect(emulator);
+  profiling_metrics_ = collect(*emulator);
   profile_netflow_ =
-      std::make_unique<emu::NetFlowCollector>(emulator.netflow());
+      std::make_unique<emu::NetFlowCollector>(emulator->netflow());
   // Cluster on the *profiling run's* engine load curves (§3.3: the load
   // curves of the physical nodes).
-  profile_node_series_ = emulator.kernel_stats().load_series;
+  profile_node_series_ = emulator->kernel_stats().load_series;
 }
 
 RunMetrics Experiment::collect(emu::Emulator& emulator) const {
@@ -227,25 +227,42 @@ RunMetrics Experiment::collect(emu::Emulator& emulator) const {
   return metrics;
 }
 
+std::unique_ptr<emu::Emulator> Experiment::build_emulator(
+    const std::vector<int>& node_engine, const emu::EmulatorConfig& config,
+    const std::function<void(emu::Emulator&)>& install, bool hooked) const {
+  auto emulator = std::make_unique<emu::Emulator>(
+      *setup_.network, *setup_.routes, node_engine, setup_.engines, config);
+  emulator->set_fault_timeline(setup_.faults);
+  install(*emulator);
+  if (hooked && emulator_hook_) emulator_hook_(*emulator, horizon_);
+  return emulator;
+}
+
+RunMetrics Experiment::run_mapped(emu::Emulator& emulator,
+                                  const MappingResult& mapping) const {
+  emulator.run(horizon_, setup_.mode);
+  RunMetrics metrics = collect(emulator);
+  metrics.pair_lookaheads = mapping.pair_lookaheads;
+  return metrics;
+}
+
 RunMetrics Experiment::run(const MappingResult& mapping,
                            emu::Trace* record) const {
   MASSF_REQUIRE(mapping.engines == setup_.engines,
                 "mapping was computed for a different engine count");
-  emu::Emulator emulator(*setup_.network, *setup_.routes, mapping.node_engine,
-                         setup_.engines, setup_.emulator);
-  emulator.set_fault_timeline(setup_.faults);
   std::unique_ptr<emu::TraceRecorder> recorder;
-  if (record != nullptr) {
+  if (record != nullptr)
     recorder =
         std::make_unique<emu::TraceRecorder>(setup_.network->node_count());
-    emulator.set_trace_recorder(recorder.get());
-  }
-  setup_.workload->install(emulator);
-  if (emulator_hook_) emulator_hook_(emulator, horizon_);
-  emulator.run(horizon_, setup_.mode);
+  const std::unique_ptr<emu::Emulator> emulator = build_emulator(
+      mapping.node_engine, setup_.emulator,
+      [&](emu::Emulator& e) {
+        if (recorder) e.set_trace_recorder(recorder.get());
+        setup_.workload->install(e);
+      },
+      /*hooked=*/true);
+  RunMetrics metrics = run_mapped(*emulator, mapping);
   if (record != nullptr) *record = recorder->finish();
-  RunMetrics metrics = collect(emulator);
-  metrics.pair_lookaheads = mapping.pair_lookaheads;
   return metrics;
 }
 
@@ -278,13 +295,10 @@ RunMetrics Experiment::supervised_attempt(const MappingResult& mapping,
   // restore candidate gets a freshly built one; a rejected snapshot cannot
   // leak partial state into the attempt.
   const auto build = [&] {
-    auto emulator = std::make_unique<emu::Emulator>(
-        *setup_.network, *setup_.routes, mapping.node_engine, setup_.engines,
-        setup_.emulator);
-    emulator->set_fault_timeline(setup_.faults);
-    setup_.workload->install(*emulator);
-    if (emulator_hook_) emulator_hook_(*emulator, horizon_);
-    return emulator;
+    return build_emulator(
+        mapping.node_engine, setup_.emulator,
+        [this](emu::Emulator& e) { setup_.workload->install(e); },
+        /*hooked=*/true);
   };
 
   std::unique_ptr<emu::Emulator> emulator = build();
@@ -338,25 +352,19 @@ RunMetrics Experiment::supervised_attempt(const MappingResult& mapping,
     });
   }
 
-  emulator->run(horizon_, setup_.mode);
-  RunMetrics metrics = collect(*emulator);
-  metrics.pair_lookaheads = mapping.pair_lookaheads;
-  return metrics;
+  return run_mapped(*emulator, mapping);
 }
 
 RunMetrics Experiment::replay(const emu::Trace& trace,
                               const MappingResult& mapping) const {
   MASSF_REQUIRE(mapping.engines == setup_.engines,
                 "mapping was computed for a different engine count");
-  emu::Emulator emulator(*setup_.network, *setup_.routes, mapping.node_engine,
-                         setup_.engines, setup_.emulator);
-  emulator.set_fault_timeline(setup_.faults);
   emu::TraceReplayer replayer(trace);
-  replayer.install(emulator);
-  if (emulator_hook_) emulator_hook_(emulator, horizon_);
-  emulator.run(horizon_, setup_.mode);
-  RunMetrics metrics = collect(emulator);
-  metrics.pair_lookaheads = mapping.pair_lookaheads;
+  const std::unique_ptr<emu::Emulator> emulator = build_emulator(
+      mapping.node_engine, setup_.emulator,
+      [&replayer](emu::Emulator& e) { replayer.install(e); },
+      /*hooked=*/true);
+  RunMetrics metrics = run_mapped(*emulator, mapping);
   if (replayer.messages_issued() < replayer.messages_total())
     MASSF_LOG_WARN << "replay issued " << replayer.messages_issued() << "/"
                    << replayer.messages_total()

@@ -195,8 +195,9 @@ class Experiment {
     return profiling_metrics_;
   }
 
-  /// Hook invoked on every emulator built by run() or replay() — after the
-  /// workload is installed, before execution — with the run's horizon.
+  /// Hook invoked on every emulator built by run(), run_supervised() or
+  /// replay() — after the traffic is installed, before execution — with
+  /// the run's horizon.
   /// This is how rebalance::Controller::install wires the adaptive loop
   /// into the pipeline without the pipeline depending on the rebalance
   /// library (which itself links the mapper). The PROFILE profiling run is
@@ -208,6 +209,17 @@ class Experiment {
   }
 
  private:
+  /// The one emulator build path: the setup's network, routes, engine
+  /// count and fault timeline under `node_engine`, then `install` (the
+  /// traffic), then the emulator hook when `hooked` (every run but the
+  /// PROFILE profiling run).
+  std::unique_ptr<emu::Emulator> build_emulator(
+      const std::vector<int>& node_engine, const emu::EmulatorConfig& config,
+      const std::function<void(emu::Emulator&)>& install, bool hooked) const;
+  /// Runs `emulator` to the horizon and collects its metrics, tagged with
+  /// `mapping`'s pair lookaheads.
+  RunMetrics run_mapped(emu::Emulator& emulator,
+                        const MappingResult& mapping) const;
   RunMetrics collect(emu::Emulator& emulator) const;
   void ensure_profile();
   RunMetrics supervised_attempt(const MappingResult& mapping,

@@ -722,21 +722,13 @@ int HierarchicalRoutingTables::border_count() const {
   return static_cast<int>(topo_->borders.size());
 }
 
-std::shared_ptr<const RoutingView> make_routing_view(
-    const Network& network, Reachability* reachability,
-    const std::vector<char>* links_up, const std::vector<char>* nodes_up,
-    const RoutingViewOptions& options, const RoutingView* previous) {
-  if (network.node_count() < options.dense_threshold ||
-      network.domain_count() <= 1) {
+std::shared_ptr<const RoutingView> make_routing_view(const Network& network) {
+  if (network.node_count() < kDenseRoutingMaxNodes ||
+      network.domain_count() <= 1)
     return std::make_shared<const RoutingTables>(
-        RoutingTables::build_partial(network, reachability, links_up,
-                                     nodes_up));
-  }
-  const auto* prior =
-      dynamic_cast<const HierarchicalRoutingTables*>(previous);
+        RoutingTables::build_partial(network));
   return std::make_shared<const HierarchicalRoutingTables>(
-      HierarchicalRoutingTables::build_partial(network, reachability, links_up,
-                                               nodes_up, prior));
+      HierarchicalRoutingTables::build_partial(network));
 }
 
 }  // namespace massf::routing

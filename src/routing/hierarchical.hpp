@@ -129,23 +129,14 @@ class HierarchicalRoutingTables final : public RoutingView {
   std::vector<double> adj_lat_;
 };
 
-/// Backend selection for code that just needs *a* RoutingView.
-struct RoutingViewOptions {
-  /// Networks below this node count (or with a single domain) use the dense
-  /// backend: bit-identical to the historical tables and O(1) per lookup.
-  NodeId dense_threshold = 2048;
-};
+/// Networks below this node count (or with a single domain) get the dense
+/// backend from make_routing_view: bit-identical to the historical tables
+/// and O(1) per lookup.
+inline constexpr NodeId kDenseRoutingMaxNodes = 2048;
 
-/// Build the routing view for a (possibly masked) network, choosing the
-/// dense backend below options.dense_threshold (or when the network has no
-/// domain structure) and the hierarchical backend otherwise. `previous` —
-/// the prior epoch's view, if any — enables cross-epoch DomainTable sharing
-/// when both views are hierarchical.
-std::shared_ptr<const RoutingView> make_routing_view(
-    const Network& network, Reachability* reachability = nullptr,
-    const std::vector<char>* links_up = nullptr,
-    const std::vector<char>* nodes_up = nullptr,
-    const RoutingViewOptions& options = {},
-    const RoutingView* previous = nullptr);
+/// The routing view for code that just needs *a* RoutingView: the dense
+/// backend below kDenseRoutingMaxNodes nodes (or when the network has no
+/// domain structure), the hierarchical backend otherwise.
+std::shared_ptr<const RoutingView> make_routing_view(const Network& network);
 
 }  // namespace massf::routing

@@ -425,17 +425,14 @@ TEST(HierarchicalRouting, FactoryPicksBackendBySizeAndStructure) {
 
   const Network net = make_hierarchy(small_hierarchy());
   // Below the threshold → dense.
+  ASSERT_LT(net.node_count(), kDenseRoutingMaxNodes);
   const auto small = make_routing_view(net);
   EXPECT_NE(dynamic_cast<const RoutingTables*>(small.get()), nullptr);
-  // Forced low threshold → hierarchical, and it answers identically.
-  RoutingViewOptions options;
-  options.dense_threshold = 1;
-  const auto hier = make_routing_view(net, nullptr, nullptr, nullptr, options);
-  ASSERT_NE(dynamic_cast<const HierarchicalRoutingTables*>(hier.get()),
-            nullptr);
+  // The hierarchical backend answers identically.
+  const HierarchicalRoutingTables hier = HierarchicalRoutingTables::build(net);
   for (NodeId s = 0; s < net.node_count(); s += 5)
     for (NodeId t = 0; t < net.node_count(); t += 3)
-      EXPECT_EQ(hier->next_hop(s, t), small->next_hop(s, t));
+      EXPECT_EQ(hier.next_hop(s, t), small->next_hop(s, t));
 }
 
 TEST(HierarchicalRouting, RouteWalksMatchDenseAndScratchVariantAgrees) {
