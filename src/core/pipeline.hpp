@@ -232,8 +232,6 @@ class Experiment {
   EmulatorHook emulator_hook_;
   // Cached profiling-run artifacts (populated by the first map(Profile)).
   std::optional<RunMetrics> profiling_metrics_;
-  std::vector<double> profile_link_packets_;
-  std::vector<double> profile_node_packets_;
   std::vector<std::vector<double>> profile_node_series_;
   std::unique_ptr<emu::NetFlowCollector> profile_netflow_;
 };

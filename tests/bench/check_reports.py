@@ -6,9 +6,11 @@
 Each BENCH_<name>.json written through bench::Report (bench/common.hpp)
 must have exactly the top-level keys bench, context, run_config, results,
 gates and passed; every gate must carry name, value, threshold, enforced,
-passed and reason with their JSON types; the top-level passed must equal
-the conjunction of the enforced gates; and the context must say a Release
-build on at least one CPU. Exits 1 and names every problem otherwise.
+passed and reason with their JSON types; at least one gate must be
+enforced (a run that enforced none checked nothing); the top-level passed
+must equal the conjunction of the enforced gates; and the context must say
+a Release build on at least one CPU. Exits 1 and names every problem
+otherwise.
 """
 
 import json
@@ -16,7 +18,7 @@ import numbers
 import os
 import sys
 
-GATED = ["lb", "rebalance", "scale", "sync", "wallclock"]
+GATED = ["lb", "paper", "rebalance", "scale", "sync", "wallclock"]
 TOP_LEVEL = ["bench", "context", "run_config", "results", "gates", "passed"]
 
 
@@ -76,7 +78,10 @@ def problems(name, report):
                              % (i, gate.get("name"), field, gate[field]))
                 well_formed = False
     if well_formed:
-        want = all(g["passed"] for g in gates if g["enforced"])
+        enforced = [g for g in gates if g["enforced"]]
+        if not enforced:
+            found.append("no gate is enforced")
+        want = bool(enforced) and all(g["passed"] for g in enforced)
         if report.get("passed") is not want:
             found.append("passed is %r, but the enforced gates say %r"
                          % (report.get("passed"), want))
