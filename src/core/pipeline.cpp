@@ -212,6 +212,8 @@ RunMetrics Experiment::collect(emu::Emulator& emulator) const {
   metrics.channel_advances = ks.channel_advances;
   metrics.idle_jumps = ks.idle_jumps;
   metrics.idle_wait_per_engine = ks.idle_wait_per_lp;
+  metrics.handoff_runs = ks.handoff_runs;
+  metrics.parks = ks.parks;
   metrics.channels = ks.channels;
   const emu::RebalanceStats& rb = emulator.rebalance_stats();
   metrics.rebalance_safepoints = ks.safepoints;

@@ -84,6 +84,12 @@ struct RunMetrics {
   std::uint64_t idle_jumps = 0;
   /// ChannelLookahead + Threaded: measured per-engine idle-wait seconds.
   std::vector<double> idle_wait_per_engine;
+  /// Runtime diagnostics, not metrics: they depend on the exec mode and
+  /// worker count (see KernelStats), so no determinism check compares them.
+  /// Batched cross-engine outbox runs published (cross-LP handoff cost).
+  std::uint64_t handoff_runs = 0;
+  /// Threaded only: times a worker ran out of spin budget and parked.
+  std::uint64_t parks = 0;
   /// Per-directed-channel lookahead/delivery/throttle stats from the
   /// kernel (throttle fields are ChannelLookahead-only).
   std::vector<des::ChannelStat> channels;

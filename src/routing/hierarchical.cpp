@@ -1,6 +1,7 @@
 #include "routing/hierarchical.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -12,6 +13,40 @@ namespace massf::routing {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// ---- Lookup memo (see the header comment) ----
+// One entry: the answer slot() gave for (src, dst) in the view whose id is
+// `view`. Zero-filled entries are empty: view ids start at 1.
+struct MemoEntry {
+  std::uint32_t view;
+  NodeId src;
+  NodeId dst;
+  std::int32_t slot;
+};
+static_assert(sizeof(MemoEntry) == 16, "memo entries are 16 bytes");
+constexpr int kMemoBits = 14;
+// Static thread-local storage, zeroed when each thread starts: the
+// forwarding path never allocates for it, but every thread the process
+// starts pays the zeroing. 2¹⁴ entries held hier_cbr's ~5.4k hot pairs as
+// well as 2¹⁶ did, and 1 MiB per thread start showed in short set-ups.
+thread_local MemoEntry t_memo[std::size_t{1} << kMemoBits];
+
+std::size_t memo_index(NodeId src, NodeId dst) {
+  const std::uint64_t key =
+      (std::uint64_t{static_cast<std::uint32_t>(src)} << 32) |
+      static_cast<std::uint32_t>(dst);
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - kMemoBits));
+}
+
+// The memo tag of the next view build_partial makes (from any thread).
+std::atomic<std::uint32_t> g_next_view_id{0};
+
+std::uint32_t next_view_id() {
+  std::uint32_t id = 0;
+  while (id == 0) id = g_next_view_id.fetch_add(1) + 1;  // 0 marks empty
+  return id;
+}
 }  // namespace
 
 // Mask-independent decomposition of the network: node → (domain, local id),
@@ -165,6 +200,7 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
                 "nodes_up mask size must equal node count");
 
   HierarchicalRoutingTables h;
+  h.view_id_ = next_view_id();
   h.n_ = n;
   if (previous != nullptr) {
     MASSF_REQUIRE(previous->topo_ && previous->topo_->nodes == n &&
@@ -245,6 +281,10 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
       h.adj_off_[static_cast<std::size_t>(v) + 1] =
           static_cast<std::int64_t>(h.adj_to_.size());
     }
+    constexpr auto kMaxSlots = static_cast<std::size_t>(
+        std::numeric_limits<std::int32_t>::max());
+    MASSF_REQUIRE(h.adj_to_.size() <= kMaxSlots,
+                  "adjacency slots must fit the 32-bit lookup memo");
   }
 
   // ---- Per-domain restricted all-pairs tables ----
@@ -601,20 +641,14 @@ std::int64_t HierarchicalRoutingTables::best_neighbor(NodeId src,
   return best;
 }
 
-void HierarchicalRoutingTables::lookup(NodeId src, NodeId dst, NodeId* hop,
-                                       LinkId* link) const {
+std::int64_t HierarchicalRoutingTables::slot(NodeId src, NodeId dst) const {
   MASSF_REQUIRE(src >= 0 && src < n_, "source out of range");
   MASSF_REQUIRE(dst >= 0 && dst < n_, "destination out of range");
-  *hop = -1;
-  *link = -1;
-  if (src == dst) {
-    if (active_[static_cast<std::size_t>(src)]) *hop = src;
-    return;
-  }
+  if (src == dst) return active_[static_cast<std::size_t>(src)] ? kSelf : -1;
   if (!active_[static_cast<std::size_t>(src)] ||
       !active_[static_cast<std::size_t>(dst)] ||
       !reach_.pair_reachable(src, dst)) {
-    return;
+    return -1;
   }
   const Topo& topo = *topo_;
   const int i = topo.domain_of[static_cast<std::size_t>(src)];
@@ -653,21 +687,35 @@ void HierarchicalRoutingTables::lookup(NodeId src, NodeId dst, NodeId* hop,
                                               static_cast<std::size_t>(dt.size) +
                                           static_cast<std::size_t>(lt)];
       MASSF_CHECK(local != kNoHop, "reachable intra pair without a first hop");
-      *hop = topo.dom_nodes[static_cast<std::size_t>(
+      const NodeId hop = topo.dom_nodes[static_cast<std::size_t>(
           topo.dom_node_off[static_cast<std::size_t>(i)] + local)];
-      // Resolve the hop's link from the adjacency (ascending neighbor ids).
+      // The hop's adjacency slot (ascending neighbor ids).
       const auto begin = adj_to_.begin() + adj_off_[static_cast<std::size_t>(src)];
       const auto end = adj_to_.begin() + adj_off_[static_cast<std::size_t>(src) + 1];
-      const auto it = std::lower_bound(begin, end, *hop);
-      MASSF_CHECK(it != end && *it == *hop, "intra first hop missing from adjacency");
-      *link = adj_link_[static_cast<std::size_t>(it - adj_to_.begin())];
-      return;
+      const auto it = std::lower_bound(begin, end, hop);
+      MASSF_CHECK(it != end && *it == hop, "intra first hop missing from adjacency");
+      return it - adj_to_.begin();
     }
   }
   const std::int64_t k = best_neighbor(src, dst);
   MASSF_CHECK(k >= 0, "reachable pair without a best neighbor");
-  *hop = adj_to_[static_cast<std::size_t>(k)];
-  *link = adj_link_[static_cast<std::size_t>(k)];
+  return k;
+}
+
+void HierarchicalRoutingTables::lookup(NodeId src, NodeId dst, NodeId* hop,
+                                       LinkId* link) const {
+  // Written only after slot() returns: a pair it rejects is never cached.
+  MemoEntry& e = t_memo[memo_index(src, dst)];
+  if (e.view != view_id_ || e.src != src || e.dst != dst)
+    e = MemoEntry{view_id_, src, dst,
+                  static_cast<std::int32_t>(slot(src, dst))};
+  if (e.slot >= 0) {
+    *hop = adj_to_[static_cast<std::size_t>(e.slot)];
+    *link = adj_link_[static_cast<std::size_t>(e.slot)];
+  } else {
+    *hop = e.slot == kSelf ? src : -1;
+    *link = -1;
+  }
 }
 
 NodeId HierarchicalRoutingTables::next_hop(NodeId src, NodeId dst) const {

@@ -35,6 +35,23 @@
 // share every DomainTable whose node/link masks did not change (the same
 // shared_ptr trick FaultTimeline uses for whole tables), so a fault that
 // touches one domain re-solves only that domain plus the border graph.
+//
+// Lookup cost and the memo. Answering a pair from the tables costs a
+// neighbor argmin: one distance() per neighbor of src, each a scan over
+// the border pairs of two domains (~1 µs at 10⁵ nodes). Forwarding asks
+// the same few (node, destination) pairs over and over — every train of a
+// flow repeats its path — so next_hop/next_link first consult a memo: a
+// direct-mapped table of 2¹⁴ entries × 16 bytes (256 KiB) indexed by a
+// hash of (src, dst). An entry holds the adjacency slot of the answer, which
+// gives both the hop and the link, tagged with the id build_partial gave
+// the instance, so fault-epoch and rebuilt views never share answers, even
+// when one is built in another's storage. A miss (or a collision, which
+// evicts) runs the full computation and only then writes the entry; a hit
+// costs a hash, one memo line and the adjacency reads. The memo is
+// thread_local static storage: each thread that forwards has its own, so
+// the const view stays safe to call from any thread without locks, and
+// nothing is allocated on the forwarding path. memory_bytes() does not
+// count the memo — it is per thread, not per view.
 #pragma once
 
 #include <cstdint>
@@ -110,8 +127,15 @@ class HierarchicalRoutingTables final : public RoutingView {
   /// Neighbor argmin: the adjacency slot of the best next hop toward dst,
   /// or -1 when no active neighbor reaches it.
   std::int64_t best_neighbor(NodeId src, NodeId dst) const;
+  /// slot() answers for src == dst (active): the hop is src, no link.
+  static constexpr std::int64_t kSelf = -2;
+  /// The answer for (src, dst) computed from the tables, bypassing the
+  /// memo: an adjacency slot of src, kSelf, or -1 (no route).
+  std::int64_t slot(NodeId src, NodeId dst) const;
+  /// slot() through this thread's memo, decoded into hop and link.
   void lookup(NodeId src, NodeId dst, NodeId* hop, LinkId* link) const;
 
+  std::uint32_t view_id_ = 0;  // memo tag; build_partial hands out ids ≥ 1
   NodeId n_ = 0;
   std::shared_ptr<const Topo> topo_;
   std::vector<std::shared_ptr<const DomainTable>> domains_;

@@ -164,5 +164,27 @@ TEST(Experiment, FaultTimelineFlowsThroughRunMetrics) {
   EXPECT_GT(metrics.emulator_stats.messages_delivered, 0u);
 }
 
+TEST(Experiment, HandoffDiagnosticsFlowThroughRunMetrics) {
+  // handoff_runs and parks are copied from KernelStats as diagnostics:
+  // a Sequential run never parks, and every remote message rides some
+  // handoff run. Threaded values depend on timing, so only the history
+  // hash is compared across modes.
+  Fixture fx;
+  Experiment sequential(fx.setup(fx.http(1)));
+  const MappingResult mapped = sequential.map(Approach::Top);
+  const RunMetrics seq = sequential.run(mapped);
+  ASSERT_GT(seq.remote_messages, 0u);
+  EXPECT_GT(seq.handoff_runs, 0u);
+  EXPECT_LE(seq.handoff_runs, seq.remote_messages);
+  EXPECT_EQ(seq.parks, 0u);
+
+  ExperimentSetup threaded_setup = fx.setup(fx.http(1));
+  threaded_setup.mode = des::ExecutionMode::Threaded;
+  Experiment threaded(std::move(threaded_setup));
+  const RunMetrics thr = threaded.run(mapped);
+  EXPECT_EQ(thr.history_hash, seq.history_hash);
+  EXPECT_GT(thr.handoff_runs, 0u);
+}
+
 }  // namespace
 }  // namespace massf::mapping

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "graph/algorithms.hpp"
 #include "routing/hierarchical.hpp"
@@ -257,6 +260,18 @@ TEST(RoutingPartial, MasksRemoveLinksAndNodes) {
 // Hierarchical backend vs dense: the drop-in-replacement contract.
 // ---------------------------------------------------------------------------
 
+/// Every (s, t) of `view`, in order, against `dense`: hop and link.
+void expect_all_pairs_match(const RoutingView& view, const RoutingView& dense,
+                            const char* pass) {
+  for (NodeId s = 0; s < dense.node_count(); ++s)
+    for (NodeId t = 0; t < dense.node_count(); ++t) {
+      ASSERT_EQ(view.next_hop(s, t), dense.next_hop(s, t))
+          << pass << " next_hop mismatch at (" << s << ", " << t << ")";
+      ASSERT_EQ(view.next_link(s, t), dense.next_link(s, t))
+          << pass << " next_link mismatch at (" << s << ", " << t << ")";
+    }
+}
+
 TEST(HierarchicalRouting, BitIdenticalToDenseOnJitteredHierarchy) {
   // The generator's latency jitter makes every shortest path unique, so
   // both backends must pick the same next hop AND the same link everywhere.
@@ -264,13 +279,10 @@ TEST(HierarchicalRouting, BitIdenticalToDenseOnJitteredHierarchy) {
   const RoutingTables dense = RoutingTables::build(net);
   const HierarchicalRoutingTables hier = HierarchicalRoutingTables::build(net);
   ASSERT_EQ(hier.node_count(), dense.node_count());
-  for (NodeId s = 0; s < net.node_count(); ++s)
-    for (NodeId t = 0; t < net.node_count(); ++t) {
-      ASSERT_EQ(hier.next_hop(s, t), dense.next_hop(s, t))
-          << "next_hop mismatch at (" << s << ", " << t << ")";
-      ASSERT_EQ(hier.next_link(s, t), dense.next_link(s, t))
-          << "next_link mismatch at (" << s << ", " << t << ")";
-    }
+  // A fresh view has no lookup-memo entries; the second pass answers from
+  // them.
+  expect_all_pairs_match(hier, dense, "cold");
+  expect_all_pairs_match(hier, dense, "warm");
 }
 
 TEST(HierarchicalRouting, DistanceMatchesDensePathLatency) {
@@ -449,6 +461,102 @@ TEST(HierarchicalRouting, RouteWalksMatchDenseAndScratchVariantAgrees) {
       hier.route_links_into(s, t, link_scratch);
       EXPECT_EQ(link_scratch, dense.route_links(s, t));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The hierarchical lookup memo: answers must not depend on what the memo
+// holds (cold, warm, evicted, another view's, another thread's).
+// ---------------------------------------------------------------------------
+
+/// 365 nodes: 133,225 ordered pairs, eight times the memo's 2¹⁴ entries.
+topology::HierarchyParams memo_overflow_hierarchy() {
+  topology::HierarchyParams params = small_hierarchy();
+  params.pods = 24;
+  params.access_per_pod = 4;
+  return params;
+}
+
+TEST(HierarchicalMemo, RejectedPairsThrowOnEveryCall) {
+  // A pair slot() rejects must never leave an entry behind.
+  const Network net = make_hierarchy(small_hierarchy());
+  const HierarchicalRoutingTables hier = HierarchicalRoutingTables::build(net);
+  const NodeId n = hier.node_count();
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_THROW(hier.next_hop(0, n), std::invalid_argument);
+    EXPECT_THROW(hier.next_link(n, 0), std::invalid_argument);
+    EXPECT_THROW(hier.next_hop(-1, 0), std::invalid_argument);
+  }
+}
+
+TEST(HierarchicalMemo, ViewsBuiltInTheSameStorageNeverShareAnswers) {
+  const Network net = make_hierarchy(small_hierarchy());
+  const NodeId gw = net.find_node("p0gw");
+  const NodeId far = net.find_node("p1gw");
+  ASSERT_GE(gw, 0);
+  ASSERT_GE(far, 0);
+  std::vector<char> links_up(static_cast<std::size_t>(net.link_count()), 1);
+  for (topology::LinkId l : net.incident_links(gw))
+    if (net.node(net.link_other_end(l, gw)).name.rfind("bb", 0) == 0)
+      links_up[static_cast<std::size_t>(l)] = 0;  // cut pod 0's uplink
+
+  std::optional<HierarchicalRoutingTables> view;
+  view.emplace(HierarchicalRoutingTables::build_partial(net));
+  // Fill the memo with pairs that cross the uplink (both directions).
+  ASSERT_GE(view->next_hop(gw, far), 0);
+  for (NodeId s = 0; s < net.node_count(); ++s)
+    for (NodeId t = 0; t < net.node_count(); ++t) view->next_link(s, t);
+  view.reset();
+
+  Reachability reach;
+  view.emplace(HierarchicalRoutingTables::build_partial(net, &reach,
+                                                        &links_up));
+  ASSERT_FALSE(reach.pair_reachable(gw, far));
+  EXPECT_EQ(view->next_hop(gw, far), -1);
+  EXPECT_EQ(view->next_link(gw, far), -1);
+  const RoutingTables dense =
+      RoutingTables::build_partial(net, nullptr, &links_up);
+  expect_all_pairs_match(*view, dense, "degraded");
+}
+
+TEST(HierarchicalMemo, MorePairsThanEntriesStillMatchDense) {
+  const Network net = make_hierarchy(memo_overflow_hierarchy());
+  ASSERT_GT(static_cast<std::size_t>(net.node_count()) *
+                static_cast<std::size_t>(net.node_count()),
+            std::size_t{1} << 14);
+  const RoutingTables dense = RoutingTables::build(net);
+  const HierarchicalRoutingTables hier = HierarchicalRoutingTables::build(net);
+  // The second pass finds most entries evicted by the first.
+  expect_all_pairs_match(hier, dense, "first");
+  expect_all_pairs_match(hier, dense, "second");
+}
+
+TEST(HierarchicalMemo, ThreadsSharingOneViewAgreeWithOneThread) {
+  const Network net = make_hierarchy(memo_overflow_hierarchy());
+  const HierarchicalRoutingTables hier = HierarchicalRoutingTables::build(net);
+  const std::size_t n = static_cast<std::size_t>(hier.node_count());
+  std::vector<topology::LinkId> reference(n * n);
+  for (std::size_t p = 0; p < n * n; ++p)
+    reference[p] = hier.next_link(static_cast<NodeId>(p / n),
+                                  static_cast<NodeId>(p % n));
+
+  // Each thread walks every pair twice from its own offset: a memo shared
+  // between threads would be overwritten under the readers' feet.
+  constexpr int kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w)
+    threads.emplace_back([&, w] {
+      const std::size_t offset = static_cast<std::size_t>(w) * n * n / kThreads;
+      for (std::size_t i = 0; i < 2 * n * n; ++i) {
+        const std::size_t p = (offset + i) % (n * n);
+        if (hier.next_link(static_cast<NodeId>(p / n),
+                           static_cast<NodeId>(p % n)) != reference[p])
+          ++mismatches[static_cast<std::size_t>(w)];
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  for (int w = 0; w < kThreads; ++w)
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(w)], 0u) << "thread " << w;
 }
 
 }  // namespace
