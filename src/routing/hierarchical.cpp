@@ -39,14 +39,9 @@ std::size_t memo_index(NodeId src, NodeId dst) {
                                   (64 - kMemoBits));
 }
 
-// The memo tag of the next view build_partial makes (from any thread).
-std::atomic<std::uint32_t> g_next_view_id{0};
-
-std::uint32_t next_view_id() {
-  std::uint32_t id = 0;
-  while (id == 0) id = g_next_view_id.fetch_add(1) + 1;  // 0 marks empty
-  return id;
-}
+// Memo tags already handed out by build_partial (from any thread). Tags
+// start at 1 and stay unique for 2³² − 1 builds.
+std::atomic<std::uint32_t> g_view_ids{0};
 }  // namespace
 
 // Mask-independent decomposition of the network: node → (domain, local id),
@@ -200,7 +195,7 @@ HierarchicalRoutingTables HierarchicalRoutingTables::build_partial(
                 "nodes_up mask size must equal node count");
 
   HierarchicalRoutingTables h;
-  h.view_id_ = next_view_id();
+  h.view_id_ = g_view_ids.fetch_add(1) + 1;
   h.n_ = n;
   if (previous != nullptr) {
     MASSF_REQUIRE(previous->topo_ && previous->topo_->nodes == n &&
