@@ -1,10 +1,12 @@
 // Microbenchmarks of the DES kernel hot path (google-benchmark, matching
 // bench_micro_partitioner style): events/sec for packet-hop workloads on
 // the kernel's allocation-free packet-event path, for local hops, remote
-// hops, and a mixed workload, in both execution modes.
+// hops, and a mixed workload, in both execution modes, plus the emulator's
+// queue shape: hundreds of trains backlogged on a few link lanes.
 // bench/run.sh kernel records the results to BENCH_kernel.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -81,6 +83,58 @@ std::uint64_t run_packet(int lp_count, int chains, int hops,
   return events;
 }
 
+// Lane workload: the shape of the paper's Campus run on one engine — a
+// few busy links with hundreds of trains queued behind them. Each hop
+// departs its link when the link is free and rides the link as its lane,
+// the way Emulator::transmit hints a train; every 8th hop also arms an
+// unhinted timer (a loose event).
+constexpr int kLanes = 8;
+constexpr int kLaneTrains = 512;
+constexpr int kLaneHops = 64;
+constexpr double kLaneSerialization = 1e-3;
+constexpr double kLaneLatency = 0.01;
+
+struct LaneRecord {
+  std::int32_t lane = 0;
+  std::int32_t hops_left = 0;
+};
+
+class LaneSink : public EventSink {
+ public:
+  explicit LaneSink(Kernel& kernel)
+      : kernel_(kernel), next_free_(kLanes, 0.0) {}
+
+  void on_packet_event(const PacketEvent& event) override {
+    auto* rec = static_cast<LaneRecord*>(event.payload);
+    if (rec == nullptr || --rec->hops_left <= 0) return;
+    const double now = kernel_.now();
+    if (rec->hops_left % 8 == 0)
+      kernel_.schedule_packet(0, now + 5 * kLaneSerialization, {});
+    rec->lane = (rec->lane + 1 + rec->hops_left % 3) % kLanes;
+    double& free_at = next_free_[static_cast<std::size_t>(rec->lane)];
+    free_at = std::max(now, free_at) + kLaneSerialization;
+    kernel_.schedule_packet(0, free_at + kLaneLatency, {rec, 0, rec->lane});
+  }
+
+ private:
+  Kernel& kernel_;
+  std::vector<double> next_free_;
+};
+
+std::uint64_t run_lanes() {
+  Kernel kernel(1, 1.0);
+  LaneSink sink(kernel);
+  kernel.set_event_sink(&sink);
+  std::vector<LaneRecord> records(kLaneTrains);
+  for (int c = 0; c < kLaneTrains; ++c) {
+    auto& rec = records[static_cast<std::size_t>(c)];
+    rec = {c % kLanes, kLaneHops};
+    kernel.schedule_packet(0, 1e-5 * c, {&rec, 0});
+  }
+  kernel.run_until(1e6);
+  return kernel.stats().events_per_lp[0];
+}
+
 // --- benchmarks -----------------------------------------------------------
 
 constexpr int kChains = 64;
@@ -115,6 +169,17 @@ void BM_MixedHop_Packet_Threaded(benchmark::State& state) {
   bench_packet(state, 4, ExecutionMode::Threaded, kMixed);
 }
 BENCHMARK(BM_MixedHop_Packet_Threaded)->UseRealTime();
+
+// Campus-shaped queue: ~512 pending events per LP on 8 lanes.
+void BM_LaneHop_Packet(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    events += run_lanes();
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_LaneHop_Packet);
 
 }  // namespace
 

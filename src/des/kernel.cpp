@@ -99,14 +99,18 @@ struct Kernel::Impl {
   /// One scheduled event: 40 trivially-copyable bytes, so heap sifts (the
   /// single hottest operation in the kernel) move events by plain memcpy.
   /// The kernel owns nothing inside it; the payload belongs to the sink.
+  /// `link` is the queue's own field (see EventQueue) and fills what would
+  /// otherwise be padding.
   struct Event {
     SimTime t;
     std::uint32_t origin;
+    std::uint32_t link;
     std::uint64_t seq;
     PacketEvent packet;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
   static_assert(sizeof(Event) == 40);
+
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.t != b.t) return a.t > b.t;
@@ -115,47 +119,167 @@ struct Kernel::Impl {
     }
   };
 
-  /// Pending-event queue over the (t, origin, seq) total order. Replaces
-  /// std::priority_queue so the drain phase can append a window's incoming
-  /// batch in bulk, and so pop() can move events out without the const_cast
-  /// dance. Two representations of the same set:
+  /// One LP's pending events: a binary min-heap of *lane chains* and loose
+  /// events. A lane (PacketEvent::lane, a link direction in the emulator)
+  /// is a FIFO whose events mostly arrive already in (t, origin, seq)
+  /// order, so only its earliest event sits in the heap; the chain of its
+  /// events waits in `slab`, a singly linked list per lane. Appending to a
+  /// chain costs no heap operation, and popping a chain head replaces it
+  /// in place with its successor (one sift-down, not a pop plus a push).
   ///
-  ///   * heap mode (default): binary min-time heap, O(log n) push/pop;
-  ///   * sorted mode: descending (t, origin, seq) array popped from the
-  ///     back in O(1) — entered when a bulk drain lands in an empty queue
-  ///     (the common case for remote-hop traffic, where a window consumes
-  ///     exactly the batch the previous window delivered). The first push
-  ///     re-heapifies the remainder, so mid-window rescheduling stays
-  ///     correct.
+  /// A lane finds its chain through `tails`, a direct-mapped cache indexed
+  /// by lane mod kLaneTailSlots that holds the lane and its chain's last
+  /// node. Nothing is kept per lane that has no events queued. An event
+  /// joins the heap loose when it carries no lane, when another lane's
+  /// chain holds its slot, or when it does not follow its lane's last
+  /// event. Chains are therefore sorted and the heap holds each chain's
+  /// minimum, so the pop sequence is the unique sorted sequence of the
+  /// pending set however its events were hinted.
   ///
-  /// Every event is unique under the total order, so the pop sequence is
-  /// the sorted sequence in either representation; determinism is
-  /// layout-independent.
-  struct EventHeap {
-    std::vector<Event> v;
-    bool sorted = false;
+  /// Event::link holds the queue's links: in the heap, the slab node of
+  /// the chain head the event is a copy of (kLoose for a loose event); in
+  /// the slab, the next node of its chain or of the free list (kNil at the
+  /// end). A chain head stays in the slab while it heads the chain, so the
+  /// chain's last event is always a slab node.
+  struct EventQueue {
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr std::uint32_t kLoose = kNil;
+    static constexpr auto kSlotMask =
+        static_cast<std::uint32_t>(kLaneTailSlots - 1);
+    static_assert((kLaneTailSlots & kSlotMask) == 0,
+                  "kLaneTailSlots must be a power of two");
 
-    bool empty() const { return v.empty(); }
-    std::size_t size() const { return v.size(); }
-    const Event& top() const { return sorted ? v.back() : v.front(); }
+    /// One tail-cache slot: the lane whose chain holds it (-1 = free) and
+    /// that chain's last node.
+    struct Tail {
+      std::int32_t lane = -1;
+      std::uint32_t last = kNil;
+    };
+
+    std::vector<Event> heap;
+    std::vector<Event> slab;
+    std::vector<Tail> tails = std::vector<Tail>(kLaneTailSlots);
+    std::uint32_t free_node = kNil;
+    std::size_t chained = 0;  // slab nodes behind their chain's head
+
+    bool empty() const { return heap.empty(); }
+    const Event& top() const { return heap.front(); }
+
     void push(Event e) {
-      to_heap();
-      // massf-check: allow(hot-path-alloc) — pops never shrink the queue,
+      const std::int32_t lane = e.packet.lane;
+      e.link = kLoose;
+      if (lane >= 0) {
+        Tail& tail = tails[static_cast<std::uint32_t>(lane) & kSlotMask];
+        if (tail.lane == lane) {
+          if (EventLater{}(e, slab[tail.last])) {
+            const std::uint32_t n = store(e);
+            slab[tail.last].link = n;
+            tail.last = n;
+            ++chained;
+            return;
+          }
+        } else if (tail.lane < 0) {
+          e.link = store(e);
+          tail = {lane, e.link};
+        }
+      }
+      // massf-check: allow(hot-path-alloc) — pops never shrink the heap,
       // so growth stops at the LP's pending-event high-water mark.
-      v.push_back(std::move(e));
-      std::push_heap(v.begin(), v.end(), EventLater{});
+      heap.push_back(e);
+      sift_up(heap.size() - 1);
     }
+
     Event pop() {
-      if (!sorted) std::pop_heap(v.begin(), v.end(), EventLater{});
-      Event e = std::move(v.back());
-      v.pop_back();
-      if (v.empty()) sorted = false;
-      return e;
+      const Event top = heap.front();
+      if (top.link != kLoose) {
+        const std::uint32_t next = slab[top.link].link;
+        release(top.link);
+        if (next != kNil) {
+          // The chain's next event takes the head's place in the heap.
+          Event head = slab[next];
+          head.link = next;
+          --chained;
+          sift_down(head);
+          return top;
+        }
+        // The chain is spent; its slot is free again.
+        tails[static_cast<std::uint32_t>(top.packet.lane) & kSlotMask].lane =
+            -1;
+      }
+      const Event last = heap.back();
+      heap.pop_back();
+      if (!heap.empty()) sift_down(last);
+      return top;
     }
-    void to_heap() {
-      if (!sorted) return;
-      std::make_heap(v.begin(), v.end(), EventLater{});
-      sorted = false;
+
+    /// Move every pending event into `out` (any order) and empty the queue.
+    void take_all(std::vector<Event>& out) {
+      for_each([&out](const Event& e) { out.push_back(e); });
+      for (Tail& tail : tails) tail.lane = -1;
+      heap.clear();
+      slab.clear();
+      free_node = kNil;
+      chained = 0;
+    }
+
+    /// Visit every pending event (any order).
+    template <class Fn>
+    void for_each(Fn&& fn) const {
+      for (const Event& e : heap) {
+        fn(e);
+        if (e.link == kLoose) continue;
+        for (std::uint32_t n = slab[e.link].link; n != kNil; n = slab[n].link)
+          fn(slab[n]);
+      }
+    }
+
+   private:
+    /// Copy `e` into a free slab node with no successor; returns the node.
+    std::uint32_t store(const Event& e) {
+      std::uint32_t n = free_node;
+      if (n != kNil) {
+        free_node = slab[n].link;
+        slab[n] = e;
+      } else {
+        n = static_cast<std::uint32_t>(slab.size());
+        // massf-check: allow(hot-path-alloc) — nodes recycle through the
+        // free list, so growth stops at the LP's chained high-water mark.
+        slab.push_back(e);
+      }
+      slab[n].link = kNil;
+      return n;
+    }
+
+    void release(std::uint32_t n) {
+      slab[n].link = free_node;
+      free_node = n;
+    }
+
+    void sift_up(std::size_t hole) {
+      const Event e = heap[hole];
+      while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (!EventLater{}(heap[parent], e)) break;
+        heap[hole] = heap[parent];
+        hole = parent;
+      }
+      heap[hole] = e;
+    }
+
+    /// Place `e` at the root and sift it down to its place.
+    void sift_down(const Event& e) {
+      const std::size_t n = heap.size();
+      std::size_t hole = 0;
+      while (true) {
+        std::size_t child = 2 * hole + 1;
+        if (child >= n) break;
+        if (child + 1 < n && EventLater{}(heap[child], heap[child + 1]))
+          ++child;
+        if (!EventLater{}(e, heap[child])) break;
+        heap[hole] = heap[child];
+        hole = child;
+      }
+      heap[hole] = e;
     }
   };
 
@@ -174,7 +298,7 @@ struct Kernel::Impl {
   /// its own cache lines so one engine's bookkeeping never falsely shares
   /// with a neighbour's in threaded runs.
   struct alignas(64) Lp {
-    EventHeap queue;
+    EventQueue queue;
     std::uint64_t seq_counter = 0;
     std::vector<Outbox> outbox;  // one slot per destination LP
     /// Destinations whose outbox slot is non-empty (what a flush visits).
@@ -370,41 +494,15 @@ struct Kernel::Impl {
   }
 
   /// Merge a batch of remote events into `receiver`'s queue, charging the
-  /// per-message receive cost. Batches below kBulkHeapifyThreshold (or that
-  /// are a small fraction of the queue) go through ordinary heap pushes;
-  /// bulk append+rebuild only pays when the batch dominates the queue:
-  /// rebuilding costs O(old + new) while appending costs O(new log n) —
-  /// and in practice far less, because drained remote events carry later
-  /// timestamps than the locals already queued and sift-up exits almost
-  /// immediately. Consumes (clears) the batch.
+  /// per-message receive cost. A channel run carries each lane's events in
+  /// send order, so they mostly extend chains without touching the heap.
+  /// Consumes (clears) the batch.
   void merge_batch(Lp& receiver, std::vector<Event>& batch,
                    double per_remote_cost) {
     if (batch.empty()) return;
+    for (const Event& event : batch) receiver.queue.push(event);
     const std::size_t incoming = batch.size();
-    EventHeap& queue = receiver.queue;
-    const bool was_empty = queue.empty();
-    const bool bulk = incoming >= kBulkHeapifyThreshold &&
-                      (was_empty || incoming > queue.size());
-    for (Event& event : batch) {
-      if (bulk)
-        // massf-check: allow(hot-path-alloc) — the same queue capacity as
-        // EventHeap::push: growth stops at the pending-event high-water mark.
-        queue.v.push_back(event);
-      else
-        queue.push(event);
-    }
     batch.clear();
-    if (bulk) {
-      if (was_empty) {
-        // The whole batch in one sorted run: O(1) pops next window.
-        std::sort(queue.v.begin(), queue.v.end(), EventLater{});
-        queue.sorted = true;
-      } else {
-        // Rebuild over old contents + appendees, whichever mode held.
-        queue.sorted = false;
-        std::make_heap(queue.v.begin(), queue.v.end(), EventLater{});
-      }
-    }
     receiver.window_busy += per_remote_cost * static_cast<double>(incoming);
     receiver.remote_received += incoming;
   }
@@ -659,7 +757,7 @@ void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
                 "register an EventSink before scheduling packet events");
   Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
   state.queue.push(
-      {t, static_cast<std::uint32_t>(lp), state.seq_counter++, event});
+      {t, static_cast<std::uint32_t>(lp), 0, state.seq_counter++, event});
 }
 
 // massf-check: hot-path-root (per-packet cross-engine enqueue)
@@ -672,7 +770,7 @@ void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
   if (box.events.empty())
     sender.dirty_dsts.push_back(static_cast<std::uint32_t>(to_lp));
   box.min_t = std::min(box.min_t, t);
-  box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp),
+  box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp), 0,
                         sender.seq_counter++, event});
   sender.window_busy += cost_.per_remote_message;
   ++sender.remote_sent;
@@ -702,16 +800,23 @@ std::uint64_t Kernel::rehome_events(
                 "rehome_events may only be called from a safepoint hook");
   MASSF_REQUIRE(target_of, "rehome target function must be callable");
   auto& lps = impl_->lps;
-  // Extract every keyed event whose target LP differs from its current
-  // home. The moved set is determined purely by keys and the pending-event
-  // set — identical in every mode at a safepoint — and push() restores
-  // the (t, origin, seq) order at the destination, so per-LP pop order
-  // (and with it history_hash) is unaffected by the traversal order here.
+  // Flatten every LP's queue and re-enqueue each event at its target: its
+  // key's LP, or the LP it waited on for pinned (key -1) events. The moved
+  // set is determined purely by keys and the pending-event set — identical
+  // in every mode at a safepoint — and the (t, origin, seq) pop order does
+  // not depend on the order of pushes, so per-LP histories (and
+  // history_hash) are unaffected by the traversal here. Re-enqueueing in
+  // ascending order lets each lane's events chain again.
+  std::vector<Impl::Event> pending;
   std::vector<std::pair<int, Impl::Event>> moved;
   for (std::size_t i = 0; i < lps.size(); ++i) {
-    Impl::EventHeap& queue = lps[i].queue;
-    auto keep = queue.v.begin();
-    for (Impl::Event& e : queue.v) {
+    pending.clear();
+    lps[i].queue.take_all(pending);
+    std::sort(pending.begin(), pending.end(),
+              [](const Impl::Event& a, const Impl::Event& b) {
+                return Impl::EventLater{}(b, a);
+              });
+    for (const Impl::Event& e : pending) {
       const std::int32_t key = e.packet.node;
       int target = static_cast<int>(i);
       if (key >= 0) {
@@ -721,15 +826,9 @@ std::uint64_t Kernel::rehome_events(
                                           << " out of range");
       }
       if (target == static_cast<int>(i))
-        *keep++ = e;
+        lps[i].queue.push(e);
       else
         moved.emplace_back(target, e);
-    }
-    if (keep != queue.v.end()) {
-      queue.v.erase(keep, queue.v.end());
-      // Removal keeps sorted mode sorted; heap mode must re-heapify.
-      if (!queue.sorted)
-        std::make_heap(queue.v.begin(), queue.v.end(), Impl::EventLater{});
     }
   }
   for (auto& [target, e] : moved)
@@ -746,6 +845,29 @@ void Kernel::lower_global_lookahead(double la) {
                 "the global lookahead may only be lowered mid-run (got "
                     << la << ", current " << lookahead_ << ")");
   lookahead_ = la;
+}
+
+std::uint64_t Kernel::pending_events() const {
+  std::uint64_t n = 0;
+  for (const Impl::Lp& lp : impl_->lps) {
+    // Counted by walking the heap and its chains, not from the queue's
+    // counters: an event stranded off every chain would never run, and
+    // the emulator's run-end check must see it as lost.
+    lp.queue.for_each([&n](const Impl::Event&) { ++n; });
+    for (const Impl::Outbox& box : lp.outbox) n += box.events.size();
+  }
+  for (const auto& ch : impl_->channels)
+    for (const Impl::Channel::RunNode* r =
+             ch->tail->next.load(std::memory_order_acquire);
+         r != nullptr; r = r->next.load(std::memory_order_acquire))
+      n += r->events.size();
+  return n;
+}
+
+std::uint64_t Kernel::chained_events() const {
+  std::uint64_t n = 0;
+  for (const Impl::Lp& lp : impl_->lps) n += lp.queue.chained;
+  return n;
 }
 
 std::uint64_t Kernel::events_executed(int lp) const {
@@ -831,12 +953,10 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
     // Discard the setup population: the caller rebuilt the emulator from
     // scratch, so every event scheduled so far (endpoint starts, epoch
     // boundaries) is superseded by the checkpointed queues.
-    for (Impl::Lp& lp : impl.lps) {
-      for (Impl::Event& e : lp.queue.v)
-        if (e.packet.payload != nullptr) drop(e.packet.payload);
-      lp.queue.v.clear();
-      lp.queue.sorted = false;
-    }
+    std::vector<Impl::Event> setup;
+    for (Impl::Lp& lp : impl.lps) lp.queue.take_all(setup);
+    for (const Impl::Event& e : setup)
+      if (e.packet.payload != nullptr) drop(e.packet.payload);
     impl.clear_channels();
   }
 
@@ -879,10 +999,11 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
     io.f64s(lp.series, "per-engine section");
 
     // Pending events in ascending (t, origin, seq) order — the canonical
-    // pop order, independent of the queue's current heap/sorted layout.
+    // pop order, independent of how the queue holds them.
     std::vector<Impl::Event> pending;
     if constexpr (!kLoad) {
-      pending = lp.queue.v;
+      lp.queue.for_each(
+          [&pending](const Impl::Event& e) { pending.push_back(e); });
       std::sort(pending.begin(), pending.end(),
                 [](const Impl::Event& a, const Impl::Event& b) {
                   return Impl::EventLater{}(b, a);
@@ -908,13 +1029,10 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
       io.i64(e.packet.node);
       payload(io, e.packet);
     }
-    if constexpr (kLoad) {
-      // Saved ascending; the sorted representation pops descending arrays
-      // from the back, so a reverse hands the queue back in O(1)-pop form.
-      std::reverse(pending.begin(), pending.end());
-      lp.queue.v = std::move(pending);
-      lp.queue.sorted = !lp.queue.v.empty();
-    }
+    // Saved ascending, so each lane's events (load_payload re-derives the
+    // hints) chain again as they are pushed.
+    if constexpr (kLoad)
+      for (const Impl::Event& e : pending) lp.queue.push(e);
   }
   io.tag(kTagKernelEnd, "kernel trailer");
 }

@@ -77,9 +77,18 @@ using SimTime = double;
 /// on. Carrying this POD inline keeps the per-hop hot path free of heap
 /// churn — the paper's per-engine load is "essentially one kernel event per
 /// packet" (§4.1.1), so this is the cost that bounds emulation scale.
+///
+/// `lane` is a queueing hint: the FIFO the event belongs to (the emulator
+/// passes the link direction a train crosses, whose arrivals come in
+/// nondecreasing time order), or -1 for none. Events of one lane that are
+/// scheduled in (t, origin, seq) order wait in a chain behind the lane's
+/// earliest event instead of in the LP's heap. The hint changes only the
+/// queue's cost, never the execution order: an event that does not follow
+/// its lane's last one simply joins the heap.
 struct PacketEvent {
   void* payload = nullptr;
   std::int32_t node = -1;
+  std::int32_t lane = -1;
 };
 
 /// Receiver of every kernel event (the emulator). Registered once before
@@ -115,11 +124,11 @@ const char* to_string(SyncMode mode);
 /// runs are held across advance iterations — with the sender's published
 /// clock capped so the hold is conservative-safe — and force-flushed at
 /// every stall, rendezvous, and safepoint. 16 amortizes the cross-core
-/// cache handoff over a run while staying small enough that a drained run
-/// usually rides the bulk-heapify path (kBulkHeapifyThreshold) at the
-/// receiver. Exposed so tests can pin both sides of the threshold
-/// (KernelStats::handoff_runs is the observable). GlobalWindow publishes
-/// every non-empty outbox at the end of each LP's window and ignores it.
+/// cache handoff over a run while keeping a receiver's bound moving: a run
+/// is invisible to the receiver until it is published. Exposed so tests can
+/// pin both sides of the threshold (KernelStats::handoff_runs is the
+/// observable). GlobalWindow publishes every non-empty outbox at the end of
+/// each LP's window and ignores it.
 inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 
 /// Iterations a threaded worker spends in the cpu_relax() spin loop —
@@ -130,14 +139,11 @@ inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 /// costs one park instead of a burned scheduler quantum.
 inline constexpr std::uint32_t kSpinIterationsBeforePark = 2048;
 
-/// Bulk inbox appends below this size go through ordinary heap pushes; at
-/// or above it — and only when the batch is a sizable fraction of the queue
-/// (batch > queue size, or the queue is empty) — a single sort/make_heap
-/// rebuild is cheaper than m * log(n) sift-ups. 8 is where the rebuild's
-/// O(old + new) linear cost starts winning against per-event sift-ups for
-/// the remote-hop batches the drain phase actually sees. Exposed here so
-/// tests can pin both branches of the drain path to the constant.
-inline constexpr std::size_t kBulkHeapifyThreshold = 8;
+/// Slots of each LP's lane tail cache (a power of two): lane L may chain
+/// only while slot L mod kLaneTailSlots is free or already L's, so two busy
+/// lanes kLaneTailSlots apart share one chain slot and the later one's
+/// events queue loose in the heap. Exposed so tests can make lanes collide.
+inline constexpr std::size_t kLaneTailSlots = 1024;
 
 /// Per-directed-channel counters (single-writer: maintained by the
 /// receiving LP). Throttle fields stay 0 under GlobalWindow.
@@ -348,6 +354,11 @@ class Kernel {
   /// preserved. Hook-only.
   void lower_global_lookahead(double la);
 
+  /// Events scheduled and not yet executed: LP queues, held outboxes and
+  /// unconsumed channel runs. Exact only while the kernel is not executing
+  /// events (before or after run_until, or from a safepoint hook).
+  std::uint64_t pending_events() const;
+
   /// Events executed so far by one LP. Stable only while the kernel is not
   /// executing events (from a safepoint hook, or after run_until returns) —
   /// the load monitor samples it at safepoints.
@@ -410,6 +421,9 @@ class Kernel {
   /// lp_count), so 1 < W < lp_count is covered on every host.
   friend struct KernelTestPeer;
   void run_until(SimTime end_time, std::size_t workers);
+  /// Test seam: pending events waiting in lane chains behind their lane's
+  /// earliest event (out of the heap). Same stability as pending_events.
+  std::uint64_t chained_events() const;
 
   /// Run `workers` workers, each owning a contiguous block of LPs; one
   /// worker runs on the calling thread.

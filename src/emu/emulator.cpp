@@ -592,12 +592,15 @@ void Emulator::transmit(NodeId from, Packet* packet, SimTime t) {
 
   if (netflow_) netflow_->record_link(link_id, dir, *packet);
 
+  // The link direction is the train's kernel lane: its arrivals come in
+  // time order (FIFO departures, one latency), so they queue as a chain.
   const NodeId to = link.a == from ? link.b : link.a;
+  const des::PacketEvent hop{packet, to, static_cast<std::int32_t>(slot)};
   const int to_engine = engine_of(to);
   if (to_engine == engine_of(from))
-    kernel_->schedule_packet(to_engine, arrival, {packet, to});
+    kernel_->schedule_packet(to_engine, arrival, hop);
   else
-    kernel_->schedule_packet_remote(to_engine, arrival, {packet, to});
+    kernel_->schedule_packet_remote(to_engine, arrival, hop);
 }
 
 void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
@@ -812,6 +815,28 @@ void Emulator::run(SimTime until, des::ExecutionMode mode) {
          ckpt_times_[ckpt_cursor_] <= kernel_->resume_time())
     ++ckpt_cursor_;
   kernel_->run_until(until, mode);
+
+  // Run-end invariants. Every pending kernel event carries exactly one
+  // pool packet and every live packet rides exactly one event, so an event
+  // lost or duplicated by the kernel queues shows up as a mismatch.
+  const std::uint64_t pending = kernel_->pending_events();
+  const std::size_t live = pool_.live();
+  MASSF_CHECK(pending == live,
+              "run end: the kernel holds "
+                  << pending << " pending events but " << live
+                  << " packets are live in the pool — a kernel event was "
+                     "lost or duplicated");
+  const EmulatorStats s = stats();
+  const std::uint64_t settled = s.trains_delivered + s.trains_dropped +
+                                s.trains_dropped_fault +
+                                s.trains_dropped_unreachable +
+                                s.trains_expired;
+  MASSF_CHECK(settled <= s.trains_injected,
+              "run end: " << settled
+                          << " trains were delivered, dropped or expired but "
+                             "only "
+                          << s.trains_injected
+                          << " were injected — train conservation is broken");
 }
 
 void Emulator::set_checkpoint_schedule(const CheckpointConfig& cfg,
@@ -907,6 +932,18 @@ void Emulator::serialize_payload(Io& io, Self& self, Event& e) {
   io.u64(p->probe_id);
   io.i64(p->reporter);
   io.i64(p->via);
+  MASSF_REQUIRE(p->via >= -1 && p->via < self.network_.link_count(),
+                "snapshot pending event at node "
+                    << e.node << " rides link " << p->via
+                    << " outside this network's " << self.network_.link_count()
+                    << " links — the snapshot is corrupt");
+  if constexpr (Io::kLoading) {
+    // The lane hint transmit() gave the hop: the direction of `via` that
+    // ends at the event's node (not part of the snapshot).
+    if (!is_control(p->kind) && p->via >= 0)
+      e.lane = static_cast<std::int32_t>(
+          2 * p->via + (self.network_.link(p->via).b == e.node ? 0 : 1));
+  }
   if (p->has_message) {
     auto& m = p->message;
     io.i64(m.src);

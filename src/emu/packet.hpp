@@ -141,6 +141,13 @@ class PacketPool {
     return n;
   }
 
+  /// Packets acquired and not yet released, over all shards.
+  std::size_t live() const {
+    std::size_t n = allocated();
+    for (const Shard& s : shards_) n -= s.free_list.size();
+    return n;
+  }
+
  private:
   struct Shard {
     std::deque<Packet> storage;     // stable addresses

@@ -7,7 +7,8 @@
 // event, so `kernel.schedule_packet(lp, t, {})` schedules pure load.
 //
 // KernelTestPeer runs a kernel with an explicit worker count, so the
-// threaded equivalence tests cover 1 < W < lp_count on every host.
+// threaded equivalence tests cover 1 < W < lp_count on every host, and
+// counts the events waiting in lane chains.
 #pragma once
 
 #include <algorithm>
@@ -32,14 +33,18 @@ class ScriptSink : public EventSink {
     kernel.set_event_sink(this);
   }
 
-  /// Kernel::schedule_packet with an inline body; `key` is the rehome key.
-  void at(int lp, SimTime t, Body body, std::int32_t key = -1) {
-    kernel_.schedule_packet(lp, t, {store(std::move(body)), key});
+  /// Kernel::schedule_packet with an inline body; `key` is the rehome key,
+  /// `lane` the queueing hint.
+  void at(int lp, SimTime t, Body body, std::int32_t key = -1,
+          std::int32_t lane = -1) {
+    kernel_.schedule_packet(lp, t, {store(std::move(body)), key, lane});
   }
 
   /// Kernel::schedule_packet_remote with an inline body.
-  void remote(int lp, SimTime t, Body body, std::int32_t key = -1) {
-    kernel_.schedule_packet_remote(lp, t, {store(std::move(body)), key});
+  void remote(int lp, SimTime t, Body body, std::int32_t key = -1,
+              std::int32_t lane = -1) {
+    kernel_.schedule_packet_remote(lp, t,
+                                   {store(std::move(body)), key, lane});
   }
 
   void on_packet_event(const PacketEvent& event) override {
@@ -66,6 +71,9 @@ struct KernelTestPeer {
   static void run_until(Kernel& kernel, SimTime end_time,
                         std::size_t workers) {
     kernel.run_until(end_time, workers);
+  }
+  static std::uint64_t chained_events(const Kernel& kernel) {
+    return kernel.chained_events();
   }
 };
 

@@ -6,11 +6,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "ckpt/ckpt.hpp"
 #include "des/kernel.hpp"
 #include "kernel_script.hpp"
 
@@ -740,61 +744,358 @@ TEST(ChannelSync, SequentialExceptionPropagates) {
   EXPECT_THROW(kernel.run_until(10.0), std::runtime_error);
 }
 
-// ---- Bulk-heapify threshold (both drain branches) ------------------------
+// ---- Lane chains: fan-in ordering -----------------------------------------
 
-/// Fan `count` remote events into LP 0 in one batch and return the order
-/// they executed in; `preload_locals` seeds the receiver's queue first so
-/// the batch-vs-queue-size arm of the bulk condition is exercised too.
-std::vector<double> fan_in_order(std::size_t count,
-                                 std::size_t preload_locals) {
+/// Fan `count` remote events into LP 0 in one batch, hinted with
+/// `lane_of(i)`, and return the order they executed in; `preload_locals`
+/// seeds the receiver's queue with later local events (every third one on
+/// lane 3) so the batch lands in a non-empty queue.
+std::vector<double> fan_in_order(
+    std::size_t count, std::size_t preload_locals, bool ascending,
+    const std::function<std::int32_t(std::size_t)>& lane_of) {
   Kernel kernel(2, 1.0);
   ScriptSink script(kernel);
   std::vector<double> order;
   for (std::size_t i = 0; i < preload_locals; ++i)
     script.at(0, 5.0 + 0.5 * static_cast<double>(i),
-              [&order, i] { order.push_back(5.0 + 0.5 * i); });
+              [&order, i] { order.push_back(5.0 + 0.5 * i); }, -1,
+              i % 3 == 0 ? 3 : -1);
   script.at(1, 0.5, [&] {
     for (std::size_t i = 0; i < count; ++i) {
-      // Descending times: a sorted-run shortcut that failed to sort would
-      // execute these backwards.
-      const double t = 2.0 + 0.01 * static_cast<double>(count - i);
-      script.remote(0, t, [&order, t] { order.push_back(t); });
+      // Descending times: a chain that accepted an event ahead of its tail
+      // would execute these backwards.
+      const double step = static_cast<double>(ascending ? i : count - i);
+      const double t = 2.0 + 0.01 * step;
+      script.remote(0, t, [&order, t] { order.push_back(t); }, -1,
+                    lane_of(i));
     }
   });
   kernel.run_until(100.0);
   return order;
 }
 
-TEST(BulkHeapify, BelowThresholdUsesPerEventPushes) {
-  const std::size_t n = kBulkHeapifyThreshold - 1;
-  const auto order = fan_in_order(n, 0);
-  ASSERT_EQ(order.size(), n);
+TEST(LaneChains, UnhintedFanInRunsLoose) {
+  const auto order = fan_in_order(7, 0, false, [](std::size_t) { return -1; });
+  ASSERT_EQ(order.size(), 7u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(BulkHeapify, AtThresholdIntoEmptyQueueUsesSortedRun) {
-  const std::size_t n = kBulkHeapifyThreshold;
-  const auto order = fan_in_order(n, 0);
-  ASSERT_EQ(order.size(), n);
+TEST(LaneChains, DescendingLaneFanInFallsBackToLoose) {
+  // Only the first event heads the lane's chain; every later one precedes
+  // the chain's tail and must go loose.
+  const auto order = fan_in_order(8, 0, false, [](std::size_t) { return 5; });
+  ASSERT_EQ(order.size(), 8u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(BulkHeapify, DominantBatchIntoNonEmptyQueueRebuildsHeap) {
-  // Batch above the threshold *and* larger than the pre-existing queue:
-  // the make_heap arm. Locals at t > batch must still run after it.
-  const std::size_t n = 3 * kBulkHeapifyThreshold;
-  const auto order = fan_in_order(n, 2);
-  ASSERT_EQ(order.size(), n + 2);
+TEST(LaneChains, AscendingLaneFanInChainsAheadOfLocals) {
+  // One chain of 24 on lane 4 ahead of two later locals, one of which
+  // heads lane 3's chain.
+  const auto order = fan_in_order(24, 2, true, [](std::size_t) { return 4; });
+  ASSERT_EQ(order.size(), 26u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-TEST(BulkHeapify, SmallBatchIntoLargerQueueStaysOnPushPath) {
-  // Batch >= threshold but smaller than the queue: the bulk condition's
-  // second clause keeps it on per-event pushes.
-  const std::size_t n = kBulkHeapifyThreshold;
-  const auto order = fan_in_order(n, 2 * kBulkHeapifyThreshold);
-  ASSERT_EQ(order.size(), n + 2 * kBulkHeapifyThreshold);
+TEST(LaneChains, CollidingLanesSplitIntoChainAndLoose) {
+  // Lanes 3 and 3 + kLaneTailSlots share one tail slot: while lane 3 holds
+  // it the other lane's events queue loose, interleaved with the chain and
+  // with the preloaded locals, some of which also ride lane 3.
+  const auto colliding = static_cast<std::int32_t>(3 + kLaneTailSlots);
+  const auto order = fan_in_order(16, 16, true, [&](std::size_t i) {
+    return i % 2 == 0 ? std::int32_t{3} : colliding;
+  });
+  ASSERT_EQ(order.size(), 32u);
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+}
+
+TEST(LaneChains, PendingEventsCountsQueuesChainsAndChannelRuns) {
+  for (const SyncMode sync : {kGW, kCL}) {
+    SCOPED_TRACE(to_string(sync));
+    Kernel kernel(2, 1.0);
+    kernel.set_sync_mode(sync);
+    ScriptSink script(kernel);
+    script.at(0, 0.5, [&] {
+      // Past the end: a three-event chain on lane 9 and an event behind
+      // its tail for LP 1, sent through the channel, plus a local one.
+      for (int i = 0; i < 3; ++i) script.remote(1, 50.0 + i, [] {}, -1, 9);
+      script.remote(1, 49.0, [] {}, -1, 9);
+      kernel.schedule_packet(0, 60.0, {});
+    });
+    kernel.schedule_packet(1, 70.0, {});
+    EXPECT_EQ(kernel.pending_events(), 2u);
+    kernel.run_until(10.0);
+    EXPECT_EQ(kernel.stats().events_per_lp[0], 1u);
+    EXPECT_EQ(kernel.pending_events(), 6u);
+    // GlobalWindow drained the run into LP 1's queue; ChannelLookahead may
+    // leave it in the channel, where it still counts as pending.
+    if (sync == kGW) {
+      EXPECT_EQ(KernelTestPeer::chained_events(kernel), 2u);
+    }
+  }
+}
+
+// ---- Lane chains: differential scenarios -----------------------------------
+//
+// A seeded mini network drives the kernel the way the emulator does: a
+// token at a node picks an outgoing arc (one direction of a link), departs
+// when the arc is free, and arrives one serialization plus latency later,
+// hinted with the arc's lane. One token in eight jumps the arc's queue (an
+// out-of-order push onto the lane), arcs share tail slots kLaneTailSlots
+// apart, cross-LP arcs feed chains through the channels, a safepoint
+// rehomes every node to another LP, and a second one can write a
+// checkpoint. The lane hints may change only the queue's cost: the same
+// scenario with every hint -1 must execute the identical history.
+
+std::uint64_t splitmix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+constexpr int kLaneNodes = 16;
+constexpr int kLaneTokens = 48;
+constexpr SimTime kLaneRehomeAt = 20.0;
+constexpr SimTime kLaneCheckpointAt = 30.0;
+constexpr SimTime kLaneEnd = 1e6;
+
+/// One direction of a link. Times are dyadic, so arrivals on different
+/// arcs tie exactly and the (origin, seq) tie-break is exercised.
+struct LaneArc {
+  int to = 0;
+  std::int32_t lane = -1;
+  double serialization = 0;
+  double latency = 0;
+};
+
+/// A token's state lives in its pending event's payload.
+struct LaneToken {
+  std::uint64_t rng = 0;
+  std::int64_t hops_left = 0;
+  std::int32_t lane = -1;  // hint of the token's pending event
+};
+
+class LaneScenario : public EventSink {
+ public:
+  LaneScenario(Kernel& kernel, bool hinted, std::uint64_t seed)
+      : kernel_(kernel), hinted_(hinted), lps_(kernel.lp_count()) {
+    // Ring links (v, v+1) and chords (v, v+5); each link gives two arcs.
+    int link = 0;
+    out_.resize(kLaneNodes);
+    for (int v = 0; v < kLaneNodes; ++v) {
+      for (const int w : {(v + 1) % kLaneNodes, (v + 5) % kLaneNodes}) {
+        add_arc(v, w, link);
+        add_arc(w, v, link);
+        ++link;
+      }
+    }
+    next_free_.assign(arcs_.size(), 0.0);
+    owner_.resize(kLaneNodes);
+    for (int v = 0; v < kLaneNodes; ++v) owner_[v] = v % lps_;
+    kernel.set_event_sink(this);
+    std::uint64_t rng = seed;
+    tokens_.resize(kLaneTokens);
+    for (LaneToken& token : tokens_) {
+      token.rng = splitmix(rng);
+      token.hops_left = 60;
+      const int v = static_cast<int>(splitmix(rng) % kLaneNodes);
+      const SimTime t = 0.5 * static_cast<double>(splitmix(rng) % 17);
+      // Injections carry random lanes in random time order: pre-run pushes
+      // that mostly do not follow their lane's tail.
+      const auto& arcs = out_[static_cast<std::size_t>(v)];
+      token.lane = arcs_[arcs[splitmix(rng) % arcs.size()]].lane;
+      kernel.schedule_packet(owner_[v], t, {&token, v, hint(token.lane)});
+    }
+    kernel.add_safepoint(kLaneRehomeAt);
+    kernel.add_safepoint(kLaneCheckpointAt);
+    kernel.set_safepoint_hook([this](SimTime t) { on_safepoint(t); });
+  }
+
+  /// Write a checkpoint to `path` at kLaneCheckpointAt.
+  void checkpoint_to(std::string path) { checkpoint_path_ = std::move(path); }
+
+  /// Make this (fresh, unpopulated) scenario resume from the checkpoint
+  /// `from` wrote: its routing state, then the kernel's.
+  void restore(const LaneScenario& from, const std::string& path) {
+    next_free_ = from.saved_next_free_;
+    owner_ = from.saved_owner_;
+    ckpt::Reader r = ckpt::Reader::from_file(path);
+    kernel_.restore_checkpoint(
+        r,
+        [this](ckpt::Reader& in, PacketEvent& e) {
+          if (in.u8() == 0) return;
+          restored_.emplace_back();
+          LaneToken& token = restored_.back();
+          in.u64(token.rng);
+          in.i64(token.hops_left);
+          in.i64(token.lane);
+          e.payload = &token;
+          e.lane = hint(token.lane);
+        },
+        [](void*) {});
+  }
+
+  /// Pending events chained behind a lane head when the rehome ran.
+  std::uint64_t chained_at_rehome() const { return chained_at_rehome_; }
+
+  void on_packet_event(const PacketEvent& event) override {
+    auto* token = static_cast<LaneToken*>(event.payload);
+    if (token == nullptr || --token->hops_left <= 0) return;
+    const int v = event.node;
+    const int lp = kernel_.current_lp();
+    const SimTime now = kernel_.now();
+    const std::uint64_t r = splitmix(token->rng);
+    if ((r >> 16) % 4 == 0)  // unhinted local filler
+      kernel_.schedule_packet(lp, now + 0.0625 * (1 + (r >> 20) % 4), {});
+    const auto& arcs = out_[static_cast<std::size_t>(v)];
+    const std::size_t a = arcs[r % arcs.size()];
+    const LaneArc& arc = arcs_[a];
+    SimTime arrival;
+    if ((r >> 8) % 8 == 0) {
+      // Queue jumper: ignores the arc's backlog, so it usually lands ahead
+      // of the lane's tail.
+      arrival = now + arc.serialization + arc.latency;
+    } else {
+      const SimTime depart = std::max(now, next_free_[a]);
+      next_free_[a] = depart + arc.serialization;
+      arrival = next_free_[a] + arc.latency;
+    }
+    token->lane = arc.lane;
+    const PacketEvent hop{token, arc.to, hint(arc.lane)};
+    const int to_lp = owner_[static_cast<std::size_t>(arc.to)];
+    if (to_lp == lp)
+      kernel_.schedule_packet(lp, arrival, hop);
+    else
+      kernel_.schedule_packet_remote(to_lp, arrival, hop);
+  }
+
+ private:
+  std::int32_t hint(std::int32_t lane) const { return hinted_ ? lane : -1; }
+
+  void add_arc(int from, int to, int link) {
+    const auto k = static_cast<std::int32_t>(arcs_.size());
+    // Arcs 16 and up reuse the tail slots of arcs 0-15.
+    const std::int32_t lane =
+        k % 16 + static_cast<std::int32_t>(kLaneTailSlots) * (k / 16);
+    arcs_.push_back(
+        {to, lane, 0.125 * (1 + link % 3), 1.0 + 0.25 * (link % 4)});
+    out_[static_cast<std::size_t>(from)].push_back(arcs_.size() - 1);
+  }
+
+  void on_safepoint(SimTime t) {
+    if (t == kLaneRehomeAt) {
+      chained_at_rehome_ = KernelTestPeer::chained_events(kernel_);
+      for (int v = 0; v < kLaneNodes; ++v)
+        owner_[static_cast<std::size_t>(v)] = (v / 2 + 1) % lps_;
+      kernel_.rehome_events([this](std::int32_t node) {
+        return owner_[static_cast<std::size_t>(node)];
+      });
+      return;
+    }
+    if (checkpoint_path_.empty()) return;
+    saved_next_free_ = next_free_;
+    saved_owner_ = owner_;
+    ckpt::Writer w;
+    kernel_.save_checkpoint(w, [](ckpt::Writer& out, const PacketEvent& e) {
+      const auto* token = static_cast<const LaneToken*>(e.payload);
+      out.u8(token != nullptr ? 1 : 0);
+      if (token == nullptr) return;
+      out.u64(token->rng);
+      out.i64(token->hops_left);
+      out.i64(token->lane);
+    });
+    w.commit(checkpoint_path_);
+  }
+
+  Kernel& kernel_;
+  const bool hinted_;
+  const int lps_;
+  std::vector<LaneArc> arcs_;
+  std::vector<std::vector<std::size_t>> out_;  // node → outgoing arcs
+  std::vector<SimTime> next_free_;             // arc → departure slot
+  std::vector<int> owner_;                     // node → LP
+  std::vector<LaneToken> tokens_;
+  std::deque<LaneToken> restored_;
+  std::uint64_t chained_at_rehome_ = 0;
+  std::string checkpoint_path_;
+  std::vector<SimTime> saved_next_free_;
+  std::vector<int> saved_owner_;
+};
+
+constexpr int kLaneLps = 4;
+
+struct LaneRun {
+  KernelStats stats;
+  std::uint64_t chained_at_rehome = 0;
+};
+
+LaneRun run_lanes(std::uint64_t seed, bool hinted, SyncMode sync,
+                  std::size_t workers, const std::string& checkpoint = "") {
+  Kernel kernel(kLaneLps, 1.0);
+  kernel.set_sync_mode(sync);
+  LaneScenario scenario(kernel, hinted, seed);
+  if (!checkpoint.empty()) scenario.checkpoint_to(checkpoint);
+  KernelTestPeer::run_until(kernel, kLaneEnd, workers);
+  return {kernel.stats(), scenario.chained_at_rehome()};
+}
+
+TEST(LaneChains, HintedHistoryMatchesUnhintedAcrossCombos) {
+  for (const std::uint64_t seed : {7u, 11u, 23u}) {
+    const LaneRun base = run_lanes(seed, false, kGW, kSequential);
+    EXPECT_EQ(base.chained_at_rehome, 0u);
+    EXPECT_GT(base.stats.events_rehomed, 0u);
+    EXPECT_GT(base.stats.remote_messages, 0u);
+    for (const SyncMode sync : {kGW, kCL}) {
+      for (const std::size_t workers : {kSequential, std::size_t{kLaneLps}}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << ", "
+                                          << to_string(sync) << ", "
+                                          << workers << " workers");
+        const LaneRun hinted = run_lanes(seed, true, sync, workers);
+        const LaneRun plain = run_lanes(seed, false, sync, workers);
+        // The hints are taken: chains hold events when the rehome runs.
+        EXPECT_GT(hinted.chained_at_rehome, 0u);
+        EXPECT_EQ(plain.chained_at_rehome, 0u);
+        for (const LaneRun* run : {&hinted, &plain}) {
+          EXPECT_EQ(run->stats.history_hash, base.stats.history_hash);
+          EXPECT_EQ(run->stats.events_per_lp, base.stats.events_per_lp);
+          EXPECT_EQ(run->stats.remote_messages, base.stats.remote_messages);
+          EXPECT_EQ(run->stats.events_rehomed, base.stats.events_rehomed);
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneChains, RestoredRunMatchesUninterruptedAcrossCombos) {
+  const std::uint64_t seed = 7;
+  const LaneRun base = run_lanes(seed, false, kGW, kSequential);
+  for (const SyncMode sync : {kGW, kCL}) {
+    for (const std::size_t workers : {kSequential, std::size_t{kLaneLps}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(sync) << ", " << workers << " workers");
+      const std::string path = ::testing::TempDir() + "massf_lane_chains_" +
+                               to_string(sync) + "_" +
+                               std::to_string(workers) + ".bin";
+      Kernel original(kLaneLps, 1.0);
+      original.set_sync_mode(sync);
+      LaneScenario writer(original, true, seed);
+      writer.checkpoint_to(path);
+      KernelTestPeer::run_until(original, kLaneEnd, workers);
+      EXPECT_EQ(original.stats().history_hash, base.stats.history_hash);
+
+      Kernel resumed(kLaneLps, 1.0);
+      resumed.set_sync_mode(sync);
+      LaneScenario reader(resumed, true, seed);
+      reader.restore(writer, path);
+      // The restored queues are rebuilt with the hints load re-derived.
+      EXPECT_GT(KernelTestPeer::chained_events(resumed), 0u);
+      KernelTestPeer::run_until(resumed, kLaneEnd, workers);
+      EXPECT_EQ(resumed.stats().history_hash, base.stats.history_hash);
+      EXPECT_EQ(resumed.stats().events_per_lp, base.stats.events_per_lp);
+      EXPECT_EQ(resumed.pending_events(), 0u);
+      std::remove(path.c_str());
+    }
+  }
 }
 
 }  // namespace
