@@ -174,7 +174,9 @@ Reader Reader::from_file(const std::string& path) {
   if (version != kFormatVersion)
     fail("format version " + std::to_string(version) +
          " is not supported (this build reads version " +
-         std::to_string(kFormatVersion) + ")");
+         std::to_string(kFormatVersion) +
+         ") — restore it with the build that wrote it, or rerun from the "
+         "start to write a new snapshot");
   const std::uint64_t payload_size = get_u64(header + 8);
   const std::uint32_t expected_crc = get_u32(header + 16);
 

@@ -54,8 +54,10 @@ class InjectedCrash : public std::runtime_error {
 
 /// "MSCK" little-endian.
 constexpr std::uint32_t kMagic = 0x4b43534du;
-/// Bump on any payload layout change; Reader rejects mismatches.
-constexpr std::uint32_t kFormatVersion = 1;
+/// Bump on any payload layout change; Reader rejects mismatches. Version 2:
+/// ACK trains and their NetFlow records carry the acknowledged flow's key,
+/// not a per-message one.
+constexpr std::uint32_t kFormatVersion = 2;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `size` bytes.
 std::uint32_t crc32(const void* data, std::size_t size);

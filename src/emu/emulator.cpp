@@ -198,6 +198,7 @@ void Emulator::inject_trains(NodeId src, NodeId dst, double bytes, int tag,
                              std::uint64_t message_id, SimTime sent_at,
                              bool reliable, std::uint64_t corr, SimTime at) {
   HostState& sender = host_state_[static_cast<std::size_t>(src)];
+  if (final_stats_) final_stats_.reset();  // a send after run()
 
   // Packetize into trains; the last train embeds the AppMessage that
   // drives delivery bookkeeping at the destination.
@@ -419,6 +420,7 @@ void Emulator::send_probe(NodeId src, NodeId dst, int ttl,
   probe->kind = PacketKind::IcmpEcho;
   probe->flow = kIcmpFlowBase ^ probe_id;
   probe->probe_id = probe_id;
+  if (final_stats_) final_stats_.reset();  // a probe after run()
   ++host_state_[static_cast<std::size_t>(src)].trains_injected;
   kernel_->schedule_packet(engine_of(src), at, {probe, src});
 }
@@ -624,7 +626,10 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
           ack->packets = 1;
           ack->ttl = 255;
           ack->kind = PacketKind::Ack;
-          ack->flow = kAckFlowBase ^ message.id;
+          // NetFlow key: the acknowledged data flow in reverse, so a
+          // stream's ACKs share one record per node; the message id
+          // rides in probe_id for the sender's bookkeeping.
+          ack->flow = kAckFlowBase ^ packet.flow;
           ack->probe_id = message.id;
           ++receiver.trains_injected;
           transmit(at, ack, t);
@@ -826,7 +831,8 @@ void Emulator::run(SimTime until, des::ExecutionMode mode) {
                   << pending << " pending events but " << live
                   << " packets are live in the pool — a kernel event was "
                      "lost or duplicated");
-  const EmulatorStats s = stats();
+  final_stats_ = fold_stats();
+  const EmulatorStats& s = *final_stats_;
   const std::uint64_t settled = s.trains_delivered + s.trains_dropped +
                                 s.trains_dropped_fault +
                                 s.trains_dropped_unreachable +
@@ -1126,6 +1132,10 @@ const NetFlowCollector& Emulator::netflow() const {
 }
 
 EmulatorStats Emulator::stats() const {
+  return final_stats_ ? *final_stats_ : fold_stats();
+}
+
+EmulatorStats Emulator::fold_stats() const {
   EmulatorStats out;
   for (const HostState& s : host_state_) {
     out.trains_injected += s.trains_injected;

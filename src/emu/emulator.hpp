@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,9 +65,10 @@ struct EmulatorConfig {
   des::CostModel cost{};
   /// Record NetFlow profiles (PROFILE needs them). Each hop costs a hash
   /// probe and an in-place update of the node's flow record, and a new
-  /// flow appends one record. On a 4-CPU x86-64 VM (Release, perfbench
-  /// traced runs, `emu.netflow_s` over `run_s`) turning it on cost 10% of
-  /// `campus_profile`'s and 27% of `lb_fault`'s run time.
+  /// flow appends one record. On a 4-CPU x86-64 VM (Release, seed 7,
+  /// perfbench traced runs, `emu.netflow_s` over `run_s`, three runs each)
+  /// turning it on cost 12–18% of `campus_profile`'s run time and at most
+  /// 12% of `lb_fault`'s (35% while every ACK keyed its own record).
   bool collect_netflow = true;
   /// Reliable-delivery retry policy (used by send_reliable only).
   ReliablePolicy reliable{};
@@ -364,6 +366,8 @@ class Emulator : private des::EventSink {
 
   const des::KernelStats& kernel_stats() const { return kernel_->stats(); }
   const NetFlowCollector& netflow() const;
+  /// Counters folded over every host. After run() this is the fold its
+  /// run-end check made, until a later send changes a host's counters.
   EmulatorStats stats() const;
 
   /// Per-epoch fault/recovery counters (empty without a fault timeline).
@@ -501,6 +505,9 @@ class Emulator : private des::EventSink {
   /// engine during a run, shard 0 during single-threaded setup.
   int pool_shard() const;
 
+  /// Sum every host's counters (one pass over host_state_).
+  EmulatorStats fold_stats() const;
+
   double compute_lookahead() const;
   void register_channel_lookaheads();
 
@@ -532,6 +539,9 @@ class Emulator : private des::EventSink {
   RebalanceStats rebalance_stats_;
   SimTime run_until_ = 0;
   bool ran_ = false;
+  // The run-end fold of host_state_; empty until run() returns, so engine
+  // threads only ever read it.
+  std::optional<EmulatorStats> final_stats_;
   // Safepoint hook chain (run() installs one kernel hook that runs these in
   // order: pre hook, rebalance hook, checkpoint write).
   std::function<void(SimTime)> pre_safepoint_hook_;

@@ -85,7 +85,11 @@ struct Packet {
   /// delivery bookkeeping and the endpoint upcall from `message` when the
   /// train reaches its destination.
   bool has_message = false;
-  std::uint64_t flow = 0;      // NetFlow aggregation key
+  /// NetFlow aggregation key: data trains key on (src, dst, tag), an ACK
+  /// on the data flow it acknowledges, an ICMP packet on its probe or on
+  /// the flow it reports. Never a per-message id, so a node holds one
+  /// record per stream crossing it.
+  std::uint64_t flow = 0;
   std::uint64_t probe_id = 0;  // traceroute / ack correlation id
   NodeId reporter = -1;        // for ICMP reports: the reporting router
   /// Link the train is currently crossing (set by transmit); a fault epoch

@@ -67,14 +67,14 @@ std::string current_test() {
   return ::testing::UnitTest::GetInstance()->current_test_info()->name();
 }
 
-void flip_byte(const std::string& path, long offset) {
+void flip_byte(const std::string& path, long offset, int mask = 0xff) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr) << path;
   ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
   const int c = std::fgetc(f);
   ASSERT_NE(c, EOF);
   ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  ASSERT_NE(std::fputc(c ^ 0xff, f), EOF);
+  ASSERT_NE(std::fputc(c ^ mask, f), EOF);
   ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -188,6 +188,24 @@ TEST(CkptFormat, RejectsCorruption) {
   } catch (const ckpt::CkptError& e) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
         << e.what();
+  }
+  // A version-1 file (ACKs keyed per message) is rejected with both
+  // versions named and what to do instead.
+  flip_byte(path, 4);
+  flip_byte(path, 4, static_cast<int>(ckpt::kFormatVersion ^ 1u));
+  try {
+    ckpt::Reader::from_file(path);
+    FAIL() << "expected a version-1 rejection";
+  } catch (const ckpt::CkptError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("format version 1 is not supported"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("reads version " +
+                        std::to_string(ckpt::kFormatVersion)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rerun from the start"), std::string::npos) << what;
   }
 }
 
@@ -983,9 +1001,12 @@ TEST(SnapshotFormat, GoldenPayloadSizeAndCrcPerSyncMode) {
     std::size_t size;
     std::uint32_t crc;
   };
+  // Version 2: ACKs key on their data flow, so the NetFlow section holds
+  // one ACK record per stream instead of one per message (155807 bytes at
+  // version 1).
   const Golden golden[] = {
-      {des::SyncMode::GlobalWindow, 155807, 0xff32840cu},
-      {des::SyncMode::ChannelLookahead, 155807, 0x4707950fu},
+      {des::SyncMode::GlobalWindow, 39767, 0x85be0cefu},
+      {des::SyncMode::ChannelLookahead, 39767, 0x3d8b1decu},
   };
   FormatNet fx;
   for (const Golden& g : golden) {

@@ -3,7 +3,9 @@
 // and engine-placement effects (lookahead, remote messages).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
+#include <string>
 
 #include "emu/emulator.hpp"
 #include "emu/icmp.hpp"
@@ -140,6 +142,102 @@ TEST(Emulator, NetFlowRecordsFlowDetails) {
     EXPECT_GT(record.packets, 0);
     EXPECT_GE(record.last_seen, record.first_seen);
   }
+}
+
+/// `n` reliable 3000-byte messages (2 MTU packets, one train each) from a
+/// to b, one every 20 ms.
+void send_reliable_stream(Emulator& emu, const LineFixture& fx, int n) {
+  for (int i = 0; i < n; ++i) emu.send_reliable(fx.a, fx.b, 3000, 7, 0.02 * i);
+}
+
+void expect_same_records(const std::vector<FlowRecord>& got,
+                         const std::vector<FlowRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].flow, want[i].flow);
+    EXPECT_EQ(got[i].packets, want[i].packets);
+    EXPECT_EQ(got[i].bytes, want[i].bytes);
+    EXPECT_EQ(got[i].first_seen, want[i].first_seen);
+    EXPECT_EQ(got[i].last_seen, want[i].last_seen);
+  }
+}
+
+TEST(Emulator, NetFlowRecordsPerFlowNotPerMessage) {
+  // A reliable stream is two flows at every node it crosses: its data and
+  // its ACKs, however many messages it carries. The ACK leaves b by a
+  // direct transmit, not an injected arrival, so b records the data only.
+  constexpr double kHorizon = 3.0;
+  LineFixture fx;
+  for (const int n : {1, 8, 64}) {
+    SCOPED_TRACE(n);
+    Emulator plain = fx.make({0, 0, 0, 0}, 1);
+    send_reliable_stream(plain, fx, n);
+    plain.run(kHorizon);
+    ASSERT_EQ(plain.stats().reliable_messages_acked,
+              static_cast<std::uint64_t>(n));
+    ASSERT_EQ(plain.stats().retransmissions, 0u);
+    const NetFlowCollector& nf = plain.netflow();
+    for (const NodeId node : {fx.a, fx.r0, fx.r1, fx.b}) {
+      SCOPED_TRACE(node);
+      const std::vector<FlowRecord> records = nf.node_flows(node);
+      ASSERT_EQ(records.size(), node == fx.b ? 1u : 2u);
+      double total = 0;
+      int data = 0;
+      int acks = 0;
+      for (const FlowRecord& record : records) {
+        total += record.packets;
+        if (record.packets == 2.0 * n && record.bytes == 3000.0 * n) ++data;
+        if (record.packets == n && record.bytes < 3000.0 * n) ++acks;
+      }
+      EXPECT_EQ(data, 1);
+      EXPECT_EQ(acks, node == fx.b ? 0 : 1);
+      EXPECT_EQ(total, nf.node_packets()[static_cast<std::size_t>(node)]);
+    }
+
+    // A snapshot taken while message n/2's ACK is in flight, restored into
+    // a rebuilt emulator, finishes with the uninterrupted run's records.
+    const std::string dir = ::testing::TempDir() +
+                            "massf_emu_netflow_" + std::to_string(n);
+    std::filesystem::remove_all(dir);
+    CheckpointConfig cfg;
+    cfg.dir = dir;
+    cfg.first_s = 0.02 * (n / 2) + 0.011;
+    cfg.period_s = 2 * kHorizon;
+    Emulator base = fx.make({0, 0, 0, 0}, 1);
+    send_reliable_stream(base, fx, n);
+    base.set_checkpoint_schedule(cfg, kHorizon);
+    base.run(kHorizon);
+    const auto snapshots = ckpt::list_checkpoints(dir);
+    ASSERT_EQ(snapshots.size(), 1u);
+
+    Emulator revived = fx.make({0, 0, 0, 0}, 1);
+    send_reliable_stream(revived, fx, n);
+    ckpt::Reader reader = ckpt::Reader::from_file(snapshots[0].second);
+    revived.restore(reader);
+    revived.run(kHorizon);
+    for (NodeId node = 0; node < fx.net.node_count(); ++node) {
+      SCOPED_TRACE(node);
+      expect_same_records(revived.netflow().node_flows(node),
+                          nf.node_flows(node));
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+TEST(Emulator, StatsAfterRunCountLaterSends) {
+  // stats() after run() returns the run-end fold; a send after the run
+  // changes a host's counters, so the next stats() folds them again.
+  LineFixture fx;
+  Emulator emu = fx.make({0, 0, 0, 0}, 1);
+  emu.send_message(fx.a, fx.b, 3000, 0, 0.0);
+  emu.run(1.0);
+  const EmulatorStats ran = emu.stats();
+  EXPECT_EQ(ran.trains_injected, 1u);
+  EXPECT_EQ(ran.trains_delivered, 1u);
+  emu.send_message(fx.a, fx.b, 3000, 0, 2.0);
+  const EmulatorStats later = emu.stats();
+  EXPECT_EQ(later.trains_injected, ran.trains_injected + 1);
+  EXPECT_EQ(later.trains_delivered, ran.trains_delivered);
 }
 
 TEST(Emulator, DropTailUnderOverload) {
