@@ -1,8 +1,9 @@
 // Microbenchmarks of the DES kernel hot path (google-benchmark, matching
 // bench_micro_partitioner style): events/sec for packet-hop workloads on
 // the kernel's allocation-free packet-event path, for local hops, remote
-// hops, and a mixed workload, in both execution modes, plus the emulator's
-// queue shape: hundreds of trains backlogged on a few link lanes.
+// hops, and a mixed workload, in both execution modes, plus two of the
+// emulator's queue shapes: hundreds of trains backlogged on a few link
+// lanes, and thousands of reliable-delivery timeouts behind many.
 // bench/run.sh kernel records the results to BENCH_kernel.json.
 #include <benchmark/benchmark.h>
 
@@ -135,6 +136,57 @@ std::uint64_t run_lanes() {
   return kernel.stats().events_per_lp[0];
 }
 
+// Timeout workload: the shape of lb_fault's queue on one engine. Trains hop
+// over ~150 link lanes, and every hop arms a reliable-delivery timeout
+// kTimeout later for one of kTimeoutHosts senders, so ~5,500 timeouts wait
+// behind the link lanes; like most real ones, they fire after their ACK and
+// do nothing. Trains always ride their link lane. Hinted, each sender's
+// timeouts ride its own lane after the link lanes (as emu::KernelLanes
+// numbers them); unhinted, they all wait in the heap.
+constexpr int kTimeoutLinkLanes = 150;
+constexpr int kTimeoutHosts = 40;
+constexpr int kTimeoutTrains = 300;
+constexpr int kTimeoutHops = 128;
+constexpr double kTimeout = 0.2;
+
+class TimeoutSink : public EventSink {
+ public:
+  TimeoutSink(Kernel& kernel, bool hinted)
+      : kernel_(kernel), hinted_(hinted), next_free_(kTimeoutLinkLanes, 0.0) {}
+
+  void on_packet_event(const PacketEvent& event) override {
+    auto* rec = static_cast<LaneRecord*>(event.payload);
+    if (rec == nullptr || --rec->hops_left <= 0) return;  // a timeout
+    const double now = kernel_.now();
+    const std::int32_t host = (rec->lane + rec->hops_left) % kTimeoutHosts;
+    const std::int32_t timeout_lane = hinted_ ? kTimeoutLinkLanes + host : -1;
+    kernel_.schedule_packet(0, now + kTimeout, {nullptr, 0, timeout_lane});
+    rec->lane = (rec->lane + 1 + rec->hops_left % 7) % kTimeoutLinkLanes;
+    double& free_at = next_free_[static_cast<std::size_t>(rec->lane)];
+    free_at = std::max(now, free_at) + kLaneSerialization;
+    kernel_.schedule_packet(0, free_at + kLaneLatency, {rec, 0, rec->lane});
+  }
+
+ private:
+  Kernel& kernel_;
+  bool hinted_;
+  std::vector<double> next_free_;
+};
+
+std::uint64_t run_timeouts(bool hinted) {
+  Kernel kernel(1, 1.0);
+  TimeoutSink sink(kernel, hinted);
+  kernel.set_event_sink(&sink);
+  std::vector<LaneRecord> records(kTimeoutTrains);
+  for (int c = 0; c < kTimeoutTrains; ++c) {
+    auto& rec = records[static_cast<std::size_t>(c)];
+    rec = {c % kTimeoutLinkLanes, kTimeoutHops};
+    kernel.schedule_packet(0, 1e-5 * c, {&rec, 0});
+  }
+  kernel.run_until(1e6);
+  return kernel.stats().events_per_lp[0];
+}
+
 // --- benchmarks -----------------------------------------------------------
 
 constexpr int kChains = 64;
@@ -180,6 +232,20 @@ void BM_LaneHop_Packet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_LaneHop_Packet);
+
+// lb_fault-shaped queue: ~5,500 pending FIFO timeouts behind ~150 link
+// lanes; /hinted:1 gives each sender's timeouts a lane, /hinted:0 leaves
+// them loose.
+void BM_TimeoutLane_Packet(benchmark::State& state) {
+  const bool hinted = state.range(0) != 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    events += run_timeouts(hinted);
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_TimeoutLane_Packet)->ArgName("hinted")->Arg(0)->Arg(1);
 
 }  // namespace
 

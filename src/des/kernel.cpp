@@ -120,12 +120,13 @@ struct Kernel::Impl {
   };
 
   /// One LP's pending events: a binary min-heap of *lane chains* and loose
-  /// events. A lane (PacketEvent::lane, a link direction in the emulator)
-  /// is a FIFO whose events mostly arrive already in (t, origin, seq)
-  /// order, so only its earliest event sits in the heap; the chain of its
-  /// events waits in `slab`, a singly linked list per lane. Appending to a
-  /// chain costs no heap operation, and popping a chain head replaces it
-  /// in place with its successor (one sift-down, not a pop plus a push).
+  /// events. A lane (PacketEvent::lane) is any FIFO stream, such as a link
+  /// direction's hops or a host's timeouts in the emulator, whose events
+  /// mostly arrive already in (t, origin, seq) order, so only its earliest
+  /// event sits in the heap; the chain of its events waits in `slab`, a
+  /// singly linked list per lane. Appending to a chain costs no heap
+  /// operation, and popping a chain head replaces it in place with its
+  /// successor (one sift-down, not a pop plus a push).
   ///
   /// A lane finds its chain through `tails`, a direct-mapped cache indexed
   /// by lane mod kLaneTailSlots that holds the lane and its chain's last

@@ -78,13 +78,14 @@ using SimTime = double;
 /// churn — the paper's per-engine load is "essentially one kernel event per
 /// packet" (§4.1.1), so this is the cost that bounds emulation scale.
 ///
-/// `lane` is a queueing hint: the FIFO the event belongs to (the emulator
-/// passes the link direction a train crosses, whose arrivals come in
-/// nondecreasing time order), or -1 for none. Events of one lane that are
-/// scheduled in (t, origin, seq) order wait in a chain behind the lane's
-/// earliest event instead of in the LP's heap. The hint changes only the
-/// queue's cost, never the execution order: an event that does not follow
-/// its lane's last one simply joins the heap.
+/// `lane` is a queueing hint: the FIFO stream the event belongs to, or -1
+/// for none. A lane is any stream its scheduler produces in (t, origin,
+/// seq) order; the emulator names two families (emu::KernelLanes): a link
+/// direction's hops and a host's first-attempt reliable timeouts. Events
+/// of one lane that are scheduled in that order wait in a chain behind the
+/// lane's earliest event instead of in the LP's heap. The hint changes only
+/// the queue's cost, never the execution order: an event that does not
+/// follow its lane's last one simply joins the heap.
 struct PacketEvent {
   void* payload = nullptr;
   std::int32_t node = -1;

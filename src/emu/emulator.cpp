@@ -49,6 +49,19 @@ constexpr std::size_t kPendingReliableBytes = 7 * 8;
 
 }  // namespace
 
+KernelLanes::KernelLanes(std::int64_t link_count, std::int64_t node_count) {
+  MASSF_REQUIRE(link_count >= 0 && node_count >= 0,
+                "link and node counts must be non-negative");
+  const std::int64_t lanes = 2 * link_count + node_count;
+  MASSF_REQUIRE(lanes <= std::numeric_limits<std::int32_t>::max(),
+                "a network of " << link_count << " links and " << node_count
+                                << " nodes needs " << lanes
+                                << " kernel lane ids (2 per link + 1 per "
+                                   "host), more than a 32-bit lane id holds "
+                                   "— emulate it as smaller networks");
+  host_base_ = static_cast<std::int32_t>(2 * link_count);
+}
+
 SimTime AppApi::now() const { return emulator_.kernel().now(); }
 
 std::uint64_t AppApi::send(NodeId dst, double bytes, int tag,
@@ -78,6 +91,7 @@ Emulator::Emulator(const topology::Network& network,
       routes_(routes),
       node_engine_(std::move(node_engine)),
       engines_(engines),
+      lanes_(network.link_count(), network.node_count()),
       config_(config),
       lookahead_(0),
       pool_(engines),
@@ -280,11 +294,14 @@ std::uint64_t Emulator::send_reliable(NodeId src, NodeId dst, double bytes,
       message_id, PendingReliable{dst, bytes, tag, at, /*attempts=*/1, corr});
   inject_trains(src, dst, bytes, tag, message_id, at, /*reliable=*/true, corr,
                 at);
+  // A first attempt times out `base_timeout_s` after its send, so on the
+  // host's own LP (now never decreases, seq grows) the host's timeouts
+  // follow one another: its timeout lane queues them as a chain.
   Packet* timeout =
       make_control(PacketKind::CtrlReliableTimeout, src, message_id);
   kernel_->schedule_packet(engine_of(src),
                            at + config_.reliable.base_timeout_s,
-                           {timeout, src});
+                           {timeout, src, lanes_.host_timeouts(src)});
   return message_id;
 }
 
@@ -313,6 +330,8 @@ void Emulator::reliable_timeout(NodeId src, std::uint64_t message_id) {
   if (faults_) ++epoch_counters(epoch_for(now)).retransmissions;
   inject_trains(src, p.dst, p.bytes, p.tag, message_id, p.first_sent,
                 /*reliable=*/true, p.corr, now);
+  // The backed-off deadline would break the host lane's FIFO, and re-arms
+  // are rare: this one queues loose.
   const double timeout = config_.reliable.base_timeout_s *
                          std::pow(kReliableBackoff, p.attempts - 1);
   Packet* rearm = make_control(PacketKind::CtrlReliableTimeout, src,
@@ -579,8 +598,8 @@ void Emulator::transmit(NodeId from, Packet* packet, SimTime t) {
   packet->via = link_id;
   const topology::Link& link = network_.link(link_id);
   const int dir = link.a == from ? 0 : 1;
-  const std::size_t slot =
-      2 * static_cast<std::size_t>(link_id) + static_cast<std::size_t>(dir);
+  const std::int32_t lane = lanes_.link_direction(link_id, dir);
+  const auto slot = static_cast<std::size_t>(lane);
 
   const double serialization = packet->bytes * 8.0 / link.bandwidth_bps;
   const double depart = std::max(t, link_next_free_[slot]);
@@ -597,7 +616,7 @@ void Emulator::transmit(NodeId from, Packet* packet, SimTime t) {
   // The link direction is the train's kernel lane: its arrivals come in
   // time order (FIFO departures, one latency), so they queue as a chain.
   const NodeId to = link.a == from ? link.b : link.a;
-  const des::PacketEvent hop{packet, to, static_cast<std::int32_t>(slot)};
+  const des::PacketEvent hop{packet, to, lane};
   const int to_engine = engine_of(to);
   if (to_engine == engine_of(from))
     kernel_->schedule_packet(to_engine, arrival, hop);
@@ -831,7 +850,7 @@ void Emulator::run(SimTime until, des::ExecutionMode mode) {
                   << pending << " pending events but " << live
                   << " packets are live in the pool — a kernel event was "
                      "lost or duplicated");
-  final_stats_ = fold_stats();
+  final_stats_ = fold_stats();  // checks reliable conservation per host
   const EmulatorStats& s = *final_stats_;
   const std::uint64_t settled = s.trains_delivered + s.trains_dropped +
                                 s.trains_dropped_fault +
@@ -944,11 +963,21 @@ void Emulator::serialize_payload(Io& io, Self& self, Event& e) {
                     << " outside this network's " << self.network_.link_count()
                     << " links — the snapshot is corrupt");
   if constexpr (Io::kLoading) {
-    // The lane hint transmit() gave the hop: the direction of `via` that
-    // ends at the event's node (not part of the snapshot).
-    if (!is_control(p->kind) && p->via >= 0)
-      e.lane = static_cast<std::int32_t>(
-          2 * p->via + (self.network_.link(p->via).b == e.node ? 0 : 1));
+    // The lane hints (not part of the snapshot) transmit() and
+    // send_reliable() gave the event: a hop rides the direction of `via`
+    // that ends at its node; a timeout rides its host's lane unless its
+    // message was already retransmitted (a re-arm, loose). Host state is
+    // restored before the events.
+    if (!is_control(p->kind) && p->via >= 0) {
+      e.lane = self.lanes_.link_direction(
+          p->via, self.network_.link(p->via).b == e.node ? 0 : 1);
+    } else if (p->kind == PacketKind::CtrlReliableTimeout) {
+      const auto& pending =
+          self.host_state_[static_cast<std::size_t>(p->dst)].pending;
+      const auto it = pending.find(p->probe_id);
+      if (it == pending.end() || it->second.attempts == 1)
+        e.lane = self.lanes_.host_timeouts(p->dst);
+    }
   }
   if (p->has_message) {
     auto& m = p->message;
@@ -1138,6 +1167,22 @@ EmulatorStats Emulator::stats() const {
 EmulatorStats Emulator::fold_stats() const {
   EmulatorStats out;
   for (const HostState& s : host_state_) {
+    // Reliable-layer conservation: every send is ACKed, failed or still
+    // pending, and a receiver delivers each message id once.
+    MASSF_CHECK(s.reliable_sent ==
+                    s.reliable_acked + s.reliable_failed + s.pending.size(),
+                "host " << (&s - host_state_.data()) << " sent "
+                        << s.reliable_sent << " reliable messages but "
+                        << s.reliable_acked << " were acked, "
+                        << s.reliable_failed << " failed and "
+                        << s.pending.size()
+                        << " are pending — a reliable message was lost or "
+                           "settled twice");
+    MASSF_CHECK(s.reliable_seen.size() == s.reliable_delivered,
+                "host " << (&s - host_state_.data()) << " delivered "
+                        << s.reliable_delivered << " reliable messages but "
+                        << "has seen " << s.reliable_seen.size()
+                        << " message ids — exactly-once delivery is broken");
     out.trains_injected += s.trains_injected;
     out.trains_delivered += s.trains_delivered;
     out.trains_dropped_fault += s.trains_dropped_fault;
@@ -1154,6 +1199,16 @@ EmulatorStats Emulator::fold_stats() const {
     out.duplicate_deliveries += s.duplicate_deliveries;
     out.bytes_delivered += s.bytes_delivered;
   }
+  MASSF_CHECK(out.reliable_messages_acked <= out.reliable_messages_delivered &&
+                  out.reliable_messages_delivered <=
+                      out.reliable_messages_sent,
+              "reliable messages: " << out.reliable_messages_acked
+                                    << " acked, "
+                                    << out.reliable_messages_delivered
+                                    << " delivered, "
+                                    << out.reliable_messages_sent
+                                    << " sent — an ACK without a delivery or "
+                                       "a delivery without a send");
   // trains_dropped is *defined* as the drop-tail ledger: the sum of the
   // per-direction link_drops_ slots, nothing else folded in.
   for (std::uint64_t d : link_drops_) out.trains_dropped += d;

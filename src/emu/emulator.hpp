@@ -183,6 +183,29 @@ struct EpochStats {
   double max_recovery_s = 0;
 };
 
+/// The emulator's kernel lanes (des::PacketEvent::lane), named in one
+/// place. A lane is a stream of events the emulator schedules in
+/// (t, origin, seq) order, so the kernel queues it as a chain instead of in
+/// its heap. Two families share one id space:
+///   * link direction, `2·link + dir` (dir 0 = a→b): a direction's hops
+///     arrive in FIFO order (FIFO departures, one latency). The id is also
+///     the index of the direction's link state;
+///   * host timeout stream, `2·link_count + host`: a host's first-attempt
+///     reliable timeouts, each `now + base_timeout_s` on the host's own LP.
+class KernelLanes {
+ public:
+  /// Rejects counts whose lane ids would overflow int32_t.
+  KernelLanes(std::int64_t link_count, std::int64_t node_count);
+
+  std::int32_t link_direction(LinkId link, int dir) const {
+    return 2 * link + dir;
+  }
+  std::int32_t host_timeouts(NodeId host) const { return host_base_ + host; }
+
+ private:
+  std::int32_t host_base_;
+};
+
 /// The emulator is the kernel's EventSink: every packet hop is a typed,
 /// allocation-free kernel event whose payload is a pool-owned Packet*.
 class Emulator : private des::EventSink {
@@ -375,8 +398,8 @@ class Emulator : private des::EventSink {
 
   /// Drop-tail drops on one direction of a link (dir 0 = a→b, 1 = b→a).
   std::uint64_t link_drops(LinkId link, int dir) const {
-    return link_drops_[2 * static_cast<std::size_t>(link) +
-                       static_cast<std::size_t>(dir)];
+    return link_drops_[static_cast<std::size_t>(
+        lanes_.link_direction(link, dir))];
   }
 
   /// Packet slots ever materialized by the train pool — tracks the peak
@@ -505,7 +528,8 @@ class Emulator : private des::EventSink {
   /// engine during a run, shard 0 during single-threaded setup.
   int pool_shard() const;
 
-  /// Sum every host's counters (one pass over host_state_).
+  /// Sum every host's counters (one pass over host_state_), checking the
+  /// reliable layer's conservation on the way.
   EmulatorStats fold_stats() const;
 
   double compute_lookahead() const;
@@ -515,6 +539,7 @@ class Emulator : private des::EventSink {
   const routing::RoutingView& routes_;
   std::vector<int> node_engine_;
   int engines_;
+  KernelLanes lanes_;  // fills the padding after engines_
   EmulatorConfig config_;
   double lookahead_;
   std::unique_ptr<des::Kernel> kernel_;

@@ -3,10 +3,13 @@
 // request/response path end to end, retry-exhaustion surfacing via
 // on_send_failed, ACK-vs-epoch-boundary races, and bit-identical
 // history/latency accounting across Sequential/Threaded ×
-// GlobalWindow/ChannelLookahead under a random fault plan.
+// GlobalWindow/ChannelLookahead under a random fault plan, and the kernel
+// queue shape reliable timeouts leave behind, live and after a restore.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "app/lb_policy.hpp"
@@ -14,6 +17,7 @@
 #include "app/scenario.hpp"
 #include "emu/emulator.hpp"
 #include "fault/fault.hpp"
+#include "kernel_script.hpp"
 #include "routing/routing.hpp"
 #include "topology/network.hpp"
 #include "util/histogram.hpp"
@@ -535,6 +539,153 @@ TEST(LbDeterminism, HistoryAndHistogramsIdenticalAcrossAllFourCombos) {
         expect_same_latency(run.latency, baseline.latency);
       }
     }
+  }
+}
+
+// ---- Queue shape: reliable timeouts ride their host's kernel lane ----------
+
+/// `lb_fault` in small: ~5,000 users at 1 req/s, reliable delivery on, and
+/// rack 0's core uplink down for the middle third of the load.
+struct LaneShapeNet {
+  static constexpr int kEngines = 4;
+  static constexpr double kSafepoint = 0.5;  // mid-load, mid-outage
+
+  LbScenarioParams params = make_params();
+  LbScenario scenario = make_lb_scenario(params);
+  RoutingTables tables = RoutingTables::build(scenario.net);
+  FaultTimeline timeline{scenario.net, outage(scenario, params)};
+  LbWorkload workload{scenario, params};
+
+  static LbScenarioParams make_params() {
+    LbScenarioParams p;
+    p.backends = 8;
+    p.client_hosts = 20;
+    p.users_per_host = 250;
+    p.rate_per_user = 1.0;
+    p.duration_s = 1.0;
+    p.server.workers = 4;
+    p.server.mean_s = 2e-3;
+    p.policy = PolicyKind::PeakEwma;
+    return p;
+  }
+
+  static FaultPlan outage(const LbScenario& s, const LbScenarioParams& p) {
+    FaultPlan plan;
+    plan.link_outage(s.degraded_uplink, p.duration_s / 3,
+                     2 * p.duration_s / 3);
+    return plan;
+  }
+
+  double horizon() const { return 2.0 * params.duration_s + 10.0; }
+
+  std::unique_ptr<Emulator> make(des::SyncMode sync) const {
+    std::vector<int> placement(
+        static_cast<std::size_t>(scenario.net.node_count()));
+    for (std::size_t i = 0; i < placement.size(); ++i)
+      placement[i] = static_cast<int>(i % kEngines);
+    EmulatorConfig config;
+    config.reliable.base_timeout_s = params.reliable_timeout_s;
+    config.sync_mode = sync;
+    auto emulator = std::make_unique<Emulator>(
+        scenario.net, tables, std::move(placement), kEngines, config);
+    emulator->set_fault_timeline(&timeline);
+    workload.install(*emulator);
+    return emulator;
+  }
+
+  /// Most events the LP heaps may hold together while every lane is
+  /// hinted: one head per lane (two per link, one per host), the app
+  /// timers (one arrival timer per client host, one per busy server
+  /// worker) and the pending fault-epoch boundaries of every engine.
+  std::uint64_t heap_bound() const {
+    const auto& net = scenario.net;
+    return static_cast<std::uint64_t>(
+        2 * net.link_count() + net.node_count() + params.client_hosts +
+        params.backends * params.server.workers +
+        static_cast<int>(timeline.epoch_count()) * kEngines);
+  }
+};
+
+/// The kernel queue at one instant: pending events and how many of them
+/// wait in lane chains rather than in the LP heaps.
+struct QueueShape {
+  std::uint64_t pending = 0;
+  std::uint64_t chained = 0;
+};
+
+QueueShape queue_shape(des::Kernel& kernel) {
+  return {kernel.pending_events(), des::KernelTestPeer::chained_events(kernel)};
+}
+
+TEST(ReliableTimeoutLanes, MidRunHeapsHoldOnlyLaneHeadsAndTimers) {
+  // Each host's first-attempt timeouts come in FIFO order on its own LP,
+  // so at a mid-run safepoint nearly every pending event waits in a lane
+  // chain: what is left in the heaps is bounded by the lane count plus the
+  // app timers and epoch events, far below the thousands of pending
+  // timeouts. The hints leave the history unchanged: the hash is equal in
+  // all four combos and to the one the unhinted queue produced.
+  constexpr std::uint64_t kUnhintedHistoryHash = 13184222770018966684ULL;
+  const LaneShapeNet fx;
+  for (const des::ExecutionMode mode :
+       {des::ExecutionMode::Sequential, des::ExecutionMode::Threaded}) {
+    for (const des::SyncMode sync :
+         {des::SyncMode::GlobalWindow, des::SyncMode::ChannelLookahead}) {
+      SCOPED_TRACE(std::string(des::to_string(sync)) +
+                   (mode == des::ExecutionMode::Threaded ? " threaded"
+                                                         : " sequential"));
+      const std::unique_ptr<Emulator> emulator = fx.make(sync);
+      QueueShape shape;
+      emulator->add_rebalance_safepoint(LaneShapeNet::kSafepoint);
+      emulator->set_pre_safepoint_hook(
+          [&](des::SimTime) { shape = queue_shape(emulator->kernel()); });
+      emulator->run(fx.horizon(), mode);
+
+      const std::uint64_t in_heaps = shape.pending - shape.chained;
+      EXPECT_GT(shape.pending, 10 * fx.heap_bound());
+      EXPECT_LT(in_heaps, fx.heap_bound());
+      EXPECT_EQ(emulator->kernel_stats().history_hash, kUnhintedHistoryHash);
+    }
+  }
+}
+
+TEST(ReliableTimeoutLanes, RestoredRunRechainsTimeoutsAndKeepsTheHistory) {
+  // A snapshot does not carry lane hints; restore re-derives them, link
+  // hops and host timeouts alike, and reloads each LP in ascending order,
+  // so the resumed queue is as chained as the uninterrupted one and the
+  // resumed run replays the same history.
+  const LaneShapeNet fx;
+  for (const des::SyncMode sync :
+       {des::SyncMode::GlobalWindow, des::SyncMode::ChannelLookahead}) {
+    SCOPED_TRACE(des::to_string(sync));
+    const std::string dir = ::testing::TempDir() + "massf_timeout_lanes_" +
+                            des::to_string(sync);
+    std::filesystem::remove_all(dir);
+    const std::unique_ptr<Emulator> base = fx.make(sync);
+    emu::CheckpointConfig cfg;
+    cfg.dir = dir;
+    cfg.first_s = LaneShapeNet::kSafepoint;
+    cfg.period_s = 2 * fx.horizon();
+    QueueShape at_snapshot;
+    cfg.on_checkpoint = [&](std::uint64_t, const std::string&) {
+      at_snapshot = queue_shape(base->kernel());
+    };
+    base->set_checkpoint_schedule(cfg, fx.horizon());
+    base->run(fx.horizon());
+    const auto snaps = ckpt::list_checkpoints(dir);
+    ASSERT_EQ(snaps.size(), 1u);
+
+    const std::unique_ptr<Emulator> resumed = fx.make(sync);
+    ckpt::Reader reader = ckpt::Reader::from_file(snaps[0].second);
+    resumed->restore(reader);
+    const QueueShape restored = queue_shape(resumed->kernel());
+    EXPECT_EQ(restored.pending, at_snapshot.pending);
+    EXPECT_GT(restored.chained, 0u);
+    EXPECT_GE(restored.chained, at_snapshot.chained);
+    EXPECT_LT(restored.pending - restored.chained, fx.heap_bound());
+    resumed->run(fx.horizon());
+    EXPECT_EQ(resumed->kernel_stats().history_hash,
+              base->kernel_stats().history_hash);
+    std::filesystem::remove_all(dir);
   }
 }
 

@@ -3,7 +3,9 @@
 // and engine-placement effects (lookahead, remote messages).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -415,6 +417,35 @@ TEST(Emulator, RejectsBadConfiguration) {
                std::invalid_argument);
   EXPECT_THROW(emu.send_message(fx.a, fx.b, 0, 0, 0.0),
                std::invalid_argument);
+}
+
+TEST(KernelLanes, FamiliesShareOneIdSpaceWithoutOverlap) {
+  // Link directions first, then one timeout stream per host.
+  const KernelLanes lanes(/*link_count=*/3, /*node_count=*/4);
+  EXPECT_EQ(lanes.link_direction(0, 0), 0);
+  EXPECT_EQ(lanes.link_direction(2, 1), 5);
+  EXPECT_EQ(lanes.host_timeouts(0), 6);
+  EXPECT_EQ(lanes.host_timeouts(3), 9);
+}
+
+TEST(KernelLanes, RejectsCountsWhoseLaneIdsOverflowInt32) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+  // 2·links + nodes == INT32_MAX: the last host's lane is INT32_MAX − 1.
+  const KernelLanes largest((kMax - 1) / 2, 1);
+  EXPECT_EQ(largest.host_timeouts(0), kMax - 1);
+  EXPECT_NO_THROW(KernelLanes(0, kMax));
+  EXPECT_THROW(KernelLanes(kMax / 2 + 1, 0), std::invalid_argument);
+  EXPECT_THROW(KernelLanes((kMax - 1) / 2, 2), std::invalid_argument);
+  EXPECT_THROW(KernelLanes(0, kMax + 1), std::invalid_argument);
+  EXPECT_THROW(KernelLanes(-1, 4), std::invalid_argument);
+  try {
+    KernelLanes(kMax, kMax);
+    FAIL() << "an overflowing lane space was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kernel lane ids"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
