@@ -4,10 +4,10 @@
 #   bench/run.sh <name>
 #   BUILD_DIR=build-release OUT=BENCH_<name>.json bench/run.sh <name>
 #
-# <name> is one of kernel, paper, sync, wallclock, scale, lb, rebalance; it
-# runs bench_micro_kernel, bench_paper, bench_micro_sync, bench_wallclock,
-# bench_scale, bench_lb_policies or bench_ablation_rebalance and writes
-# BENCH_<name>.json.
+# <name> is one of kernel, paper, ablations, sync, wallclock, scale, lb,
+# rebalance; it runs bench_micro_kernel, bench_paper, bench_ablations,
+# bench_micro_sync, bench_wallclock, bench_scale, bench_lb_policies or
+# bench_ablation_rebalance and writes BENCH_<name>.json.
 # Every binary but bench_micro_kernel writes its file through bench::Report
 # (bench/common.hpp): top-level keys bench, context, run_config, results,
 # gates and passed, one gate {name, value, threshold, enforced, passed,
@@ -34,13 +34,14 @@ NAME="${1:-}"
 case "$NAME" in
   kernel) TARGET=bench_micro_kernel ;;
   paper) TARGET=bench_paper ;;
+  ablations) TARGET=bench_ablations ;;
   sync) TARGET=bench_micro_sync ;;
   wallclock) TARGET=bench_wallclock ;;
   scale) TARGET=bench_scale ;;
   lb) TARGET=bench_lb_policies ;;
   rebalance) TARGET=bench_ablation_rebalance ;;
   *)
-    echo "usage: $0 <kernel|paper|sync|wallclock|scale|lb|rebalance>" >&2
+    echo "usage: $0 <kernel|paper|ablations|sync|wallclock|scale|lb|rebalance>" >&2
     exit 2
     ;;
 esac

@@ -1,7 +1,7 @@
 // Baseline partitioners the paper's related work relies on.
 //
 // These exist to quantify what the multilevel partitioner buys
-// (bench_ablation_partitioners) and to model the "simple hierarchical" and
+// (bench_ablations section A3) and to model the "simple hierarchical" and
 // Netbed-style approaches §1 and §5 mention:
 //  * random        — uniform random block per vertex (with occupancy fix-up);
 //  * bfs_hierarchical — BFS order from a pseudo-peripheral vertex chopped

@@ -18,7 +18,7 @@ import numbers
 import os
 import sys
 
-GATED = ["lb", "paper", "rebalance", "scale", "sync", "wallclock"]
+GATED = ["ablations", "lb", "paper", "rebalance", "scale", "sync", "wallclock"]
 TOP_LEVEL = ["bench", "context", "run_config", "results", "gates", "passed"]
 
 

@@ -105,6 +105,18 @@ TEST(Integration, ProfilingRunIsCachedAndExposed) {
   EXPECT_EQ(first.node_engine, second.node_engine);
   EXPECT_DOUBLE_EQ(experiment.profiling_metrics()->emulation_time,
                    profiled_time);
+
+  // The profiling run is the TOP-mapped run with NetFlow on, so its metrics
+  // equal run(map(Top))'s; bench_ablations reads its TOP rows from it.
+  const RunMetrics& profiled = *experiment.profiling_metrics();
+  const RunMetrics top = experiment.run(experiment.map(Approach::Top));
+  EXPECT_EQ(profiled.history_hash, top.history_hash);
+  EXPECT_EQ(profiled.windows, top.windows);
+  EXPECT_EQ(profiled.remote_messages, top.remote_messages);
+  EXPECT_EQ(profiled.emulation_time, top.emulation_time);
+  EXPECT_EQ(profiled.network_time, top.network_time);
+  EXPECT_EQ(profiled.load_imbalance, top.load_imbalance);
+  EXPECT_EQ(profiled.lookahead, top.lookahead);
 }
 
 TEST(Integration, TotalEventsAreMappingInvariant) {
