@@ -288,8 +288,8 @@ struct Kernel::Impl {
   /// events accumulate here until the run is big enough to publish
   /// (kOutboxFlushEvents) or a flush is forced; min_t tracks the earliest
   /// held timestamp so the sender's published clock can be capped while it
-  /// hoards (see flush_channels). GlobalWindow publishes every slot at the
-  /// end of each window step and ignores min_t.
+  /// hoards (see flush_channels). GlobalWindow publishes every slot when
+  /// the window closes and ignores min_t.
   struct Outbox {
     std::vector<Event> events;
     SimTime min_t = Kernel::never();
@@ -307,6 +307,11 @@ struct Kernel::Impl {
     double window_busy = 0;
     std::uint64_t events = 0;
     double busy_total = 0;
+    /// Charge the open window's (or advance's) busy time to the total.
+    void fold_busy() {
+      busy_total += window_busy;
+      window_busy = 0;
+    }
     std::uint64_t remote_sent = 0;
     std::uint64_t remote_received = 0;
     std::uint64_t history = kHashSeed;
@@ -467,16 +472,6 @@ struct Kernel::Impl {
                 });
   }
 
-  /// Run one LP's events with t < window_end; `execute` performs accounting
-  /// and dispatches the event.
-  template <typename ExecuteFn>
-  static void process_window(Lp& lp, SimTime window_end, ExecuteFn&& execute) {
-    while (!lp.queue.empty() && lp.queue.top().t < window_end) {
-      Event event = lp.queue.pop();
-      execute(event);
-    }
-  }
-
   /// Per-event accounting + dispatch to the sink. `inv_bucket_width` is the
   /// precomputed reciprocal: a multiply here instead of a divide per event.
   void execute_event(Lp& lp, Event& e, double per_event_cost,
@@ -608,42 +603,36 @@ struct Kernel::Impl {
     ch.delivered += out.size() - before;
   }
 
-  /// ChannelLookahead drain of one inbound channel: one merge per channel.
-  void drain_channel(Channel& ch, Lp& receiver, double per_remote_cost) {
-    receiver.scratch.clear();
-    collect_runs(ch, receiver.scratch);
-    merge_batch(receiver, receiver.scratch, per_remote_cost);
-  }
-
-  /// GlobalWindow drain phase: every inbound channel's runs (ascending by
-  /// src) in ONE merge, so window_busy gets one receive-cost term.
-  void drain_window(std::size_t dst, double per_remote_cost) {
+  /// Merge every run published to `dst` into its queue: each inbound
+  /// channel's runs (ascending by sender) go into ONE batch, so the
+  /// receiver gets one receive-cost term. Merging per channel would
+  /// re-associate that floating-point sum and move modeled time.
+  /// `before_collect(ch)` runs just before each channel is collected.
+  template <typename BeforeCollect>
+  void drain(std::size_t dst, double per_remote_cost,
+             BeforeCollect&& before_collect) {
     Lp& receiver = lps[dst];
     receiver.scratch.clear();
-    for (std::uint32_t ci : inbound[dst])
-      collect_runs(*channels[ci], receiver.scratch);
+    for (std::uint32_t ci : inbound[dst]) {
+      Channel& ch = *channels[ci];
+      before_collect(ch);
+      collect_runs(ch, receiver.scratch);
+    }
     merge_batch(receiver, receiver.scratch, per_remote_cost);
   }
 
-  /// Safepoint normalization for ChannelLookahead: force-flush every
-  /// hoarded outbox, then force-drain every channel queue into its
-  /// receiver's queue, so the hook — and rehome_events — sees the complete
-  /// pending-event set in LP queues. A queue can legitimately be non-empty
-  /// at quiescence (the receiver stalls on its bound without polling runs
-  /// it cannot use yet); draining in channel index order charges the
-  /// per-message receive cost exactly once and identically in Sequential
-  /// and Threaded mode. Runs single-threaded with every worker parked.
-  /// Receive costs are folded straight into busy_total, which every step
-  /// keeps folded (window_busy is 0 on entry).
-  // massf-check: hot-path-root (channel drain, runs once per window)
+  /// Force-flush every outbox, then drain every LP, so the whole pending-
+  /// event set sits in LP queues: at each safepoint (for the hook and
+  /// rehome_events) and at the end of a GlobalWindow run. A channel queue
+  /// can legitimately be non-empty at quiescence (a ChannelLookahead
+  /// receiver stalls on its bound without polling runs it cannot use yet;
+  /// a GlobalWindow receiver drains only at its next step). Runs
+  /// single-threaded with every worker parked, so the receive cost is
+  /// charged exactly once and identically in Sequential and Threaded mode.
   void drain_all_channels(double per_remote_cost) {
     for (std::size_t s = 0; s < lps.size(); ++s) flush_channels(s, true);
-    for (auto& chp : channels)
-      drain_channel(*chp, lps[chp->dst], per_remote_cost);
-    for (Lp& lp : lps) {
-      lp.busy_total += lp.window_busy;
-      lp.window_busy = 0;
-    }
+    for (std::size_t d = 0; d < lps.size(); ++d)
+      drain(d, per_remote_cost, [](const Channel&) {});
   }
 };
 
@@ -986,8 +975,8 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
     io.u64(lp.seq_counter);
     io.u64(lp.events);
     io.f64(lp.busy_total);
-    // GlobalWindow: the drain phase already charged receive costs for the
-    // next window into window_busy; they must survive the restore.
+    // GlobalWindow: the safepoint drain already charged receive costs for
+    // the next window into window_busy; they must survive the restore.
     io.f64(lp.window_busy);
     io.u64(lp.remote_sent);
     io.u64(lp.remote_received);
@@ -1084,91 +1073,22 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
                            util::usable_cpus()));
 }
 
-void Kernel::run_until(SimTime end_time, std::size_t workers) {
-  MASSF_REQUIRE(!ran_, "run_until may only be called once");
-  MASSF_REQUIRE(workers >= 1 && workers <= static_cast<std::size_t>(lp_count_),
-                "worker count must be in [1, lp_count]");
-  MASSF_REQUIRE(end_time > 0, "end time must be positive");
-  MASSF_REQUIRE(tl_current_lp < 0, "run_until cannot be nested");
-  ran_ = true;
-  stats_.sync_mode = sync_mode_;
-  stats_.idle_wait_per_lp.assign(static_cast<std::size_t>(lp_count_), 0.0);
-
-  // Canonical safepoint schedule: ascending, duplicates coalesced (two
-  // registrations at the same time are one quiescent pause).
-  std::sort(safepoints_.begin(), safepoints_.end());
-  safepoints_.erase(std::unique(safepoints_.begin(), safepoints_.end()),
-                    safepoints_.end());
-  // A restored kernel resumes mid-schedule: safepoints at or before the
-  // checkpoint time (including the one the snapshot was taken at) already
-  // fired in the original run.
-  while (next_sp_ < safepoints_.size() &&
-         safepoints_[next_sp_] <= resume_time_)
-    ++next_sp_;
-
-  // Pre-reserve the load series from the run horizon (capped) so the
-  // per-event bucket append never reallocates mid-run.
-  const double horizon_buckets = end_time / stats_.bucket_width;
-  const auto reserve_buckets = static_cast<std::size_t>(std::min(
-      horizon_buckets + 1, static_cast<double>(kMaxReservedBuckets)));
-  for (auto& lp : impl_->lps) lp.series.reserve(reserve_buckets);
-
-  // Every cross-LP event travels through the channel graph. No channels
-  // registered → every LP pair is implicitly coupled at the global
-  // lookahead.
-  if (impl_->channels.empty())
-    for (int s = 0; s < lp_count_; ++s)
-      for (int d = 0; d < lp_count_; ++d)
-        if (s != d) impl_->ensure_channel(s, d, lookahead_);
-  impl_->build_inbound();
-  run_workers(end_time, workers);
-  if (sync_mode_ == SyncMode::ChannelLookahead) finalize_channel_run(end_time);
-
-  // Fold per-LP results into stats_.
-  std::size_t max_buckets = 0;
-  for (int i = 0; i < lp_count_; ++i) {
-    const Impl::Lp& lp = impl_->lps[static_cast<std::size_t>(i)];
-    stats_.events_per_lp[static_cast<std::size_t>(i)] = lp.events;
-    stats_.busy_per_lp[static_cast<std::size_t>(i)] = lp.busy_total;
-    stats_.idle_wait_per_lp[static_cast<std::size_t>(i)] = lp.idle_wait;
-    stats_.remote_messages += lp.remote_received;
-    stats_.channel_advances += lp.advances;
-    stats_.handoff_runs += lp.handoff_runs;
-    stats_.parks += lp.parks;
-    stats_.sim_time_reached = std::max(stats_.sim_time_reached, lp.max_time);
-    stats_.history_hash ^=
-        lp.history * (static_cast<std::uint64_t>(i) * 2654435761ULL + 1);
-    max_buckets = std::max(max_buckets, lp.series.size());
-  }
-  for (const auto& ch : impl_->channels)
-    stats_.channels.push_back({static_cast<int>(ch->src),
-                               static_cast<int>(ch->dst), ch->lookahead,
-                               ch->delivered, ch->throttled, ch->max_lag});
-  std::sort(stats_.channels.begin(), stats_.channels.end(),
-            [](const ChannelStat& a, const ChannelStat& b) {
-              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-            });
-  stats_.load_series.assign(static_cast<std::size_t>(lp_count_), {});
-  for (int i = 0; i < lp_count_; ++i) {
-    auto& row = stats_.load_series[static_cast<std::size_t>(i)];
-    row = impl_->lps[static_cast<std::size_t>(i)].series;
-    row.resize(max_buckets, 0.0);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The worker loop.
 //
 // W workers each own a contiguous block of LPs: Sequential is W = 1 on the
 // calling thread, Threaded W = min(lp_count, usable CPUs). A worker's round
-// gives each owned LP one step (drain → limit → execute → throttle stat →
-// flush → publish) and then takes its protocol's sync step:
+// gives each owned LP one step (drain → limit → execute, then under
+// ChannelLookahead throttle stat → flush → publish) and then takes its
+// protocol's sync step:
 //
-//   * GlobalWindow — every LP executes up to the window end and publishes
-//     its outboxes. The two-phase window barrier then closes the window,
-//     lets each worker drain its own LPs' inbound channels, and opens the
-//     next window at the quiescent barrier. Windows start at the globally
-//     earliest pending event, so idle spans are skipped.
+//   * GlobalWindow — one barrier per window. Every LP drains the runs
+//     published when the previous window closed (one merge per receiver)
+//     and executes up to the window end; its cross-LP sends wait in its
+//     outboxes. The barrier's completion closes the window, force-flushes
+//     every outbox and opens the next window, which starts at the globally
+//     earliest pending event, so idle spans are skipped. A step never
+//     publishes, so no receiver's drain races a sender's flush.
 //   * ChannelLookahead — CMB-style per-channel safe-time advancement. LP i
 //     may execute events with t < bound_i, where bound_i = min over inbound
 //     channels (src → i) of clock_src + lookahead(src → i). A sender's
@@ -1187,11 +1107,11 @@ void Kernel::run_until(SimTime end_time, std::size_t workers) {
 // barrier completes on arrival, and the loop is the canonical
 // single-threaded rendition of each protocol.
 //
-// Failures: a worker whose step (or drain) throws records the exception in
-// the run's FailureBox and wakes every parked worker. From then on no
-// worker executes anything; each keeps taking its sync step until the next
-// quiescent barrier stops the run, and run_workers rethrows the first
-// exception on the calling thread.
+// Failures: a worker whose step throws records the exception in the run's
+// FailureBox and wakes every parked worker. From then on no worker executes
+// anything; each keeps taking its sync step until the next quiescent
+// barrier stops the run, and run_until rethrows the first exception on the
+// calling thread.
 // ---------------------------------------------------------------------------
 
 struct alignas(64) Kernel::Run {
@@ -1208,11 +1128,11 @@ struct alignas(64) Kernel::Run {
         inv_bucket(1.0 / kernel.stats_.bucket_width),
         clocks(std::make_unique<ClockSlot[]>(lps)),
         quiescent(static_cast<int>(worker_count),
-                  [&kernel, this] { kernel.quiesce(*this); },
-                  kSpinIterationsBeforePark),
-        window_close(static_cast<int>(worker_count),
-                     [&kernel, this] { kernel.close_window(*this); },
-                     kSpinIterationsBeforePark) {}
+                  [&kernel, this] {
+                    kernel.quiesce(*this, kernel.sync_mode_ ==
+                                              SyncMode::GlobalWindow);
+                  },
+                  kSpinIterationsBeforePark) {}
 
   /// Worker w owns LPs [first_lp(w), first_lp(w + 1)).
   std::size_t first_lp(std::size_t w) const { return w * lps / workers; }
@@ -1242,33 +1162,70 @@ struct alignas(64) Kernel::Run {
   alignas(64) std::atomic<std::size_t> stalled{0};
   /// Per-worker wait slots; absent when one worker owns every LP.
   std::unique_ptr<util::WaitSlot[]> doorbells;
-  /// GlobalWindow opens each window here; ChannelLookahead rendezvouses
-  /// here once every worker is stalled.
+  /// GlobalWindow meets here once per window (the completion closes it and
+  /// opens the next); ChannelLookahead rendezvouses here once every worker
+  /// is stalled.
   util::SpinBarrier quiescent;
-  /// GlobalWindow: closes each window.
-  util::SpinBarrier window_close;
 };
 
-void Kernel::run_workers(SimTime end_time, std::size_t workers) {
-  Run run(*this, end_time, workers);
+void Kernel::run_until(SimTime end_time, std::size_t workers) {
+  MASSF_REQUIRE(!ran_, "run_until may only be called once");
+  MASSF_REQUIRE(workers >= 1 && workers <= static_cast<std::size_t>(lp_count_),
+                "worker count must be in [1, lp_count]");
+  MASSF_REQUIRE(end_time > 0, "end time must be positive");
+  MASSF_REQUIRE(tl_current_lp < 0, "run_until cannot be nested");
+  ran_ = true;
+  stats_.sync_mode = sync_mode_;
+  stats_.idle_wait_per_lp.assign(static_cast<std::size_t>(lp_count_), 0.0);
+  const bool windows = sync_mode_ == SyncMode::GlobalWindow;
   auto& lps = impl_->lps;
-  // Only ChannelLookahead workers park on wait slots; GlobalWindow workers
-  // meet at the barriers, so their senders ring nobody.
-  if (workers > 1 && sync_mode_ == SyncMode::ChannelLookahead) {
+
+  // Canonical safepoint schedule: ascending, duplicates coalesced (two
+  // registrations at the same time are one quiescent pause).
+  std::sort(safepoints_.begin(), safepoints_.end());
+  safepoints_.erase(std::unique(safepoints_.begin(), safepoints_.end()),
+                    safepoints_.end());
+  // A restored kernel resumes mid-schedule: safepoints at or before the
+  // checkpoint time (including the one the snapshot was taken at) already
+  // fired in the original run.
+  while (next_sp_ < safepoints_.size() &&
+         safepoints_[next_sp_] <= resume_time_)
+    ++next_sp_;
+
+  // Pre-reserve the load series from the run horizon (capped) so the
+  // per-event bucket append never reallocates mid-run.
+  const double horizon_buckets = end_time / stats_.bucket_width;
+  const auto reserve_buckets = static_cast<std::size_t>(std::min(
+      horizon_buckets + 1, static_cast<double>(kMaxReservedBuckets)));
+  for (auto& lp : lps) lp.series.reserve(reserve_buckets);
+
+  // Every cross-LP event travels through the channel graph. No channels
+  // registered → every LP pair is implicitly coupled at the global
+  // lookahead.
+  if (impl_->channels.empty())
+    for (int s = 0; s < lp_count_; ++s)
+      for (int d = 0; d < lp_count_; ++d)
+        if (s != d) impl_->ensure_channel(s, d, lookahead_);
+  impl_->build_inbound();
+
+  Run run(*this, end_time, workers);
+  // Only ChannelLookahead workers park on wait slots; GlobalWindow
+  // workers meet at the barrier, so their senders ring nobody.
+  if (workers > 1 && !windows) {
     run.doorbells = std::make_unique<util::WaitSlot[]>(workers);
     for (std::size_t w = 0; w < workers; ++w)
       for (std::size_t i = run.first_lp(w); i < run.first_lp(w + 1); ++i)
         lps[i].doorbell = &run.doorbells[w];
   }
-  // A restored ChannelLookahead run resumes inside the quiescent step its
-  // snapshot was taken in: clocks restart from the safepoint, and the rest
-  // of that step (later safepoints, then the idle jump or the stop) runs
-  // before any worker, exactly as it did in the uninterrupted run.
-  if (resume_time_ > 0 && sync_mode_ == SyncMode::ChannelLookahead) {
+  // GlobalWindow opens its first window here. A restored ChannelLookahead
+  // run resumes inside the quiescent step its snapshot was taken in:
+  // clocks restart from the safepoint, and the rest of that step (later
+  // safepoints, then the idle jump or the stop) runs before any worker,
+  // exactly as it did in the uninterrupted run.
+  if (!windows && resume_time_ > 0)
     for (std::size_t i = 0; i < run.lps; ++i)
       run.clocks[i].v.store(resume_time_, std::memory_order_relaxed);
-    quiesce(run);
-  }
+  if (windows || resume_time_ > 0) quiesce(run, false);
   // Worker 0 runs on the calling thread.
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
@@ -1278,6 +1235,44 @@ void Kernel::run_workers(SimTime end_time, std::size_t workers) {
   for (auto& t : threads) t.join();
   for (auto& lp : lps) lp.doorbell = nullptr;  // the slots die with `run`
   if (auto first = run.failure.take()) std::rethrow_exception(first);
+  // The last window's output still sits in the channels; receive it, so
+  // remote_messages and the channel stats count every delivery (its
+  // receive cost belongs to a window that never opens).
+  if (windows)
+    impl_->drain_all_channels(cost_.per_remote_message);
+  else
+    finalize_channel_run(end_time);
+
+  // Fold per-LP results into stats_.
+  std::size_t max_buckets = 0;
+  for (int i = 0; i < lp_count_; ++i) {
+    const Impl::Lp& lp = lps[static_cast<std::size_t>(i)];
+    stats_.events_per_lp[static_cast<std::size_t>(i)] = lp.events;
+    stats_.busy_per_lp[static_cast<std::size_t>(i)] = lp.busy_total;
+    stats_.idle_wait_per_lp[static_cast<std::size_t>(i)] = lp.idle_wait;
+    stats_.remote_messages += lp.remote_received;
+    stats_.channel_advances += lp.advances;
+    stats_.handoff_runs += lp.handoff_runs;
+    stats_.parks += lp.parks;
+    stats_.sim_time_reached = std::max(stats_.sim_time_reached, lp.max_time);
+    stats_.history_hash ^=
+        lp.history * (static_cast<std::uint64_t>(i) * 2654435761ULL + 1);
+    max_buckets = std::max(max_buckets, lp.series.size());
+  }
+  for (const auto& ch : impl_->channels)
+    stats_.channels.push_back({static_cast<int>(ch->src),
+                               static_cast<int>(ch->dst), ch->lookahead,
+                               ch->delivered, ch->throttled, ch->max_lag});
+  std::sort(stats_.channels.begin(), stats_.channels.end(),
+            [](const ChannelStat& a, const ChannelStat& b) {
+              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+            });
+  stats_.load_series.assign(static_cast<std::size_t>(lp_count_), {});
+  for (int i = 0; i < lp_count_; ++i) {
+    auto& row = stats_.load_series[static_cast<std::size_t>(i)];
+    row = lps[static_cast<std::size_t>(i)].series;
+    row.resize(max_buckets, 0.0);
+  }
 }
 
 // massf-check: hot-path-root (the worker loop: per-LP steps and sync)
@@ -1287,80 +1282,63 @@ void Kernel::work(Run& run, std::size_t worker) {
   const std::size_t hi = run.first_lp(worker + 1);
   const bool windows = sync_mode_ == SyncMode::GlobalWindow;
   std::vector<SimTime> snapshot;  // stall scratch, reused across stalls
-  auto guarded = [&](auto&& body) {
-    try {
-      body();
-    } catch (...) {
-      // Reset the execution context, or later kernels on this thread would
-      // inherit a stale current_lp/now.
-      tl_current_lp = -1;
-      run.failure.record(std::current_exception());
-      run.wake_all();
-    }
-  };
-
-  if (windows) run.quiescent.arrive_and_wait();  // opens the first window
   while (!run.stop.load(std::memory_order_acquire)) {
     bool executed = false;
     if (!run.failure.failed.load(std::memory_order_relaxed)) {
-      guarded([&] {
+      try {
         for (std::size_t i = lo; i < hi; ++i) executed |= step(run, i);
-      });
+      } catch (...) {
+        // Reset the execution context, or later kernels on this thread
+        // would inherit a stale current_lp/now.
+        tl_current_lp = -1;
+        run.failure.record(std::current_exception());
+        run.wake_all();
+      }
     }
-    if (windows) {
-      // The drained receive cost lands in the next window's busy time —
-      // that is where the work happens.
-      run.window_close.arrive_and_wait();
-      guarded([&] {
-        for (std::size_t i = lo; i < hi; ++i)
-          impl_->drain_window(i, cost_.per_remote_message);
-      });
+    if (windows)
       run.quiescent.arrive_and_wait();
-    } else if (!executed) {
+    else if (!executed)
       stall(run, worker, snapshot);
-    }
   }
 }
 
 bool Kernel::step(Run& run, std::size_t i) {
   Impl::Lp& lp = impl_->lps[i];
   const bool channel_mode = sync_mode_ == SyncMode::ChannelLookahead;
-  SimTime limit = run.window_end;
   SimTime bound = never();
   Impl::Channel* limiter = nullptr;
-  if (channel_mode) {
-    // Drain + bound. Loading the sender's clock with acquire *before*
-    // touching the run queue pairs with the sender's flush-then-release-
-    // publish: any run not yet visible here must carry events with
-    // t >= clock + lookahead, i.e. >= our bound.
-    for (std::uint32_t ci : impl_->inbound[i]) {
-      Impl::Channel& ch = *impl_->channels[ci];
-      const SimTime c = run.clocks[ch.src].v.load(std::memory_order_acquire);
-      impl_->drain_channel(ch, lp, cost_.per_remote_message);
-      const SimTime b = c + ch.lookahead;
-      if (b < bound) {
-        bound = b;
-        limiter = &ch;
-      }
+  // Drain (+ bound). Loading the sender's clock with acquire *before*
+  // collecting its channel pairs with the sender's flush-then-release-
+  // publish: any run not yet visible here must carry events with
+  // t >= clock + lookahead, i.e. >= our bound. A GlobalWindow drain finds
+  // exactly the runs published when the previous window closed, so its
+  // receive cost lands in this window — that is where the work happens.
+  impl_->drain(i, cost_.per_remote_message, [&](Impl::Channel& ch) {
+    if (!channel_mode) return;
+    const SimTime b =
+        run.clocks[ch.src].v.load(std::memory_order_acquire) + ch.lookahead;
+    if (b < bound) {
+      bound = b;
+      limiter = &ch;
     }
-    // Execution never crosses a pending safepoint (the clip, not the bound:
-    // throttle attribution below stays a per-channel property).
-    // next_safepoint() only moves inside the quiescent step, while every
-    // worker is parked.
-    limit = std::min({bound, run.end_time, next_safepoint()});
-  }
+  });
+  // Execution never crosses a pending safepoint (under ChannelLookahead the
+  // clip, not the bound: throttle attribution below stays a per-channel
+  // property). next_safepoint() only moves inside the quiescent step,
+  // while every worker is parked.
+  const SimTime limit =
+      channel_mode ? std::min({bound, run.end_time, next_safepoint()})
+                   : run.window_end;
 
   const std::uint64_t before = lp.events;
   tl_current_lp = static_cast<int>(i);
-  Impl::process_window(lp, limit, [&](Impl::Event& e) {
-    impl_->execute_event(lp, e, cost_.per_event, run.inv_bucket, sink_);
-  });
+  while (!lp.queue.empty() && lp.queue.top().t < limit) {
+    Impl::Event event = lp.queue.pop();
+    impl_->execute_event(lp, event, cost_.per_event, run.inv_bucket, sink_);
+  }
   tl_current_lp = -1;
   const bool executed = lp.events != before;
-  if (!channel_mode) {
-    impl_->flush_channels(i, /*force=*/true);  // the window's whole output
-    return executed;
-  }
+  if (!channel_mode) return executed;  // the window close flushes
 
   if (executed) ++lp.advances;
   // Throttle observability: a pending event this LP cares about is held
@@ -1374,8 +1352,7 @@ bool Kernel::step(Run& run, std::size_t i) {
   // flush is forced when nothing ran — the worker may be about to stall,
   // and a parked receiver must never wait on a hoarded run.
   const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
-  lp.busy_total += lp.window_busy;
-  lp.window_busy = 0;
+  lp.fold_busy();
   // Publish: nothing this LP will ever execute — hence send — precedes
   // min(queue head, bound); hoarded runs additionally cap the promise at
   // (earliest hoarded event − that channel's lookahead). Clocks are
@@ -1461,7 +1438,8 @@ void Kernel::stall(Run& run, std::size_t worker,
   for (std::size_t i = lo; i < hi; ++i) impl_->lps[i].idle_wait += waited;
 }
 
-void Kernel::close_window(Run& run) noexcept {
+// massf-check: hot-path-root (GlobalWindow close: per-window outbox flush)
+void Kernel::close_window(Run& run) {
   // Critical path = max busy + barrier cost; the coupled (application)
   // time additionally floors each window at the simulated-time advance
   // (live apps execute in real time).
@@ -1474,9 +1452,11 @@ void Kernel::close_window(Run& run) noexcept {
       std::max(engine_time, run.window_end - sim_position_);
   sim_position_ = run.window_end;
   ++stats_.windows;
-  for (Impl::Lp& lp : lps) {
-    lp.busy_total += lp.window_busy;
-    lp.window_busy = 0;
+  // Publish the window's whole output: one run per (sender, receiver)
+  // pair with traffic, drained by each receiver's next step.
+  for (std::size_t s = 0; s < lps.size(); ++s) {
+    lps[s].fold_busy();
+    impl_->flush_channels(s, /*force=*/true);
   }
 }
 
@@ -1484,9 +1464,9 @@ SimTime Kernel::earliest_pending() const {
   SimTime m = never();
   for (const Impl::Lp& lp : impl_->lps)
     if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-  // Outboxes need no scan: every GlobalWindow step force-flushes its own,
-  // and a ChannelLookahead worker stalls only after force-flushing its own.
-  // Channel runs are quiescent while every worker is parked.
+  // Outboxes need no scan: the GlobalWindow close force-flushes every
+  // outbox, and a ChannelLookahead worker stalls only after force-flushing
+  // its own. Channel runs are quiescent while every worker is parked.
   for (const auto& ch : impl_->channels)
     for (const Impl::Channel::RunNode* n =
              ch->tail->next.load(std::memory_order_acquire);
@@ -1495,11 +1475,12 @@ SimTime Kernel::earliest_pending() const {
   return m;
 }
 
-void Kernel::quiesce(Run& run) noexcept {
+void Kernel::quiesce(Run& run, bool window_open) noexcept {
   const bool windows = sync_mode_ == SyncMode::GlobalWindow;
   run.stalled.store(0, std::memory_order_relaxed);
   SimTime gvt = never();
   try {
+    if (window_open) close_window(run);
     if (!run.failure.failed.load(std::memory_order_relaxed))
       gvt = earliest_pending();
     // Fire every safepoint the run has caught up to. Nothing executes at
@@ -1509,10 +1490,14 @@ void Kernel::quiesce(Run& run) noexcept {
     while (!run.failure.failed.load(std::memory_order_relaxed) &&
            next_safepoint() < run.end_time && gvt >= next_safepoint()) {
       const SimTime sp = next_safepoint();
-      // ChannelLookahead: flush the hoards and drain the in-flight runs so
-      // the hook (and rehome_events) sees the whole pending set in LP
-      // queues. GlobalWindow drained its channels before this barrier.
-      if (!windows) impl_->drain_all_channels(cost_.per_remote_message);
+      // Flush the hoards and drain the in-flight runs so the hook (and
+      // rehome_events) sees the whole pending set in LP queues.
+      // ChannelLookahead keeps busy time folded at every step boundary; a
+      // GlobalWindow receive cost belongs to the next window (and is saved
+      // with it).
+      impl_->drain_all_channels(cost_.per_remote_message);
+      if (!windows)
+        for (Impl::Lp& lp : impl_->lps) lp.fold_busy();
       ++stats_.safepoints;
       if (safepoint_hook_) {
         // The hook runs outside any event: current_lp() is -1, now()

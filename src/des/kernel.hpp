@@ -22,14 +22,16 @@
 // Sequential (default; benches use it for determinism) and Threaded
 // (min(lp_count, usable CPUs) std::threads, synchronized through
 // util::SpinBarrier and util::WaitSlot). Both run the same worker loop, in
-// which each worker owns a block of LPs; cross-LP events travel as batched
-// runs on per-channel lock-free run queues under both protocols.
+// which each worker owns a block of LPs and each LP's step first drains its
+// inbound runs, then executes below its limit; cross-LP events travel as
+// batched runs on per-channel lock-free run queues under both protocols.
 //
 // Two synchronization protocols are available (SyncMode):
 //
 //   * GlobalWindow (default) — the lockstep protocol above: every LP
 //     advances in windows sized by the single global minimum lookahead,
-//     with a barrier per window.
+//     with one barrier per window. Its completion closes the window,
+//     publishes every outbox and opens the next window.
 //   * ChannelLookahead — CMB-style per-channel earliest-output-time
 //     advancement: each LP holds a lower bound per *inbound channel*
 //     (the sender's published safe time + that channel's lookahead,
@@ -128,8 +130,8 @@ const char* to_string(SyncMode mode);
 /// cache handoff over a run while keeping a receiver's bound moving: a run
 /// is invisible to the receiver until it is published. Exposed so tests can
 /// pin both sides of the threshold (KernelStats::handoff_runs is the
-/// observable). GlobalWindow publishes every non-empty outbox at the end of
-/// each LP's window and ignores it.
+/// observable). GlobalWindow publishes every non-empty outbox when the
+/// window closes and ignores it.
 inline constexpr std::uint32_t kOutboxFlushEvents = 16;
 
 /// Iterations a threaded worker spends in the cpu_relax() spin loop —
@@ -318,9 +320,9 @@ class Kernel {
   // A safepoint is a globally quiescent pause at simulation time `sp`:
   // the worker loop (both SyncModes × both ExecutionModes) clips event
   // execution strictly below the next pending safepoint, and once every
-  // event with t < sp has executed — and, under ChannelLookahead, every
-  // in-flight mailbox has been force-drained into its receiver's queue —
-  // the hook runs single-threaded with all workers parked. Inside the hook
+  // event with t < sp has executed — and every held outbox and in-flight
+  // channel run has been force-drained into its receiver's queue — the
+  // hook runs single-threaded with all workers parked. Inside the hook
   // (and only there) the kernel permits rehome_events,
   // lower_global_lookahead, and mid-run set_channel_lookahead: together
   // they implement live LP-state migration. Because the pre-safepoint
@@ -419,30 +421,32 @@ class Kernel {
   /// Coordination state of one run_until, shared by its workers.
   struct Run;
   /// Test seam: run_until with an explicit worker count (1 <= W <=
-  /// lp_count), so 1 < W < lp_count is covered on every host.
+  /// lp_count), so 1 < W < lp_count is covered on every host. Runs W
+  /// workers, each owning a contiguous block of LPs; one worker runs on the
+  /// calling thread.
   friend struct KernelTestPeer;
   void run_until(SimTime end_time, std::size_t workers);
   /// Test seam: pending events waiting in lane chains behind their lane's
   /// earliest event (out of the heap). Same stability as pending_events.
   std::uint64_t chained_events() const;
 
-  /// Run `workers` workers, each owning a contiguous block of LPs; one
-  /// worker runs on the calling thread.
-  void run_workers(SimTime end_time, std::size_t workers);
   /// The worker loop: rounds of per-LP steps, each followed by the sync
   /// step of the protocol.
   void work(Run& run, std::size_t worker);
-  /// One LP's share of a round; returns whether it executed anything.
+  /// One LP's share of a round (drain, then execute below the limit);
+  /// returns whether it executed anything.
   bool step(Run& run, std::size_t lp);
   /// ChannelLookahead: wait until an owned LP may have work, or join the
   /// rendezvous once every worker is stalled.
   void stall(Run& run, std::size_t worker, std::vector<SimTime>& snapshot);
-  /// GlobalWindow completion step after every window: account it.
-  void close_window(Run& run) noexcept;
-  /// Completion step of the quiescent barrier (every worker parked): fire
-  /// due safepoints, then stop, open the next window (GlobalWindow) or jump
-  /// every clock over an idle span (ChannelLookahead).
-  void quiesce(Run& run) noexcept;
+  /// GlobalWindow: account the window that just ended, then force-flush
+  /// every outbox (the receivers drain the runs at their next step).
+  void close_window(Run& run);
+  /// Completion step of the quiescent barrier (every worker parked): close
+  /// the open GlobalWindow window, fire due safepoints, then stop, open the
+  /// next window (GlobalWindow) or jump every clock over an idle span
+  /// (ChannelLookahead). Also opens a GlobalWindow run's first window.
+  void quiesce(Run& run, bool window_open) noexcept;
   /// Earliest pending event anywhere (queues and in-flight channel runs).
   /// Only meaningful with every worker parked.
   SimTime earliest_pending() const;

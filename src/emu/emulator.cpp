@@ -40,9 +40,10 @@ constexpr std::uint32_t kTagEmuEnd = 0x656d7565;    // "emue"
 // Fallback lookahead floor when no link crosses engines (single-engine runs).
 constexpr double kMinLookahead = 1e-4;
 // Reliable delivery: each retransmit timeout multiplies the wait by this
-// factor; ACKs are this many bytes on the wire.
+// factor.
 constexpr double kReliableBackoff = 2.0;
-constexpr double kAckBytes = 64;
+// Wire size of a reply packet: an ACK or an ICMP report.
+constexpr double kReplyBytes = 64;
 
 // Minimum encoded size of one pending reliable-delivery record.
 constexpr std::size_t kPendingReliableBytes = 7 * 8;
@@ -524,18 +525,8 @@ void Emulator::arrive(NodeId at, Packet* packet) {
       if (packet->kind == PacketKind::IcmpEcho) {
         // ICMP TTL-exceeded report back to the prober (the mechanism the
         // real traceroute relies on).
-        Packet* report = pool_.acquire(pool_shard());
-        report->src = at;
-        report->dst = packet->src;
-        report->bytes = 64;
-        report->packets = 1;
-        report->ttl = 255;
-        report->kind = PacketKind::IcmpTtlExceeded;
-        report->flow = kIcmpFlowBase ^ packet->probe_id;
-        report->probe_id = packet->probe_id;
-        report->reporter = at;
-        ++host_state_[static_cast<std::size_t>(at)].trains_injected;
-        transmit(at, report, t);
+        send_reply(at, packet->src, PacketKind::IcmpTtlExceeded,
+                   kIcmpFlowBase ^ packet->probe_id, packet->probe_id, at, t);
       }
       // Original packet dropped either way.
       ++host_state_[static_cast<std::size_t>(at)].trains_expired;
@@ -544,6 +535,23 @@ void Emulator::arrive(NodeId at, Packet* packet) {
     }
   }
   transmit(at, packet, t);
+}
+
+void Emulator::send_reply(NodeId from, NodeId to, PacketKind kind,
+                          std::uint64_t flow, std::uint64_t probe_id,
+                          NodeId reporter, SimTime t) {
+  Packet* reply = pool_.acquire(pool_shard());
+  reply->src = from;
+  reply->dst = to;
+  reply->bytes = kReplyBytes;
+  reply->packets = 1;
+  reply->ttl = 255;
+  reply->kind = kind;
+  reply->flow = flow;
+  reply->probe_id = probe_id;
+  reply->reporter = reporter;
+  ++host_state_[static_cast<std::size_t>(from)].trains_injected;
+  transmit(from, reply, t);
 }
 
 void Emulator::transmit(NodeId from, Packet* packet, SimTime t) {
@@ -564,32 +572,22 @@ void Emulator::transmit(NodeId from, Packet* packet, SimTime t) {
     if (packet->kind == PacketKind::Data) {
       ++here.icmp_unreachable_sent;
       if (faults_ != nullptr) ++epoch_counters(epoch).icmp_unreachable;
-      if (from == packet->src) {
+      const std::uint64_t flow = kIcmpFlowBase ^ packet->flow;
+      const std::uint64_t id = packet->has_message ? packet->message.id : 0;
+      if (from != packet->src) {
+        send_reply(from, packet->src, PacketKind::IcmpUnreachable, flow, id,
+                   from, t);
+      } else if (icmp_handler_) {
         // The source itself has no route: report locally, no wire packet.
-        if (icmp_handler_) {
-          Packet report{};
-          report.src = from;
-          report.dst = packet->src;
-          report.bytes = 64;
-          report.kind = PacketKind::IcmpUnreachable;
-          report.flow = kIcmpFlowBase ^ packet->flow;
-          report.probe_id = packet->has_message ? packet->message.id : 0;
-          report.reporter = from;
-          icmp_handler_(report, t);
-        }
-      } else {
-        Packet* report = pool_.acquire(pool_shard());
-        report->src = from;
-        report->dst = packet->src;
-        report->bytes = 64;
-        report->packets = 1;
-        report->ttl = 255;
-        report->kind = PacketKind::IcmpUnreachable;
-        report->flow = kIcmpFlowBase ^ packet->flow;
-        report->probe_id = packet->has_message ? packet->message.id : 0;
-        report->reporter = from;
-        ++here.trains_injected;
-        transmit(from, report, t);
+        Packet report{};
+        report.src = from;
+        report.dst = packet->src;
+        report.bytes = kReplyBytes;
+        report.kind = PacketKind::IcmpUnreachable;
+        report.flow = flow;
+        report.probe_id = id;
+        report.reporter = from;
+        icmp_handler_(report, t);
       }
     }
     pool_.release(pool_shard(), packet);
@@ -638,20 +636,12 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
         if (message.reliable) {
           // ACK every copy (the previous ACK may itself have been lost);
           // deduplicate before the bookkeeping and the endpoint upcall.
-          Packet* ack = pool_.acquire(pool_shard());
-          ack->src = at;
-          ack->dst = message.src;
-          ack->bytes = kAckBytes;
-          ack->packets = 1;
-          ack->ttl = 255;
-          ack->kind = PacketKind::Ack;
           // NetFlow key: the acknowledged data flow in reverse, so a
           // stream's ACKs share one record per node; the message id
           // rides in probe_id for the sender's bookkeeping.
-          ack->flow = kAckFlowBase ^ packet.flow;
-          ack->probe_id = message.id;
-          ++receiver.trains_injected;
-          transmit(at, ack, t);
+          send_reply(at, message.src, PacketKind::Ack,
+                     kAckFlowBase ^ packet.flow, message.id,
+                     /*reporter=*/-1, t);
           // massf-check: allow(hot-path-alloc) — dedup state is the
           // protocol: one entry per reliable message id, ever.
           if (!receiver.reliable_seen.insert(message.id).second) {
@@ -686,18 +676,8 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
     }
     case PacketKind::IcmpEcho: {
       // Destination answers the probe: echo reply back to the prober.
-      Packet* reply = pool_.acquire(pool_shard());
-      reply->src = at;
-      reply->dst = packet.src;
-      reply->bytes = 64;
-      reply->packets = 1;
-      reply->ttl = 255;
-      reply->kind = PacketKind::IcmpEchoReply;
-      reply->flow = kIcmpFlowBase ^ packet.probe_id;
-      reply->probe_id = packet.probe_id;
-      reply->reporter = at;
-      ++state.trains_injected;
-      transmit(at, reply, t);
+      send_reply(at, packet.src, PacketKind::IcmpEchoReply,
+                 kIcmpFlowBase ^ packet.probe_id, packet.probe_id, at, t);
       break;
     }
     case PacketKind::IcmpEchoReply:

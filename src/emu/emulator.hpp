@@ -503,6 +503,12 @@ class Emulator : private des::EventSink {
   /// ownership.
   void transmit(NodeId from, Packet* packet, SimTime t);
 
+  /// Send a one-packet reply (an ACK or an ICMP report; `reporter` -1 for
+  /// an ACK) at full TTL from `from` to `to`: counted as a train injected
+  /// at `from` and handed straight to transmit().
+  void send_reply(NodeId from, NodeId to, PacketKind kind, std::uint64_t flow,
+                  std::uint64_t probe_id, NodeId reporter, SimTime t);
+
   void deliver(NodeId at, const Packet& packet, SimTime t);
 
   /// Packetize one message into trains and inject them at `at`. Shared by

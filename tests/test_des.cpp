@@ -182,13 +182,37 @@ TEST(Kernel, RunTwiceRejected) {
   EXPECT_THROW(kernel.run_until(2.0), std::invalid_argument);
 }
 
+// The throw comes while the other LPs hold cross-LP sends in their outboxes
+// (and earlier runs wait in the channels): the run must still stop and
+// rethrow, in every sync mode and for any worker count, and the kernel must
+// free every run node (the ASan preset reports a leak otherwise).
 TEST(Kernel, ThreadedExceptionPropagates) {
-  Kernel kernel(2, 1.0);
-  ScriptSink script(kernel);
-  script.at(0, 0.5, [] { throw std::runtime_error("boom"); });
-  kernel.schedule_packet(1, 0.5, {});
-  EXPECT_THROW(kernel.run_until(10.0, ExecutionMode::Threaded),
-               std::runtime_error);
+  constexpr int kLps = 4;
+  for (const SyncMode sync :
+       {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
+    for (const std::size_t workers : worker_counts(kLps)) {
+      SCOPED_TRACE(::testing::Message()
+                   << to_string(sync) << ", " << workers << " workers");
+      Kernel kernel(kLps, 1.0);
+      kernel.set_sync_mode(sync);
+      ScriptSink script(kernel);
+      // LPs 0..2 chatter to every other LP every 0.25 s without end; the
+      // last LP (stepped last by its worker) throws mid-run.
+      std::function<void(int)> chatter = [&](int lp) {
+        for (int dst = 0; dst < kLps; ++dst)
+          if (dst != lp)
+            kernel.schedule_packet_remote(dst, kernel.now() + 1.0, {});
+        script.at(lp, kernel.now() + 0.25, [&chatter, lp] { chatter(lp); });
+      };
+      for (int lp = 0; lp + 1 < kLps; ++lp)
+        script.at(lp, 0.5, [&chatter, lp] { chatter(lp); });
+      script.at(kLps - 1, 2.6, [] { throw std::runtime_error("boom"); });
+      EXPECT_THROW(KernelTestPeer::run_until(kernel, 100.0, workers),
+                   std::runtime_error);
+      EXPECT_EQ(kernel.current_lp(), -1);
+      EXPECT_GT(kernel.pending_events(), 0u);
+    }
+  }
 }
 
 // ---- Packet ping-pong ------------------------------------------------------
