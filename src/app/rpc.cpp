@@ -38,7 +38,6 @@ ServerEndpoint::ServerEndpoint(ServerParams params)
 void ServerEndpoint::start(emu::AppApi& api) {
   // Per-host stream: two servers with the same params draw independently.
   rng_.reseed(mix_seed(params_.seed, static_cast<std::uint64_t>(api.self())));
-  jobs_.reserve(64);
 }
 
 double ServerEndpoint::draw_service() {
@@ -71,17 +70,16 @@ void ServerEndpoint::receive(emu::AppApi& api,
   const double done = begin + draw_service();
   worker_free_[worker] = done;
   const std::uint64_t job = ++job_seq_;
-  // Bounded by in-flight jobs; the table is reserve()d at start and
-  // rehash cost is amortized O(1).
-  jobs_.emplace(job, Job{message.src, message.corr});
+  jobs_.try_insert(job, Job{message.src, message.corr});
   api.set_timer(done - now, static_cast<std::int64_t>(job));
 }
 
 void ServerEndpoint::on_timer(emu::AppApi& api, std::int64_t tag) {
-  const auto it = jobs_.find(static_cast<std::uint64_t>(tag));
-  MASSF_REQUIRE(it != jobs_.end(), "server timer for unknown job");
-  const Job job = it->second;
-  jobs_.erase(it);
+  const auto seq = static_cast<std::uint64_t>(tag);
+  const Job* const found = jobs_.find(seq);
+  MASSF_REQUIRE(found != nullptr, "server timer for unknown job");
+  const Job job = *found;
+  jobs_.erase(seq);
   if (params_.reliable)
     api.send_reliable(job.reply_to, params_.response_bytes, kTagResponse,
                       job.corr);
@@ -93,10 +91,9 @@ void ServerEndpoint::save_state(std::vector<std::uint64_t>& out) const {
   for (std::uint64_t w : rng_.state()) out.push_back(w);
   out.push_back(job_seq_);
   for (double f : worker_free_) out.push_back(u64_of_f64(f));
-  // Hash-map iteration order is nondeterministic; serialize sorted by key.
-  std::vector<std::pair<std::uint64_t, Job>> jobs(jobs_.begin(), jobs_.end());
-  std::sort(jobs.begin(), jobs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Slot order depends on the insert/erase history; serialize sorted by
+  // key.
+  const auto jobs = jobs_.sorted();
   out.push_back(jobs.size());
   for (const auto& [seq, job] : jobs) {
     out.push_back(seq);
@@ -123,7 +120,7 @@ void ServerEndpoint::load_state(const std::vector<std::uint64_t>& in) {
     Job job;
     job.reply_to = static_cast<NodeId>(next());
     job.corr = next();
-    jobs_.emplace(seq, job);
+    jobs_.try_insert(seq, job);
   }
   MASSF_REQUIRE(i == in.size(), "server snapshot state has extra words");
 }
@@ -142,11 +139,6 @@ LoadBalancerEndpoint::LoadBalancerEndpoint(
   if (counters_ == nullptr) counters_ = std::make_shared<LbCounters>();
 }
 
-void LoadBalancerEndpoint::start(emu::AppApi& api) {
-  (void)api;
-  inflight_.reserve(256);
-}
-
 // massf-check: hot-path-root
 void LoadBalancerEndpoint::receive(emu::AppApi& api,
                                    const emu::AppMessage& message) {
@@ -159,10 +151,9 @@ void LoadBalancerEndpoint::receive(emu::AppApi& api,
                  corr_user(message.corr));
     const std::size_t backend = policy_->pick(key, now);
     const std::uint64_t flight = ++flight_seq_;
-    // Bounded by in-flight requests; the table is reserve()d at start.
-    inflight_.emplace(flight,
-                      Flight{message.src, message.corr, message.bytes, now,
-                             static_cast<std::uint32_t>(backend)});
+    inflight_.try_insert(flight,
+                         Flight{message.src, message.corr, message.bytes, now,
+                                static_cast<std::uint32_t>(backend)});
     policy_->on_start(backend, now);
     ++counters_->requests_forwarded;
     if (params_.reliable)
@@ -174,15 +165,15 @@ void LoadBalancerEndpoint::receive(emu::AppApi& api,
   }
   MASSF_REQUIRE(message.tag == kTagResponse,
                 "load balancer received a non-RPC message");
-  const auto it = inflight_.find(message.corr);
-  if (it == inflight_.end()) {
+  const Flight* const found = inflight_.find(message.corr);
+  if (found == nullptr) {
     // The flight was written off (reliable retries exhausted on lost ACKs)
     // but a copy of the request had been delivered anyway.
     ++counters_->stale_responses;
     return;
   }
-  const Flight flight = it->second;
-  inflight_.erase(it);
+  const Flight flight = *found;
+  inflight_.erase(message.corr);
   policy_->on_finish(flight.backend, now, now - flight.t0);
   ++counters_->responses_relayed;
   if (params_.reliable)
@@ -199,10 +190,10 @@ void LoadBalancerEndpoint::on_send_failed(emu::AppApi& api,
     ++counters_->relay_errors;
     return;
   }
-  const auto it = inflight_.find(message.corr);
-  if (it == inflight_.end()) return;
-  policy_->on_error(it->second.backend, api.now());
-  inflight_.erase(it);
+  const Flight* const found = inflight_.find(message.corr);
+  if (found == nullptr) return;
+  policy_->on_error(found->backend, api.now());
+  inflight_.erase(message.corr);
   ++counters_->backend_errors;
 }
 
@@ -212,10 +203,7 @@ void LoadBalancerEndpoint::save_state(std::vector<std::uint64_t>& out) const {
   policy_->save_state(policy_words);
   out.push_back(policy_words.size());
   for (std::uint64_t w : policy_words) out.push_back(w);
-  std::vector<std::pair<std::uint64_t, Flight>> flights(inflight_.begin(),
-                                                        inflight_.end());
-  std::sort(flights.begin(), flights.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto flights = inflight_.sorted();
   out.push_back(flights.size());
   for (const auto& [seq, f] : flights) {
     out.push_back(seq);
@@ -254,7 +242,7 @@ void LoadBalancerEndpoint::load_state(const std::vector<std::uint64_t>& in) {
     f.bytes = f64_of_u64(next());
     f.t0 = f64_of_u64(next());
     f.backend = static_cast<std::uint32_t>(next());
-    inflight_.emplace(seq, f);
+    inflight_.try_insert(seq, f);
   }
   counters_->requests_forwarded = next();
   counters_->responses_relayed = next();
@@ -278,7 +266,6 @@ ClientEndpoint::ClientEndpoint(ClientParams params,
 
 void ClientEndpoint::start(emu::AppApi& api) {
   rng_.reseed(mix_seed(params_.seed, static_cast<std::uint64_t>(api.self())));
-  outstanding_.reserve(256);
   arm_next(api);
 }
 
@@ -297,8 +284,7 @@ void ClientEndpoint::on_timer(emu::AppApi& api, std::int64_t tag) {
       params_.user_base +
       rng_.next_below(static_cast<std::uint64_t>(params_.users));
   const std::uint64_t corr = pack_corr(user, seq_++);
-  // Bounded by in-flight requests; the table is reserve()d at start.
-  outstanding_.emplace(corr, api.now());
+  outstanding_.try_insert(corr, api.now());
   ++counters_->requests_sent;
   if (params_.reliable)
     api.send_reliable(params_.lb, params_.request_bytes, kTagRequest, corr);
@@ -312,13 +298,13 @@ void ClientEndpoint::receive(emu::AppApi& api,
                              const emu::AppMessage& message) {
   MASSF_REQUIRE(message.tag == kTagResponse,
                 "client received a non-response message");
-  const auto it = outstanding_.find(message.corr);
-  if (it == outstanding_.end()) {
+  const double* const sent_at = outstanding_.find(message.corr);
+  if (sent_at == nullptr) {
     ++counters_->stale_responses;
     return;
   }
-  api.record_latency(params_.series, api.now() - it->second);
-  outstanding_.erase(it);
+  api.record_latency(params_.series, api.now() - *sent_at);
+  outstanding_.erase(message.corr);
   ++counters_->responses_received;
 }
 
@@ -326,19 +312,14 @@ void ClientEndpoint::on_send_failed(emu::AppApi& api,
                                     const emu::AppMessage& message) {
   (void)api;
   if (message.tag != kTagRequest) return;
-  const auto it = outstanding_.find(message.corr);
-  if (it == outstanding_.end()) return;
-  outstanding_.erase(it);
+  if (!outstanding_.erase(message.corr)) return;
   ++counters_->send_failures;
 }
 
 void ClientEndpoint::save_state(std::vector<std::uint64_t>& out) const {
   for (std::uint64_t w : rng_.state()) out.push_back(w);
   out.push_back(seq_);
-  std::vector<std::pair<std::uint64_t, double>> pending(outstanding_.begin(),
-                                                        outstanding_.end());
-  std::sort(pending.begin(), pending.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  const auto pending = outstanding_.sorted();
   out.push_back(pending.size());
   for (const auto& [corr, t0] : pending) {
     out.push_back(corr);
@@ -364,7 +345,7 @@ void ClientEndpoint::load_state(const std::vector<std::uint64_t>& in) {
   outstanding_.clear();
   for (std::uint64_t n = 0; n < pending; ++n) {
     const std::uint64_t corr = next();
-    outstanding_.emplace(corr, f64_of_u64(next()));
+    outstanding_.try_insert(corr, f64_of_u64(next()));
   }
   counters_->requests_sent = next();
   counters_->responses_received = next();

@@ -20,12 +20,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "app/lb_policy.hpp"
 #include "emu/app.hpp"
 #include "util/rng.hpp"
+#include "util/u64_table.hpp"
 
 namespace massf::app {
 
@@ -98,7 +98,7 @@ class ServerEndpoint : public emu::AppEndpoint {
   Rng rng_;  // reseeded mix_seed(params.seed, host) in start()
   std::vector<double> worker_free_;
   std::uint64_t job_seq_ = 0;
-  std::unordered_map<std::uint64_t, Job> jobs_;
+  util::U64Table<Job> jobs_;  // by job seq
 };
 
 struct LoadBalancerParams {
@@ -134,7 +134,6 @@ class LoadBalancerEndpoint : public emu::AppEndpoint {
   LoadBalancerEndpoint(LoadBalancerParams params,
                        std::shared_ptr<LbCounters> counters = nullptr);
 
-  void start(emu::AppApi& api) override;
   void receive(emu::AppApi& api, const emu::AppMessage& message) override;
   void on_send_failed(emu::AppApi& api,
                       const emu::AppMessage& message) override;
@@ -157,7 +156,7 @@ class LoadBalancerEndpoint : public emu::AppEndpoint {
   std::unique_ptr<LbPolicy> policy_;
   std::shared_ptr<LbCounters> counters_;
   std::uint64_t flight_seq_ = 0;
-  std::unordered_map<std::uint64_t, Flight> inflight_;
+  util::U64Table<Flight> inflight_;  // by flight seq
 };
 
 struct ClientParams {
@@ -217,7 +216,7 @@ class ClientEndpoint : public emu::AppEndpoint {
   std::uint64_t seq_ = 0;
   std::shared_ptr<ClientCounters> counters_;
   /// corr → send time of requests awaiting a response.
-  std::unordered_map<std::uint64_t, double> outstanding_;
+  util::U64Table<double> outstanding_;
 };
 
 }  // namespace massf::app

@@ -289,9 +289,7 @@ std::uint64_t Emulator::send_reliable(NodeId src, NodeId dst, double bytes,
   if (recorder_ != nullptr)
     recorder_->on_send(src, dst, bytes, tag, message_id, at);
 
-  // massf-check: allow(hot-path-alloc) — in-flight reliable window:
-  // bounded by outstanding sends, shrinks on ack; rehash is amortized.
-  sender.pending.emplace(
+  sender.pending.try_insert(
       message_id, PendingReliable{dst, bytes, tag, at, /*attempts=*/1, corr});
   inject_trains(src, dst, bytes, tag, message_id, at, /*reliable=*/true, corr,
                 at);
@@ -308,9 +306,9 @@ std::uint64_t Emulator::send_reliable(NodeId src, NodeId dst, double bytes,
 
 void Emulator::reliable_timeout(NodeId src, std::uint64_t message_id) {
   HostState& sender = host_state_[static_cast<std::size_t>(src)];
-  const auto it = sender.pending.find(message_id);
-  if (it == sender.pending.end()) return;  // ACKed in the meantime
-  PendingReliable& p = it->second;
+  PendingReliable* const pending = sender.pending.find(message_id);
+  if (pending == nullptr) return;  // ACKed in the meantime
+  PendingReliable& p = *pending;
   if (p.attempts >= 1 + config_.reliable.max_retries) {
     ++sender.reliable_failed;
     // Surface the exhaustion to the sender's endpoint as an app-visible
@@ -318,7 +316,7 @@ void Emulator::reliable_timeout(NodeId src, std::uint64_t message_id) {
     // timeout event — so it is as deterministic as any receive() upcall.
     const AppMessage failed{src,          p.dst, p.bytes, p.tag, message_id,
                             p.first_sent, 0,     true,    p.corr};
-    sender.pending.erase(it);
+    sender.pending.erase(message_id);
     if (sender.endpoint != nullptr) {
       AppApi api(*this, src);
       sender.endpoint->on_send_failed(api, failed);
@@ -642,9 +640,7 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
           send_reply(at, message.src, PacketKind::Ack,
                      kAckFlowBase ^ packet.flow, message.id,
                      /*reporter=*/-1, t);
-          // massf-check: allow(hot-path-alloc) — dedup state is the
-          // protocol: one entry per reliable message id, ever.
-          if (!receiver.reliable_seen.insert(message.id).second) {
+          if (!receiver.reliable_seen.try_insert(message.id)) {
             ++receiver.duplicate_deliveries;
             break;
           }
@@ -661,16 +657,17 @@ void Emulator::deliver(NodeId at, const Packet& packet, SimTime t) {
       break;
     case PacketKind::Ack: {
       // `at` is the original sender; retire the pending entry.
-      const auto it = state.pending.find(packet.probe_id);
-      if (it != state.pending.end()) {
+      const PendingReliable* const pending =
+          state.pending.find(packet.probe_id);
+      if (pending != nullptr) {
         ++state.reliable_acked;
-        if (faults_ != nullptr && it->second.attempts > 1) {
+        if (faults_ != nullptr && pending->attempts > 1) {
           EpochCounters& counters = epoch_counters(epoch_for(t));
           ++counters.recovered;
           counters.max_recovery_s =
-              std::max(counters.max_recovery_s, t - it->second.first_sent);
+              std::max(counters.max_recovery_s, t - pending->first_sent);
         }
-        state.pending.erase(it);
+        state.pending.erase(packet.probe_id);
       }
       break;  // duplicate ACKs for an already-retired message are ignored
     }
@@ -952,10 +949,10 @@ void Emulator::serialize_payload(Io& io, Self& self, Event& e) {
       e.lane = self.lanes_.link_direction(
           p->via, self.network_.link(p->via).b == e.node ? 0 : 1);
     } else if (p->kind == PacketKind::CtrlReliableTimeout) {
-      const auto& pending =
-          self.host_state_[static_cast<std::size_t>(p->dst)].pending;
-      const auto it = pending.find(p->probe_id);
-      if (it == pending.end() || it->second.attempts == 1)
+      const PendingReliable* const pending =
+          self.host_state_[static_cast<std::size_t>(p->dst)].pending.find(
+              p->probe_id);
+      if (pending == nullptr || pending->attempts == 1)
         e.lane = self.lanes_.host_timeouts(p->dst);
     }
   }
@@ -1025,16 +1022,13 @@ void Emulator::serialize(Io& io, Self& self, SimTime& t, const Extra& extra) {
       io.u64s(words, "emulator section");
       if constexpr (kLoad) s.endpoint->load_state(words);
     }
-    // Hash-ordered containers are written sorted by key so the byte stream
-    // is identical across processes (DESIGN.md §9 determinism rule).
+    // The tables are written sorted by key, so equal contents give equal
+    // bytes whatever the insert/erase history (DESIGN.md §9).
     std::vector<std::pair<std::uint64_t, PendingReliable>> pending;
     std::vector<std::uint64_t> seen;
     if constexpr (!kLoad) {
-      pending.assign(s.pending.begin(), s.pending.end());
-      std::sort(pending.begin(), pending.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      seen.assign(s.reliable_seen.begin(), s.reliable_seen.end());
-      std::sort(seen.begin(), seen.end());
+      pending = s.pending.sorted();
+      seen = s.reliable_seen.sorted();
     }
     io.len(pending, kPendingReliableBytes, "emulator section");
     for (auto& [id, rec] : pending) {
@@ -1049,9 +1043,9 @@ void Emulator::serialize(Io& io, Self& self, SimTime& t, const Extra& extra) {
     io.u64s(seen, "emulator section");
     if constexpr (kLoad) {
       s.pending.clear();
-      for (const auto& [id, rec] : pending) s.pending.emplace(id, rec);
+      for (const auto& [id, rec] : pending) s.pending.try_insert(id, rec);
       s.reliable_seen.clear();
-      for (std::uint64_t id : seen) s.reliable_seen.insert(id);
+      for (std::uint64_t id : seen) s.reliable_seen.try_insert(id);
     }
   }
   for (auto& v : self.link_next_free_) io.f64(v);

@@ -24,9 +24,6 @@
 #include <string>
 #include <vector>
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "ckpt/ckpt.hpp"
 #include "des/kernel.hpp"
 #include "emu/app.hpp"
@@ -36,6 +33,7 @@
 #include "routing/routing.hpp"
 #include "topology/network.hpp"
 #include "util/histogram.hpp"
+#include "util/u64_table.hpp"
 
 namespace massf::emu {
 
@@ -446,14 +444,11 @@ class Emulator : private des::EventSink {
     std::uint64_t duplicate_deliveries = 0;
     double bytes_delivered = 0;
     // Reliable-delivery state: touched only on this node's engine, so it
-    // follows the same race-freedom rule as the counters above. Audited for
-    // determinism: both containers see only find/insert/erase by key —
-    // never iteration — so their (hash-dependent) element order cannot
-    // reach event order. See DESIGN.md §9.
-    // massf-check: allow(unordered-container)
-    std::unordered_map<std::uint64_t, PendingReliable> pending;  // as sender
-    // massf-check: allow(unordered-container)
-    std::unordered_set<std::uint64_t> reliable_seen;             // as receiver
+    // follows the same race-freedom rule as the counters above. Flat tables
+    // (util/u64_table.hpp): no allocation per message. The run reads them
+    // only by key and by size; snapshots write them sorted by key.
+    util::U64Table<PendingReliable> pending;  // as sender, by message id
+    util::U64Set reliable_seen;               // as receiver: ids delivered
   };
 
   /// Per-engine routing-epoch cursor. Events on an LP execute in

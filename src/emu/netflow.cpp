@@ -34,6 +34,8 @@ std::size_t NetFlowCollector::FlowTable::probe(std::uint64_t flow) const {
 }
 
 void NetFlowCollector::FlowTable::rehash(std::size_t size) {
+  // massf-check: allow(hot-path-alloc) — index doubling: amortized O(1)
+  // per record, bounded by the distinct flows at this node.
   index.assign(size, 0);
   shift = 64 - std::countr_zero(size);
   for (std::size_t i = 0; i < records.size(); ++i)

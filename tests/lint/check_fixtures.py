@@ -59,6 +59,7 @@ EXPECTED_FINDINGS = {
         "'g_flow_records.try_emplace'",
         "'g_flow_bytes.emplace_hint'",
         "'g_flow_last_seen.insert_or_assign'",
+        "'g_flow_index.assign'",
     ],
 }
 

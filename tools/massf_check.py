@@ -306,7 +306,7 @@ ALLOC_FNS = frozenset({"malloc", "calloc", "realloc", "strdup",
                        "aligned_alloc", "make_unique", "make_shared"})
 GROW_FNS = frozenset({"push_back", "emplace_back", "emplace", "insert",
                       "push_front", "emplace_front", "push", "append",
-                      "resize", "try_emplace", "emplace_hint",
+                      "resize", "assign", "try_emplace", "emplace_hint",
                       "insert_or_assign"})
 # Ordered std container names: a *local* declaration with one of these
 # shadows a same-named unordered variable from elsewhere in the program
