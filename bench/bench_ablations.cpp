@@ -1,8 +1,10 @@
-// Ablations of the paper's design choices (DESIGN.md §3: A1-A4, A6, A7) in
-// one pass: one section per ablation, recorded in BENCH_ablations.json.
+// Ablations of the paper's design choices (DESIGN.md §3: A1-A7) in one
+// pass: one section per ablation, recorded in BENCH_ablations.json.
 //
 // Rows are means over MASSF_BENCH_REPLICAS partition seeds (default 3),
-// except A3's and A6's (seed 0). Campus/ScaLapack at seed 0 is one shared
+// except A3's and A6's (seed 0) and A5's, which times the partitioning and
+// routing substrates with steady_clock, each row's call repeated for at
+// least kMicroMinSeconds. Campus/ScaLapack at seed 0 is one shared
 // Experiment: its PROFILE run is A1's p = 0.6 replica-0 run and A3's
 // PROFILE row; its profiling run, which equals its TOP-mapped run
 // (Integration.ProfilingRunIsCachedAndExposed), is A3's TOP row and A6's
@@ -24,11 +26,13 @@
 #include "bench/common.hpp"
 #include "core/weights.hpp"
 #include "partition/baselines.hpp"
+#include "partition/coarsen.hpp"
 #include "partition/partition.hpp"
 #include "traffic/cbr.hpp"
 #include "traffic/http.hpp"
 #include "traffic/scalapack.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -245,6 +249,69 @@ std::shared_ptr<traffic::CompositeWorkload> http_variant(
   return workload;
 }
 
+// A5: each row's call is repeated for at least this long.
+constexpr double kMicroMinSeconds = 0.2;
+
+// Every timed call's result feeds this sink, so each result has a use.
+std::size_t g_micro_sink = 0;
+
+/// Random connected graph on `n` vertices: a random tree plus 2n random
+/// edges, vertex weights in [0.5, 2), edge weights in [0.5, 3).
+graph::Graph random_graph(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  graph::GraphBuilder b(1);
+  for (int i = 0; i < n; ++i) b.add_vertex(rng.next_double(0.5, 2.0));
+  for (int i = 1; i < n; ++i)
+    b.add_edge(static_cast<graph::VertexId>(
+                   rng.next_below(static_cast<std::uint64_t>(i))),
+               i, rng.next_double(0.5, 3.0));
+  for (int e = 0; e < 2 * n; ++e) {
+    const auto u = static_cast<graph::VertexId>(
+        rng.next_below(static_cast<std::uint64_t>(n)));
+    const auto v = static_cast<graph::VertexId>(
+        rng.next_below(static_cast<std::uint64_t>(n)));
+    if (u != v) b.add_edge(u, v, rng.next_double(0.5, 3.0));
+  }
+  return b.build();
+}
+
+/// A5's rows: each times one call of a substrate, `items` (vertices,
+/// nodes, routes or flows) per call, prints it and records it.
+class MicroRows {
+ public:
+  MicroRows() : table_({"benchmark", "calls", "ms/call", "items/s"}) {}
+
+  void time(const std::string& name, double items,
+            const std::function<std::size_t()>& call) {
+    const auto start = Clock::now();
+    long long calls = 0;
+    double seconds = 0;
+    do {
+      g_micro_sink += call();
+      ++calls;
+      seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    } while (seconds < kMicroMinSeconds);
+    const double per_call = seconds / static_cast<double>(calls);
+    table_.row().cell(name).cell(calls).cell(per_call * 1e3, 3).cell(
+        items / per_call, 0);
+    rows_.push(Json()
+                   .add("name", name)
+                   .add("calls", calls)
+                   .add("ms_per_call", per_call * 1e3)
+                   .add("items_per_call", items)
+                   .add("items_per_sec", items / per_call));
+  }
+
+  void record(Json& results, const std::string& key) {
+    table_.print(std::cout);
+    results.add(key, std::move(rows_));
+  }
+
+ private:
+  Table table_;
+  Json rows_ = Json::array();
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -407,6 +474,89 @@ int main(int argc, char** argv) {
               "GridNPB: clustering changes the emulation time by <= 2%; not "
               "enforced: the paper claims no neutrality, and clustering "
               "targets stage-dominated runs, which this workload is not");
+
+  heading("A5: partitioning and routing substrate speed",
+          "steady_clock, each call repeated for >= " +
+              format_double(kMicroMinSeconds, 1) +
+              " s; items are vertices, nodes, routes or flows");
+  MicroRows a5;
+  for (const int n : {1000, 10000}) {
+    const graph::Graph g = random_graph(n, 11);
+    Rng rng(3);
+    a5.time("BM_CoarsenOnce/" + std::to_string(n), n, [&] {
+      return partition::coarsen_once(g, rng).fine_to_coarse.size();
+    });
+  }
+  for (const auto& [n, parts] : {std::pair{500, 8}, std::pair{2000, 8},
+                                 std::pair{2000, 20}, std::pair{8000, 20}}) {
+    const graph::Graph g = random_graph(n, 13);
+    partition::PartitionOptions opts;
+    opts.parts = parts;
+    a5.time("BM_PartitionMultilevel/" + std::to_string(n) + "/" +
+                std::to_string(parts),
+            n, [&] {
+              ++opts.seed;
+              return partition::partition_multilevel(g, opts)
+                  .assignment.size();
+            });
+  }
+  {
+    const graph::Graph g = random_graph(2000, 17);
+    std::uint64_t seed = 0;
+    a5.time("BM_PartitionGreedyKCluster/2000", 2000, [&] {
+      return partition::partition_greedy_kcluster(g, 8, ++seed).size();
+    });
+  }
+  for (const int routers : {100, 200}) {
+    topology::BriteParams params;
+    params.routers = routers;
+    params.hosts = routers / 2;
+    const topology::Network net = topology::make_brite(params);
+    a5.time("BM_RoutingTablesBuild/" + std::to_string(routers),
+            net.node_count(), [&] {
+              return routing::RoutingTables::build(net).memory_bytes();
+            });
+  }
+  {
+    // The allocating route() against route_into() with a buffer reused
+    // across calls: the pattern the mapper's per-flow fallback loop uses.
+    constexpr int kRoutes = 1000;  // routes per timed call
+    const topology::Network net = topology::make_teragrid();
+    const routing::RoutingTables tables = routing::RoutingTables::build(net);
+    const auto hosts = net.hosts();
+    const auto pair_of = [&](std::size_t i) {
+      return std::pair{hosts[i % hosts.size()],
+                       hosts[(i * 31 + 7) % hosts.size()]};
+    };
+    std::size_t i = 0;
+    a5.time("BM_RouteAlloc", kRoutes, [&] {
+      std::size_t hops = 0;
+      for (int r = 0; r < kRoutes; ++r, ++i) {
+        const auto [a, b] = pair_of(i);
+        hops += tables.route(a, b).size();
+      }
+      return hops;
+    });
+    std::vector<topology::NodeId> path;
+    i = 0;
+    a5.time("BM_RouteIntoScratch", kRoutes, [&] {
+      std::size_t hops = 0;
+      for (int r = 0; r < kRoutes; ++r, ++i) {
+        const auto [a, b] = pair_of(i);
+        tables.route_into(a, b, path);
+        hops += path.size();
+      }
+      return hops;
+    });
+    Rng rng(5);
+    std::vector<routing::Flow> flows;
+    for (int f = 0; f < 1000; ++f)
+      flows.push_back({rng.pick(hosts), rng.pick(hosts), 1.0});
+    a5.time("BM_AggregateFlows", 1000, [&] {
+      return routing::aggregate_flows(net, tables, flows).link_load.size();
+    });
+  }
+  a5.record(report.results, "a5_substrate_speed");
 
   // Why objective 1 (maximize cut-link latency) exists.
   heading("A6: lookahead sensitivity of conservative sync",

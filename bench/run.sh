@@ -4,19 +4,16 @@
 #   bench/run.sh <name>
 #   BUILD_DIR=build-release OUT=BENCH_<name>.json bench/run.sh <name>
 #
-# <name> is one of kernel, paper, ablations, sync, wallclock, scale, lb,
-# rebalance; it runs bench_micro_kernel, bench_paper, bench_ablations,
-# bench_micro_sync, bench_wallclock, bench_scale, bench_lb_policies or
-# bench_ablation_rebalance and writes BENCH_<name>.json.
-# Every binary but bench_micro_kernel writes its file through bench::Report
-# (bench/common.hpp): top-level keys bench, context, run_config, results,
-# gates and passed, one gate {name, value, threshold, enforced, passed,
-# reason} per acceptance clause (listed in each binary's header comment),
-# and exit status 0 if and only if at least one gate was enforced and every
-# enforced gate passed.
+# <name> is one of kernel, paper, ablations, scale, lb, rebalance; it runs
+# bench_kernel, bench_paper, bench_ablations, bench_scale, bench_lb_policies
+# or bench_ablation_rebalance and writes BENCH_<name>.json through
+# bench::Report (bench/common.hpp): top-level keys bench, context,
+# run_config, results, gates and passed, one gate {name, value, threshold,
+# enforced, passed, reason} per acceptance clause (listed in each binary's
+# header comment), and exit status 0 if and only if at least one gate was
+# enforced and every enforced gate passed.
 # tests/bench/check_reports.py (ctest bench_reports) checks the committed
-# files. kernel's google-benchmark JSON is refused unless it claims a
-# release binary.
+# files.
 #
 # Configures and builds a dedicated Release tree, verifies the cache really
 # says Release (recording a debug build would publish numbers 10-50x off;
@@ -24,24 +21,21 @@
 # benchmark. The benchmark's exit status is the script's.
 #
 # Environment: BUILD_DIR (default build-release), OUT (default
-# BENCH_<name>.json), REPS (kernel only: google-benchmark repetitions,
-# default 5), plus each binary's own knobs — MASSF_WALLCLOCK_SCALE,
+# BENCH_<name>.json), plus each binary's own knobs — MASSF_WALLCLOCK_SCALE,
 # MASSF_SCALE_MAX_NODES, MASSF_LB_MAX_CLIENTS, MASSF_BENCH_REPLICAS. Run on
 # an idle machine: the threaded benchmarks measure real time.
 set -euo pipefail
 
 NAME="${1:-}"
 case "$NAME" in
-  kernel) TARGET=bench_micro_kernel ;;
+  kernel) TARGET=bench_kernel ;;
   paper) TARGET=bench_paper ;;
   ablations) TARGET=bench_ablations ;;
-  sync) TARGET=bench_micro_sync ;;
-  wallclock) TARGET=bench_wallclock ;;
   scale) TARGET=bench_scale ;;
   lb) TARGET=bench_lb_policies ;;
   rebalance) TARGET=bench_ablation_rebalance ;;
   *)
-    echo "usage: $0 <kernel|paper|ablations|sync|wallclock|scale|lb|rebalance>" >&2
+    echo "usage: $0 <kernel|paper|ablations|scale|lb|rebalance>" >&2
     exit 2
     ;;
 esac
@@ -58,32 +52,5 @@ if ! grep -q '^CMAKE_BUILD_TYPE:[A-Z]*=Release$' "$BUILD_DIR/CMakeCache.txt"; th
 fi
 cmake --build "$BUILD_DIR" --target "$TARGET" -j >/dev/null
 
-if [ "$NAME" != kernel ]; then
-  # exec propagates the benchmark binary's exit code to the caller verbatim.
-  exec "$BIN" "$OUT"
-fi
-
-# bench_micro_kernel is a google-benchmark binary: median over REPS
-# repetitions; items_per_second is the events/sec figure. A failure must
-# both propagate its exit code (set -e) and leave no half-written .tmp
-# behind; the committed JSON is mv'd before exit.
-REPS="${REPS:-5}"
-trap 'rm -f "$OUT".tmp' EXIT
-
-"$BIN" \
-  --benchmark_repetitions="$REPS" \
-  --benchmark_report_aggregates_only=true \
-  --benchmark_out="$OUT".tmp \
-  --benchmark_out_format=json
-
-# The google-benchmark context's "library_build_type" describes the
-# installed benchmark *library*, not this binary. The binary stamps its own
-# "binary_build_type" (from NDEBUG) into the context; refuse the JSON
-# unless it says release.
-if ! grep -q '"binary_build_type": *"release"' "$OUT".tmp; then
-  echo "error: recorded JSON does not claim a release binary; discarding." >&2
-  rm -f "$OUT".tmp
-  exit 1
-fi
-mv "$OUT".tmp "$OUT"
-echo "wrote $OUT"
+# exec propagates the benchmark binary's exit code to the caller verbatim.
+exec "$BIN" "$OUT"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -112,26 +111,22 @@ MappingResult Mapper::finish(Approach approach,
 
   // Structure cut (links crossing engines), achieved lookahead, and the
   // per-engine-pair cut minima that become channel lookaheads.
-  double min_cross = std::numeric_limits<double>::infinity();
-  std::map<std::pair<int, int>, double> pair_min;
-  for (topology::LinkId l = 0; l < network_.link_count(); ++l) {
-    const topology::Link& link = network_.link(l);
-    const int ea = out.node_engine[static_cast<std::size_t>(link.a)];
-    const int eb = out.node_engine[static_cast<std::size_t>(link.b)];
-    if (ea == eb) continue;
-    out.links_cut += 1;
-    min_cross = std::min(min_cross, link.latency_s);
-    const auto key = std::minmax(ea, eb);
-    const auto [it, inserted] = pair_min.emplace(key, link.latency_s);
-    if (!inserted) it->second = std::min(it->second, link.latency_s);
-    if (link_load != nullptr)
-      out.traffic_cut += (*link_load)[static_cast<std::size_t>(l)];
-  }
-  out.lookahead = std::isfinite(min_cross) ? min_cross
-                                           : network_.min_link_latency();
-  out.pair_lookaheads.reserve(pair_min.size());
-  for (const auto& [pair, la] : pair_min)
-    out.pair_lookaheads.push_back({pair.first, pair.second, la});
+  const topology::CutLatency cut =
+      topology::cut_latency(network_, out.node_engine, out.engines);
+  out.links_cut = cut.links;
+  out.lookahead = std::isfinite(cut.min) ? cut.min
+                                         : network_.min_link_latency();
+  for (int a = 0; a < out.engines; ++a)
+    for (int b = a + 1; b < out.engines; ++b)
+      if (std::isfinite(cut.between(a, b)))
+        out.pair_lookaheads.push_back({a, b, cut.between(a, b)});
+  if (link_load != nullptr)
+    for (topology::LinkId l = 0; l < network_.link_count(); ++l) {
+      const topology::Link& link = network_.link(l);
+      if (out.node_engine[static_cast<std::size_t>(link.a)] !=
+          out.node_engine[static_cast<std::size_t>(link.b)])
+        out.traffic_cut += (*link_load)[static_cast<std::size_t>(l)];
+    }
   return out;
 }
 
@@ -258,10 +253,7 @@ TrafficEstimate Mapper::estimate_place(const traffic::Workload& workload,
                        options.foreground_utilization);
   flows.insert(flows.end(), foreground.begin(), foreground.end());
 
-  const routing::AggregatedLoad load =
-      options.use_traceroute ? aggregate_via_traceroute(flows)
-                             : routing::aggregate_flows(network_, routes_,
-                                                        flows);
+  const routing::AggregatedLoad load = aggregate_via_traceroute(flows);
   TrafficEstimate estimate;
   estimate.link_load = load.link_load;
   estimate.node_load = load.node_load;

@@ -46,10 +46,6 @@ struct MappingOptions {
   /// PROFILE segment clustering (multi-constraint partitioning).
   bool use_segments = true;
   ClusterOptions cluster{};
-  /// PLACE: discover routes via emulated ICMP traceroute between subnet
-  /// representatives (paper §3.2); false falls back to reading the routing
-  /// tables directly (cheaper, used by some tests).
-  bool use_traceroute = true;
   /// MTU used to convert predicted bandwidth to packets/s.
   double mtu_bytes = 1500;
   /// PLACE's injection-point heuristic assumes each foreground host drives
@@ -130,7 +126,8 @@ class Mapper {
   // -- building blocks (exposed for tests and ablations) -----------------
 
   /// PLACE's traffic estimate: predicted background + injection-point
-  /// foreground, aggregated over discovered (or table) routes.
+  /// foreground, aggregated over routes discovered by emulated traceroute
+  /// between subnet representatives (paper §3.2).
   TrafficEstimate estimate_place(const traffic::Workload& workload,
                                  const MappingOptions& options) const;
 

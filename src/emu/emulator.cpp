@@ -108,12 +108,14 @@ Emulator::Emulator(const topology::Network& network,
   MASSF_REQUIRE(config_.mtu_bytes > 0, "MTU must be positive");
   MASSF_REQUIRE(config_.train_packets >= 1, "train size must be >= 1");
 
-  lookahead_ = compute_lookahead();
+  const topology::CutLatency cut =
+      topology::cut_latency(network_, node_engine_, engines_);
+  lookahead_ = lookahead_of(cut);
   kernel_ = std::make_unique<des::Kernel>(engines_, lookahead_, config_.cost);
   kernel_->set_bucket_width(config_.bucket_width);
   kernel_->set_event_sink(this);
   kernel_->set_sync_mode(config_.sync_mode);
-  register_channel_lookaheads();
+  register_channel_lookaheads(cut);
   if (config_.collect_netflow)
     netflow_ = std::make_unique<NetFlowCollector>(
         network.node_count(), network.link_count(), config_.bucket_width);
@@ -127,20 +129,13 @@ int Emulator::engine_of(NodeId node) const {
   return node_engine_[static_cast<std::size_t>(node)];
 }
 
-double Emulator::compute_lookahead() const {
-  double lo = std::numeric_limits<double>::infinity();
-  for (topology::LinkId l = 0; l < network_.link_count(); ++l) {
-    const topology::Link& link = network_.link(l);
-    if (node_engine_[static_cast<std::size_t>(link.a)] !=
-        node_engine_[static_cast<std::size_t>(link.b)])
-      lo = std::min(lo, link.latency_s);
-  }
-  if (!std::isfinite(lo))
-    lo = std::max(kMinLookahead, network_.min_link_latency());
-  return lo;
+double Emulator::lookahead_of(const topology::CutLatency& cut) const {
+  return std::isfinite(cut.min)
+             ? cut.min
+             : std::max(kMinLookahead, network_.min_link_latency());
 }
 
-void Emulator::register_channel_lookaheads() {
+void Emulator::register_channel_lookaheads(const topology::CutLatency& cut) {
   // One kernel channel per directed engine pair joined by at least one cut
   // link, with the pair's own minimum cut-link latency. The only
   // cross-engine events the emulator ever schedules are packet hops along
@@ -149,30 +144,10 @@ void Emulator::register_channel_lookaheads() {
   // timers are engine-local. With no cut links at all (every node on one
   // engine) nothing is registered and the kernel keeps its implicit
   // all-pairs coupling at the global lookahead.
-  std::vector<double> pair_min(
-      static_cast<std::size_t>(engines_) * static_cast<std::size_t>(engines_),
-      std::numeric_limits<double>::infinity());
-  for (topology::LinkId l = 0; l < network_.link_count(); ++l) {
-    const topology::Link& link = network_.link(l);
-    const int ea = node_engine_[static_cast<std::size_t>(link.a)];
-    const int eb = node_engine_[static_cast<std::size_t>(link.b)];
-    if (ea == eb) continue;
-    auto& slot_ab = pair_min[static_cast<std::size_t>(ea) *
-                                static_cast<std::size_t>(engines_) +
-                            static_cast<std::size_t>(eb)];
-    slot_ab = std::min(slot_ab, link.latency_s);
-    auto& slot_ba = pair_min[static_cast<std::size_t>(eb) *
-                                static_cast<std::size_t>(engines_) +
-                            static_cast<std::size_t>(ea)];
-    slot_ba = std::min(slot_ba, link.latency_s);
-  }
   for (int s = 0; s < engines_; ++s)
-    for (int d = 0; d < engines_; ++d) {
-      const double la = pair_min[static_cast<std::size_t>(s) *
-                                     static_cast<std::size_t>(engines_) +
-                                 static_cast<std::size_t>(d)];
-      if (std::isfinite(la)) kernel_->set_channel_lookahead(s, d, la);
-    }
+    for (int d = 0; d < engines_; ++d)
+      if (std::isfinite(cut.between(s, d)))
+        kernel_->set_channel_lookahead(s, d, cut.between(s, d));
 }
 
 void Emulator::install_endpoint(NodeId host,
@@ -771,12 +746,14 @@ int Emulator::migrate_nodes(const std::vector<int>& new_node_engine) {
   // promised under the old bound. Channels for pairs no longer joined by a
   // cut link stay registered at their old lookahead: stale coupling is
   // merely conservative.
-  const double new_lookahead = compute_lookahead();
+  const topology::CutLatency cut =
+      topology::cut_latency(network_, node_engine_, engines_);
+  const double new_lookahead = lookahead_of(cut);
   if (new_lookahead < lookahead_) {
     kernel_->lower_global_lookahead(new_lookahead);
     lookahead_ = new_lookahead;
   }
-  register_channel_lookaheads();
+  register_channel_lookaheads(cut);
 
   const std::uint64_t rehomed =
       kernel_->rehome_events([this](std::int32_t key) {

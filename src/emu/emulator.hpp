@@ -533,8 +533,10 @@ class Emulator : private des::EventSink {
   /// reliable layer's conservation on the way.
   EmulatorStats fold_stats() const;
 
-  double compute_lookahead() const;
-  void register_channel_lookaheads();
+  /// The global lookahead: the minimum cut-link latency, or the minimum
+  /// link latency (at least 0.1 ms) when no link is cut.
+  double lookahead_of(const topology::CutLatency& cut) const;
+  void register_channel_lookaheads(const topology::CutLatency& cut);
 
   const topology::Network& network_;
   const routing::RoutingView& routes_;

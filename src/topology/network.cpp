@@ -172,4 +172,24 @@ void validate_network(const Network& network) {
                 "network is not connected");
 }
 
+CutLatency cut_latency(const Network& network,
+                       const std::vector<int>& node_engine, int engines) {
+  constexpr double kNone = std::numeric_limits<double>::infinity();
+  const auto n = static_cast<std::size_t>(engines);
+  CutLatency cut{engines, 0, kNone, std::vector<double>(n * n, kNone)};
+  for (LinkId l = 0; l < network.link_count(); ++l) {
+    const Link& link = network.link(l);
+    const auto a = static_cast<std::size_t>(
+        node_engine[static_cast<std::size_t>(link.a)]);
+    const auto b = static_cast<std::size_t>(
+        node_engine[static_cast<std::size_t>(link.b)]);
+    if (a == b) continue;
+    ++cut.links;
+    cut.min = std::min(cut.min, link.latency_s);
+    cut.pair[a * n + b] = std::min(cut.pair[a * n + b], link.latency_s);
+    cut.pair[b * n + a] = cut.pair[a * n + b];
+  }
+  return cut;
+}
+
 }  // namespace massf::topology

@@ -115,4 +115,29 @@ class Network {
 /// names. Throws std::invalid_argument describing the first violation.
 void validate_network(const Network& network);
 
+/// The links an assignment of nodes to engines cuts and their latencies:
+/// the conservative lookaheads the assignment yields, globally and per
+/// engine pair. A latency is infinity where no link crosses.
+struct CutLatency {
+  int engines = 0;
+  /// Links whose ends lie on different engines.
+  int links = 0;
+  /// Minimum latency over those links.
+  double min = 0;
+  /// engines × engines, symmetric: the minimum latency over the links
+  /// joining engines a and b at [a * engines + b].
+  std::vector<double> pair;
+
+  double between(int a, int b) const {
+    return pair[static_cast<std::size_t>(a) *
+                    static_cast<std::size_t>(engines) +
+                static_cast<std::size_t>(b)];
+  }
+};
+
+/// One scan of `network`'s links under `node_engine` (one engine id in
+/// [0, engines) per node).
+CutLatency cut_latency(const Network& network,
+                       const std::vector<int>& node_engine, int engines);
+
 }  // namespace massf::topology

@@ -18,7 +18,7 @@ import numbers
 import os
 import sys
 
-GATED = ["ablations", "lb", "paper", "rebalance", "scale", "sync", "wallclock"]
+GATED = ["ablations", "kernel", "lb", "paper", "rebalance", "scale"]
 TOP_LEVEL = ["bench", "context", "run_config", "results", "gates", "passed"]
 
 

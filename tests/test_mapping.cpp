@@ -231,7 +231,6 @@ TEST(Mapper, PlaceEstimateLoadsUsedRoutesOnly) {
       traffic::CbrParams{});
   MappingOptions options;
   options.engines = 3;
-  options.use_traceroute = true;
   const TrafficEstimate estimate = fx.mapper.estimate_place(*cbr, options);
 
   const auto route_links = fx.tables.route_links(hosts[0], hosts[39]);
@@ -252,13 +251,18 @@ TEST(Mapper, TracerouteAndTableEstimatesAgree) {
   params.server_number = 6;
   params.clients_per_server = 2;
   const auto http = std::make_shared<traffic::HttpBackground>(fx.net, params);
-  MappingOptions via_icmp;
-  via_icmp.engines = 3;
-  via_icmp.use_traceroute = true;
-  MappingOptions via_tables = via_icmp;
-  via_tables.use_traceroute = false;
-  const TrafficEstimate a = fx.mapper.estimate_place(*http, via_icmp);
-  const TrafficEstimate b = fx.mapper.estimate_place(*http, via_tables);
+  MappingOptions options;
+  options.engines = 3;
+  const TrafficEstimate a = fx.mapper.estimate_place(*http, options);
+  // The same background and foreground flows over the routing tables.
+  std::vector<routing::Flow> flows = http->predicted_background(fx.net);
+  const std::vector<routing::Flow> foreground = fx.mapper.foreground_flows(
+      http->injection_points(), options.mtu_bytes,
+      options.foreground_utilization);
+  flows.insert(flows.end(), foreground.begin(), foreground.end());
+  const routing::AggregatedLoad b =
+      routing::aggregate_flows(fx.net, fx.tables, flows);
+  ASSERT_EQ(a.link_load.size(), b.link_load.size());
   for (std::size_t l = 0; l < a.link_load.size(); ++l)
     EXPECT_NEAR(a.link_load[l], b.link_load[l], 1e-6) << "link " << l;
 }

@@ -1,4 +1,4 @@
-// Unit tests for the utility layer: RNG, statistics, tables, CSV, strings,
+// Unit tests for the utility layer: RNG, statistics, tables, strings,
 // and the spin-then-park waiting primitives.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/spinwait.hpp"
 #include "util/stats.hpp"
@@ -175,19 +174,6 @@ TEST(Table, PercentChange) {
   EXPECT_EQ(format_percent_change(100, 50), "-50.0%");
   EXPECT_EQ(format_percent_change(50, 100), "+100.0%");
   EXPECT_EQ(format_percent_change(0, 10), "n/a");
-}
-
-TEST(Csv, EscapesSpecials) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("q\"q"), "\"q\"\"q\"");
-}
-
-TEST(Csv, RowWidthEnforced) {
-  CsvWriter csv({"a", "b"});
-  EXPECT_THROW(csv.add_row({"only-one"}), std::invalid_argument);
-  csv.add_row({"1", "2"});
-  EXPECT_EQ(csv.to_string(), "a,b\n1,2\n");
 }
 
 TEST(Strings, TrimAndSplit) {
