@@ -30,30 +30,12 @@ ServerEndpoint::ServerEndpoint(ServerParams params)
     : params_(std::move(params)) {
   MASSF_REQUIRE(params_.workers >= 1, "server needs >= 1 worker");
   MASSF_REQUIRE(params_.mean_s > 0, "service mean must be positive");
-  MASSF_REQUIRE(params_.pareto_shape > 1,
-                "pareto shape must exceed 1 so the mean exists");
   worker_free_.assign(static_cast<std::size_t>(params_.workers), 0.0);
 }
 
 void ServerEndpoint::start(emu::AppApi& api) {
   // Per-host stream: two servers with the same params draw independently.
   rng_.reseed(mix_seed(params_.seed, static_cast<std::uint64_t>(api.self())));
-}
-
-double ServerEndpoint::draw_service() {
-  switch (params_.dist) {
-    case ServiceDist::Deterministic:
-      return params_.mean_s;
-    case ServiceDist::Exponential:
-      return rng_.next_exponential(params_.mean_s);
-    case ServiceDist::Pareto: {
-      // Pareto(shape a, scale s) has mean a·s/(a−1); invert for mean_s.
-      const double scale =
-          params_.mean_s * (params_.pareto_shape - 1) / params_.pareto_shape;
-      return rng_.next_pareto(params_.pareto_shape, scale);
-    }
-  }
-  return params_.mean_s;
 }
 
 void ServerEndpoint::receive(emu::AppApi& api,
@@ -67,7 +49,7 @@ void ServerEndpoint::receive(emu::AppApi& api,
     if (worker_free_[w] < worker_free_[worker]) worker = w;
   const double now = api.now();
   const double begin = std::max(now, worker_free_[worker]);
-  const double done = begin + draw_service();
+  const double done = begin + rng_.next_exponential(params_.mean_s);
   worker_free_[worker] = done;
   const std::uint64_t job = ++job_seq_;
   jobs_.try_insert(job, Job{message.src, message.corr});

@@ -48,20 +48,10 @@ inline std::uint64_t corr_user(std::uint64_t corr) {
   return corr >> kUserShift;
 }
 
-/// Service-time distribution of a backend worker.
-enum class ServiceDist : std::uint8_t {
-  Deterministic,  // exactly mean_s
-  Exponential,    // Exp(mean_s)
-  Pareto,         // heavy-tailed, mean mean_s, tail index pareto_shape
-};
-
 struct ServerParams {
-  ServiceDist dist = ServiceDist::Exponential;
-  /// Mean service time of one request (seconds).
+  /// Mean of one request's exponentially distributed service time
+  /// (seconds).
   double mean_s = 2e-3;
-  /// Pareto tail index (> 1 so the mean exists); scale is derived so the
-  /// distribution's mean equals mean_s.
-  double pareto_shape = 2.5;
   /// Concurrent workers; requests beyond that queue FIFO, so response time
   /// grows with queue depth — the signal load-aware policies feed on.
   int workers = 4;
@@ -87,8 +77,6 @@ class ServerEndpoint : public emu::AppEndpoint {
   void load_state(const std::vector<std::uint64_t>& in) override;
 
  private:
-  double draw_service();
-
   struct Job {
     NodeId reply_to = -1;
     std::uint64_t corr = 0;

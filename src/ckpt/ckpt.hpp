@@ -176,10 +176,11 @@ class Reader {
 
   std::size_t remaining() const { return buf_.size() - pos_; }
 
- private:
-  void need(std::size_t n, const char* what);
   /// Throws CkptError: `message`, prefixed with the source file.
   [[noreturn]] void fail(const std::string& message) const;
+
+ private:
+  void need(std::size_t n, const char* what);
 
   /// `raw` as a T, or CkptError when the field cannot hold it.
   template <class T, class U>

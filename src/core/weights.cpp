@@ -1,10 +1,8 @@
 #include "core/weights.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
-#include "graph/maxflow.hpp"
 #include "util/error.hpp"
 
 namespace massf::mapping {
@@ -35,29 +33,6 @@ std::vector<double> bandwidth_weights(const Network& network) {
     weights[static_cast<std::size_t>(v)] =
         network.total_incident_bandwidth(v) / 1e6;  // Mb/s
   return weights;
-}
-
-double bipartition_flow(std::span<const double> in,
-                        std::span<const double> out) {
-  MASSF_REQUIRE(in.size() == out.size(),
-                "in/out spans must cover the same incident links");
-  const int ports = static_cast<int>(in.size());
-  if (ports == 0) return 0;
-  // Star flow network: source -> in-port_i (cap in_i), in-port_i -> hub,
-  // hub -> out-port_j, out-port_j -> sink (cap out_j). The hub models the
-  // node; port-to-hub arcs are uncapacitated.
-  const int source = 0, hub = 1, sink = 2;
-  graph::FlowNetwork net(3 + 2 * ports);
-  constexpr double kInf = std::numeric_limits<double>::max() / 4;
-  for (int i = 0; i < ports; ++i) {
-    const int in_port = 3 + i;
-    const int out_port = 3 + ports + i;
-    net.add_arc(source, in_port, in[static_cast<std::size_t>(i)]);
-    net.add_arc(in_port, hub, kInf);
-    net.add_arc(hub, out_port, kInf);
-    net.add_arc(out_port, sink, out[static_cast<std::size_t>(i)]);
-  }
-  return net.max_flow(source, sink);
 }
 
 namespace {

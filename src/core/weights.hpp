@@ -4,9 +4,7 @@
 // Vertices (constraints):
 //   * computation — packet-processing work. TOP approximates it by total
 //     incident link bandwidth (§3.1); PLACE/PROFILE use the traffic
-//     estimate's per-node processing rate. The paper's "maximal bipartition
-//     flow" definition is provided as bipartition_flow() (solved exactly
-//     with Dinic max-flow on the node's star).
+//     estimate's per-node processing rate.
 //   * memory — routing-table footprint: m = 10 + x² for a router in an AS
 //     with x routers (the paper's §5 formula), 1 for hosts.
 //
@@ -18,7 +16,7 @@
 //   * traffic objective — estimated packet rate crossing the link.
 #pragma once
 
-#include <span>
+#include <vector>
 
 #include "core/traffic_estimate.hpp"
 #include "graph/graph.hpp"
@@ -33,13 +31,6 @@ std::vector<double> memory_weights(const Network& network);
 /// TOP's computation weight: total bandwidth in and out of the node,
 /// expressed in Mb/s so magnitudes stay comparable with packet rates.
 std::vector<double> bandwidth_weights(const Network& network);
-
-/// The paper's maximal bipartition flow through one node: incident links
-/// carry `in` packets/s toward the node and `out` packets/s away; the
-/// result is the largest volume that can transit the node, computed exactly
-/// via max-flow on the node's star network.
-double bipartition_flow(std::span<const double> in,
-                        std::span<const double> out);
 
 /// Latency-objective weights for every arc of `structure` (which must be
 /// network.to_graph(): vertex ids == node ids, one edge per link).

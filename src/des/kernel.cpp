@@ -166,7 +166,7 @@ struct Kernel::Impl {
     bool empty() const { return heap.empty(); }
     const Event& top() const { return heap.front(); }
 
-    void push(Event e) {
+    void enqueue(Event e) {
       const std::int32_t lane = e.packet.lane;
       e.link = kLoose;
       if (lane >= 0) {
@@ -496,7 +496,7 @@ struct Kernel::Impl {
   void merge_batch(Lp& receiver, std::vector<Event>& batch,
                    double per_remote_cost) {
     if (batch.empty()) return;
-    for (const Event& event : batch) receiver.queue.push(event);
+    for (const Event& event : batch) receiver.queue.enqueue(event);
     const std::size_t incoming = batch.size();
     batch.clear();
     receiver.window_busy += per_remote_cost * static_cast<double>(incoming);
@@ -746,7 +746,7 @@ void Kernel::schedule_packet(int lp, SimTime t, PacketEvent event) {
   MASSF_REQUIRE(sink_ != nullptr,
                 "register an EventSink before scheduling packet events");
   Impl::Lp& state = impl_->lps[static_cast<std::size_t>(lp)];
-  state.queue.push(
+  state.queue.enqueue(
       {t, static_cast<std::uint32_t>(lp), 0, state.seq_counter++, event});
 }
 
@@ -816,13 +816,13 @@ std::uint64_t Kernel::rehome_events(
                                           << " out of range");
       }
       if (target == static_cast<int>(i))
-        lps[i].queue.push(e);
+        lps[i].queue.enqueue(e);
       else
         moved.emplace_back(target, e);
     }
   }
   for (auto& [target, e] : moved)
-    lps[static_cast<std::size_t>(target)].queue.push(e);
+    lps[static_cast<std::size_t>(target)].queue.enqueue(e);
   stats_.events_rehomed += moved.size();
   return static_cast<std::uint64_t>(moved.size());
 }
@@ -1022,7 +1022,7 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
     // Saved ascending, so each lane's events (load_payload re-derives the
     // hints) chain again as they are pushed.
     if constexpr (kLoad)
-      for (const Impl::Event& e : pending) lp.queue.push(e);
+      for (const Impl::Event& e : pending) lp.queue.enqueue(e);
   }
   io.tag(kTagKernelEnd, "kernel trailer");
 }

@@ -293,7 +293,6 @@ class Kernel {
   /// Register the sink that receives every event. Required before any
   /// schedule_packet/schedule_packet_remote call; the sink is not owned.
   void set_event_sink(EventSink* sink);
-  EventSink* event_sink() const { return sink_; }
 
   /// Schedule an event on LP `lp` at absolute time `t`.
   /// Before run_until(): any LP may be targeted (initial event population).

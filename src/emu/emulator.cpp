@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "emu/trace.hpp"
@@ -229,8 +230,8 @@ void Emulator::inject_trains(NodeId src, NodeId dst, double bytes, int tag,
   }
 }
 
-std::uint64_t Emulator::send_message(NodeId src, NodeId dst, double bytes,
-                                     int tag, SimTime at, std::uint64_t corr) {
+std::uint64_t Emulator::register_send(NodeId src, NodeId dst, double bytes,
+                                      int tag, SimTime at) {
   MASSF_REQUIRE(src >= 0 && src < network_.node_count(), "src out of range");
   MASSF_REQUIRE(dst >= 0 && dst < network_.node_count(), "dst out of range");
   MASSF_REQUIRE(src != dst, "messages must cross the network (src != dst)");
@@ -242,7 +243,12 @@ std::uint64_t Emulator::send_message(NodeId src, NodeId dst, double bytes,
   ++sender.messages_sent;
   if (recorder_ != nullptr)
     recorder_->on_send(src, dst, bytes, tag, message_id, at);
+  return message_id;
+}
 
+std::uint64_t Emulator::send_message(NodeId src, NodeId dst, double bytes,
+                                     int tag, SimTime at, std::uint64_t corr) {
+  const std::uint64_t message_id = register_send(src, dst, bytes, tag, at);
   inject_trains(src, dst, bytes, tag, message_id, at, /*reliable=*/false, corr,
                 at);
   return message_id;
@@ -251,19 +257,9 @@ std::uint64_t Emulator::send_message(NodeId src, NodeId dst, double bytes,
 std::uint64_t Emulator::send_reliable(NodeId src, NodeId dst, double bytes,
                                       int tag, SimTime at,
                                       std::uint64_t corr) {
-  MASSF_REQUIRE(src >= 0 && src < network_.node_count(), "src out of range");
-  MASSF_REQUIRE(dst >= 0 && dst < network_.node_count(), "dst out of range");
-  MASSF_REQUIRE(src != dst, "messages must cross the network (src != dst)");
-  MASSF_REQUIRE(bytes > 0, "message size must be positive");
-
+  const std::uint64_t message_id = register_send(src, dst, bytes, tag, at);
   HostState& sender = host_state_[static_cast<std::size_t>(src)];
-  const std::uint64_t message_id =
-      message_id_for(src, ++sender.message_counter);
-  ++sender.messages_sent;
   ++sender.reliable_sent;
-  if (recorder_ != nullptr)
-    recorder_->on_send(src, dst, bytes, tag, message_id, at);
-
   sender.pending.try_insert(
       message_id, PendingReliable{dst, bytes, tag, at, /*attempts=*/1, corr});
   inject_trains(src, dst, bytes, tag, message_id, at, /*reliable=*/true, corr,
@@ -698,16 +694,24 @@ double Emulator::serialize_host_state(NodeId node) const {
   return bytes;
 }
 
-double Emulator::estimate_migration_bytes(
+Emulator::MigrationSize Emulator::migration_size(
     const std::vector<int>& new_node_engine) const {
   MASSF_REQUIRE(new_node_engine.size() == node_engine_.size(),
                 "new assignment must cover every node");
-  double bytes = 0;
-  for (NodeId n = 0; n < network_.node_count(); ++n)
-    if (new_node_engine[static_cast<std::size_t>(n)] !=
+  MigrationSize size;
+  for (NodeId n = 0; n < network_.node_count(); ++n) {
+    if (new_node_engine[static_cast<std::size_t>(n)] ==
         node_engine_[static_cast<std::size_t>(n)])
-      bytes += serialize_host_state(n);
-  return bytes;
+      continue;
+    ++size.nodes;
+    size.bytes += serialize_host_state(n);
+  }
+  return size;
+}
+
+double Emulator::estimate_migration_bytes(
+    const std::vector<int>& new_node_engine) const {
+  return migration_size(new_node_engine).bytes;
 }
 
 std::vector<double> Emulator::engine_event_counts() const {
@@ -721,21 +725,10 @@ std::vector<double> Emulator::engine_event_counts() const {
 int Emulator::migrate_nodes(const std::vector<int>& new_node_engine) {
   MASSF_REQUIRE(kernel_->in_safepoint(),
                 "migrate_nodes may only run inside a rebalance safepoint");
-  MASSF_REQUIRE(new_node_engine.size() == node_engine_.size(),
-                "new assignment must cover every node");
+  const MigrationSize size = migration_size(new_node_engine);
   for (int e : new_node_engine)
     MASSF_REQUIRE(e >= 0 && e < engines_, "engine id out of range");
-
-  int moved = 0;
-  double bytes = 0;
-  for (NodeId n = 0; n < network_.node_count(); ++n) {
-    if (new_node_engine[static_cast<std::size_t>(n)] ==
-        node_engine_[static_cast<std::size_t>(n)])
-      continue;
-    ++moved;
-    bytes += serialize_host_state(n);
-  }
-  if (moved == 0) return 0;  // identical assignment: guaranteed no-op
+  if (size.nodes == 0) return 0;  // identical assignment: guaranteed no-op
 
   node_engine_ = new_node_engine;
 
@@ -762,10 +755,10 @@ int Emulator::migrate_nodes(const std::vector<int>& new_node_engine) {
 
   ++rebalance_stats_.rebalances;
   ++rebalance_stats_.epoch;
-  rebalance_stats_.nodes_migrated += static_cast<std::uint64_t>(moved);
-  rebalance_stats_.migration_bytes += bytes;
+  rebalance_stats_.nodes_migrated += static_cast<std::uint64_t>(size.nodes);
+  rebalance_stats_.migration_bytes += size.bytes;
   rebalance_stats_.events_rehomed += rehomed;
-  return moved;
+  return size.nodes;
 }
 
 void Emulator::run(SimTime until, des::ExecutionMode mode) {
@@ -1016,6 +1009,35 @@ void Emulator::serialize(Io& io, Self& self, SimTime& t, const Extra& extra) {
       io.f64(rec.first_sent);
       io.i64(rec.attempts);
       io.u64(rec.corr);
+      if constexpr (kLoad) {
+        // Retransmission re-sends these fields and re-arms the timeout
+        // from them, so each must be one a live send could have made.
+        const auto host = static_cast<NodeId>(&s - self.host_state_.data());
+        const char* bad = nullptr;
+        if (rec.dst < 0 || rec.dst >= self.network_.node_count() ||
+            rec.dst == host)
+          bad = "dst (an in-range node other than the sender)";
+        else if (!std::isfinite(rec.bytes) || rec.bytes <= 0)
+          bad = "bytes (finite and > 0)";
+        else if (rec.attempts < 1 ||
+                 rec.attempts > 1 + self.config_.reliable.max_retries)
+          bad = "attempts (in [1, 1 + max_retries])";
+        // A setup-time send may be due after the snapshot; a resent one
+        // cannot be.
+        else if (!std::isfinite(rec.first_sent) || rec.first_sent < 0 ||
+                 (rec.attempts > 1 && rec.first_sent > t))
+          bad = "first_sent (finite, >= 0, and <= the snapshot time once "
+                "resent)";
+        if (bad != nullptr) {
+          std::ostringstream os;
+          os << "snapshot pending reliable message " << id << " of host "
+             << host << " has a bad " << bad << ": dst " << rec.dst
+             << ", bytes " << rec.bytes << ", attempts " << rec.attempts
+             << ", first_sent " << rec.first_sent
+             << " — the snapshot is corrupt";
+          io.fail(os.str());
+        }
+      }
     }
     io.u64s(seen, "emulator section");
     if constexpr (kLoad) {

@@ -275,8 +275,6 @@ class Emulator : private des::EventSink {
   /// tables instead of the static ones.
   void set_fault_timeline(const fault::FaultTimeline* timeline);
 
-  const fault::FaultTimeline* fault_timeline() const { return faults_; }
-
   /// Attach an app-level trace recorder (not owned; may be null). Must be
   /// set before run().
   void set_trace_recorder(TraceRecorder* recorder) { recorder_ = recorder; }
@@ -505,6 +503,21 @@ class Emulator : private des::EventSink {
                   std::uint64_t probe_id, NodeId reporter, SimTime t);
 
   void deliver(NodeId at, const Packet& packet, SimTime t);
+
+  /// Nodes whose engine differs under `new_node_engine`, and the modeled
+  /// bytes moving them takes: the one scan behind estimate_migration_bytes
+  /// and migrate_nodes.
+  struct MigrationSize {
+    int nodes = 0;
+    double bytes = 0;
+  };
+  MigrationSize migration_size(const std::vector<int>& new_node_engine) const;
+
+  /// The checks and bookkeeping send_message and send_reliable share:
+  /// validates the endpoints and size, assigns the message id, counts the
+  /// send and reports it to the trace recorder. Returns the message id.
+  std::uint64_t register_send(NodeId src, NodeId dst, double bytes, int tag,
+                              SimTime at);
 
   /// Packetize one message into trains and inject them at `at`. Shared by
   /// send_message, send_reliable, and retransmission.

@@ -35,12 +35,6 @@ struct FlowRecord {
   double bytes = 0;
   SimTime first_seen = 0;
   SimTime last_seen = 0;
-
-  /// Average bandwidth (bytes/s) over the record's lifetime.
-  double average_bandwidth() const {
-    const double duration = last_seen - first_seen;
-    return duration > 0 ? bytes / duration : 0.0;
-  }
 };
 
 class NetFlowCollector {

@@ -1,9 +1,7 @@
 #include "emu/trace.hpp"
 
-#include <sstream>
-
 #include "emu/emulator.hpp"
-#include "util/string_util.hpp"
+#include "util/error.hpp"
 
 namespace massf::emu {
 
@@ -18,53 +16,6 @@ double Trace::total_bytes() const {
   for (const auto& sends : sends_by_host)
     for (const TraceMessage& m : sends) total += m.bytes;
   return total;
-}
-
-std::string Trace::to_text() const {
-  std::ostringstream os;
-  os << "trace hosts=" << sends_by_host.size() << '\n';
-  for (std::size_t h = 0; h < sends_by_host.size(); ++h)
-    for (const TraceMessage& m : sends_by_host[h])
-      os << "msg " << m.src << ' ' << m.dst << ' ' << m.bytes << ' ' << m.tag
-         << ' ' << m.sent_at << ' ' << m.required_received << '\n';
-  return os.str();
-}
-
-Trace Trace::from_text(const std::string& text) {
-  Trace trace;
-  std::istringstream is(text);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(is, line)) {
-    ++line_number;
-    const auto tokens = split_whitespace(line);
-    if (tokens.empty()) continue;
-    if (tokens[0] == "trace") {
-      MASSF_REQUIRE(tokens.size() == 2 && starts_with(tokens[1], "hosts="),
-                    "trace line " << line_number << ": bad header");
-      trace.sends_by_host.resize(
-          static_cast<std::size_t>(parse_int(tokens[1].substr(6))));
-    } else if (tokens[0] == "msg") {
-      MASSF_REQUIRE(tokens.size() == 7,
-                    "trace line " << line_number << ": bad msg record");
-      TraceMessage m;
-      m.src = static_cast<NodeId>(parse_int(tokens[1]));
-      m.dst = static_cast<NodeId>(parse_int(tokens[2]));
-      m.bytes = parse_double(tokens[3]);
-      m.tag = static_cast<int>(parse_int(tokens[4]));
-      m.sent_at = parse_double(tokens[5]);
-      m.required_received = static_cast<std::uint64_t>(parse_int(tokens[6]));
-      MASSF_REQUIRE(m.src >= 0 && static_cast<std::size_t>(m.src) <
-                                      trace.sends_by_host.size(),
-                    "trace line " << line_number << ": src out of range");
-      trace.sends_by_host[static_cast<std::size_t>(m.src)].push_back(m);
-    } else {
-      MASSF_REQUIRE(false, "trace line " << line_number
-                                         << ": unknown directive '"
-                                         << tokens[0] << "'");
-    }
-  }
-  return trace;
 }
 
 TraceRecorder::TraceRecorder(NodeId node_count)

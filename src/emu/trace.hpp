@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "emu/app.hpp"
@@ -44,10 +43,6 @@ struct Trace {
 
   std::size_t total_messages() const;
   double total_bytes() const;
-
-  /// Text serialization (line-oriented, round-trips exactly).
-  std::string to_text() const;
-  static Trace from_text(const std::string& text);
 };
 
 /// Attach to an Emulator (Emulator::set_trace_recorder) to record every

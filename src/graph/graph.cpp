@@ -81,14 +81,6 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, double weight) {
   edges_.push_back({u, v, weight});
 }
 
-void GraphBuilder::set_vertex_weights(VertexId v,
-                                      std::span<const double> weights) {
-  MASSF_REQUIRE(v >= 0 && v < vertex_count(), "vertex out of range");
-  MASSF_REQUIRE(weights.size() == static_cast<std::size_t>(ncon_),
-                "vertex weight span must have ncon entries");
-  std::copy(weights.begin(), weights.end(), vertex_weights_[v].begin());
-}
-
 Graph GraphBuilder::build() const {
   const std::size_t n = vertex_weights_.size();
 

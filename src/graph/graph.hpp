@@ -135,9 +135,6 @@ class GraphBuilder {
   /// already exist and be distinct.
   void add_edge(VertexId u, VertexId v, double weight = 1.0);
 
-  /// Overwrite the weight components of an existing vertex.
-  void set_vertex_weights(VertexId v, std::span<const double> weights);
-
   VertexId vertex_count() const {
     return static_cast<VertexId>(vertex_weights_.size());
   }

@@ -14,7 +14,6 @@ void LoadMonitor::reset(double window_s) {
   MASSF_REQUIRE(window_s > 0, "monitor window must be positive");
   window_s_ = window_s;
   history_.clear();
-  last_imbalance_.store(1.0, std::memory_order_relaxed);
 }
 
 void LoadMonitor::sample(const emu::Emulator& emulator, SimTime t) {
@@ -34,7 +33,6 @@ void LoadMonitor::sample(const emu::Emulator& emulator, SimTime t) {
          history_[1].t <= history_.back().t - window_s_) {
     history_.pop_front();
   }
-  last_imbalance_.store(imbalance(), std::memory_order_relaxed);
 }
 
 std::vector<double> LoadMonitor::window_rate(
@@ -102,8 +100,6 @@ void LoadMonitor::serialize(Io& io, Self& self) {
                   "snapshot monitor samples disagree in size — the snapshot "
                   "is corrupt");
   }
-  if constexpr (Io::kLoading)
-    self.last_imbalance_.store(self.imbalance(), std::memory_order_relaxed);
 }
 
 void LoadMonitor::save(ckpt::Writer& w) const { serialize(w, *this); }

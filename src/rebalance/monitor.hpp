@@ -9,7 +9,6 @@
 // is bounded by the safepoint frequency, not the event rate.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <vector>
@@ -71,13 +70,6 @@ class LoadMonitor {
   void save(ckpt::Writer& w) const;
   void load(ckpt::Reader& r);
 
-  /// Last published imbalance, readable from any thread (a progress gauge
-  /// for dashboards/benches while worker threads are running; the hook
-  /// publishes it, other threads only read).
-  double last_imbalance() const {
-    return last_imbalance_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// The field list shared by save and load.
   template <class Io, class Self>
@@ -90,9 +82,6 @@ class LoadMonitor {
 
   double window_s_;
   std::deque<LoadSample> history_;
-  /// Written by the safepoint hook, read cross-thread; own cache line so
-  /// the gauge never false-shares with the deque bookkeeping.
-  alignas(64) std::atomic<double> last_imbalance_{1.0};
 };
 
 }  // namespace massf::rebalance

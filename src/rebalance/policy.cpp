@@ -35,7 +35,7 @@ double RebalancePolicy::net_gain_s(const CostBenefit& cb) const {
   // a credit — when the new cut *improves* lookahead).
   double cost_s = cb.migration_bytes * config_.cost_per_byte_s;
   if (cb.lookahead_before > 0 && cb.lookahead_after > 0) {
-    cost_s += config_.sync_loss_weight * cb.remaining_s *
+    cost_s += cb.remaining_s *
               (1.0 / cb.lookahead_after - 1.0 / cb.lookahead_before) *
               config_.per_window_sync_s;
   }

@@ -37,8 +37,6 @@ struct PolicyConfig {
   double per_event_s = 1e-7;
   /// Modeled wall seconds per synchronization window (lookahead loss term).
   double per_window_sync_s = 5e-6;
-  /// Scale of the lookahead-loss term (0 ignores lookahead changes).
-  double sync_loss_weight = 1.0;
   /// Reject proposals moving more than this many nodes (0 = unlimited): a
   /// cap on single-safepoint disruption.
   int max_nodes = 0;

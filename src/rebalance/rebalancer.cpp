@@ -8,6 +8,12 @@
 
 namespace massf::rebalance {
 
+namespace {
+/// Upper bound on registered safepoints (quiescing has a cost; see
+/// KernelStats::safepoints).
+constexpr int kMaxSafepoints = 64;
+}  // namespace
+
 Controller::Controller(const topology::Network& network,
                        const routing::RoutingView& routes,
                        RebalanceConfig config)
@@ -17,7 +23,6 @@ Controller::Controller(const topology::Network& network,
       policy_(config.policy) {
   MASSF_REQUIRE(config_.start_s > 0, "first safepoint must be after t=0");
   MASSF_REQUIRE(config_.period_s > 0, "safepoint period must be positive");
-  MASSF_REQUIRE(config_.max_safepoints >= 1, "need at least one safepoint");
 }
 
 void Controller::install(emu::Emulator& emulator, SimTime horizon) {
@@ -29,7 +34,7 @@ void Controller::install(emu::Emulator& emulator, SimTime horizon) {
 
   int count = 0;
   for (SimTime t = config_.start_s;
-       t < horizon && count < config_.max_safepoints;
+       t < horizon && count < kMaxSafepoints;
        t += config_.period_s, ++count) {
     emulator.add_rebalance_safepoint(t);
   }

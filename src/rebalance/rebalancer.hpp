@@ -31,9 +31,6 @@ struct RebalanceConfig {
   double period_s = 5.0;
   /// Monitor window (rates are computed over this much history).
   double window_s = 10.0;
-  /// Upper bound on registered safepoints (quiescing has a cost; see
-  /// KernelStats::safepoints).
-  int max_safepoints = 64;
   PolicyConfig policy{};
   /// Partitioner knobs for the incremental re-map (engines is overridden
   /// by the emulator's engine count).

@@ -16,6 +16,9 @@ namespace {
 constexpr int kTagGet = 100000;
 constexpr int kTagResponse = 200000;
 
+/// Pareto shape of response sizes (Barford–Crovella-style heavy tail).
+constexpr double kParetoShape = 1.5;
+
 /// Client endpoint driving one independent browsing session per assigned
 /// server: request → (wait for response) → think → request ...
 /// A host that was drawn as the client of several servers runs all those
@@ -79,9 +82,8 @@ class HttpServer : public emu::AppEndpoint {
     const int session = message.tag - kTagGet;
     // Pareto with mean == request_size: scale = mean*(shape-1)/shape.
     const double scale =
-        params_.request_size_bytes * (params_.pareto_shape - 1.0) /
-        params_.pareto_shape;
-    double bytes = rng_.next_pareto(params_.pareto_shape, scale);
+        params_.request_size_bytes * (kParetoShape - 1.0) / kParetoShape;
+    double bytes = rng_.next_pareto(kParetoShape, scale);
     // Cap the tail so one flow cannot dominate an entire run.
     bytes = std::min(bytes, 50.0 * params_.request_size_bytes);
     api.send(message.src, bytes, kTagResponse + session);

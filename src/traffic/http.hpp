@@ -27,8 +27,6 @@ struct HttpParams {
   int clients_per_server = 10;
   int server_number = 107;            // capped at available hosts
   double get_bytes = 400;             // request message size
-  /// Pareto shape for response sizes (BarfordCrovella-style heavy tail).
-  double pareto_shape = 1.5;
   /// Zipf exponent for server popularity (Barford–Crovella): the total
   /// client-session population is distributed across servers
   /// proportionally to 1/rank^zipf_exponent. 0 = uniform popularity.

@@ -16,13 +16,13 @@ struct Sample {
 class Monitor {
  public:
   void publish(double imbalance) {
-    last_imbalance_.store(imbalance, std::memory_order_relaxed);
+    gauge_.store(imbalance, std::memory_order_relaxed);
   }
-  double last_imbalance() const {
-    return last_imbalance_.load(std::memory_order_relaxed);
+  double gauge() const {
+    return gauge_.load(std::memory_order_relaxed);
   }
 
  private:
   std::deque<Sample> history_;
-  std::atomic<double> last_imbalance_{1.0};  // shares a line with history_
+  std::atomic<double> gauge_{1.0};  // shares a line with history_
 };

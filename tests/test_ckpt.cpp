@@ -1473,12 +1473,167 @@ TEST(HostileSnapshot, MessageDestinationOutOfRangeIsRejected) {
       "message hosts");
 }
 
+/// Restores `payload` into a fresh FormatNet run, the controller's state
+/// from the extra section.
+void restore_format(FormatNet& fx, std::vector<unsigned char> payload,
+                    FormatNet::Run& run) {
+  run = fx.make(des::SyncMode::GlobalWindow);
+  rebalance::Controller& controller = *run.controller;
+  ckpt::Reader r(std::move(payload));
+  run.emulator->restore(
+      r, [&controller](ckpt::Reader& rr) { controller.load_state(rr); });
+}
+
+/// Where one pending reliable record sits in a snapshot payload.
+struct ReliableAt {
+  NodeId sender;
+  std::size_t at;  // its message id field
+};
+
+/// Every pending reliable record in a FormatNet payload, walking the
+/// emulator section: the 40-byte header, one engine per node, then per
+/// host 128 bytes of counters, the endpoint flag and words, the pending
+/// records (id, dst, bytes, tag, first_sent, attempts, corr) and the
+/// dedupe ids.
+std::vector<ReliableAt> pending_reliable_records(
+    const std::vector<unsigned char>& payload, int nodes) {
+  std::vector<ReliableAt> out;
+  std::size_t at = 40 + 8 * static_cast<std::size_t>(nodes);
+  for (NodeId h = 0; h < nodes; ++h) {
+    at += 128;
+    if (payload.at(at++) != 0) at += 8 + 8 * get_u64(payload, at);
+    const std::uint64_t count = get_u64(payload, at);
+    at += 8;
+    for (std::uint64_t i = 0; i < count; ++i, at += 56) out.push_back({h, at});
+    at += 8 + 8 * get_u64(payload, at);
+  }
+  return out;
+}
+
+// Field offsets inside one pending reliable record.
+constexpr std::size_t kReliableDst = 8;
+constexpr std::size_t kReliableBytes = 16;
+constexpr std::size_t kReliableFirstSent = 32;
+constexpr std::size_t kReliableAttempts = 40;
+
+/// The FormatNet snapshot restores as written; each patch of its first
+/// pending reliable record is rejected as a CkptError naming `field`.
+void expect_pending_reliable_rejected(
+    const std::vector<std::function<void(std::vector<unsigned char>&,
+                                         const ReliableAt&)>>& patches,
+    const std::string& field) {
+  FormatNet fx;
+  const std::vector<unsigned char> valid =
+      format_snapshot(fx, des::SyncMode::GlobalWindow);
+  const std::vector<ReliableAt> records =
+      pending_reliable_records(valid, fx.scenario.net.node_count());
+  ASSERT_FALSE(records.empty());
+  const ReliableAt record = records.front();
+  ASSERT_EQ(get_u64(valid, record.at + kReliableAttempts), 1u);
+  FormatNet::Run run;
+  EXPECT_NO_THROW(restore_format(fx, valid, run));
+  for (std::size_t i = 0; i < patches.size(); ++i) {
+    SCOPED_TRACE("patch " + std::to_string(i));
+    std::vector<unsigned char> patched = valid;
+    patches[i](patched, record);
+    try {
+      restore_format(fx, patched, run);
+      ADD_FAILURE() << "expected the pending reliable " << field
+                    << " to be rejected";
+    } catch (const ckpt::CkptError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad " + field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(HostileSnapshot, PendingReliableDestinationIsRejected) {
+  // Retransmission routes to dst: it must be a node, and not the sender.
+  expect_pending_reliable_rejected(
+      {[](auto& p, auto& r) { put_u64(p, r.at + kReliableDst, 1000); },
+       [](auto& p, auto& r) {
+         put_u64(p, r.at + kReliableDst, static_cast<std::uint64_t>(-1));
+       },
+       [](auto& p, auto& r) {
+         put_u64(p, r.at + kReliableDst, static_cast<std::uint64_t>(r.sender));
+       }},
+      "dst");
+}
+
+TEST(HostileSnapshot, PendingReliableBytesAreFiniteAndPositive) {
+  // Retransmission packetizes `bytes`: NaN reached an int conversion.
+  expect_pending_reliable_rejected(
+      {[](auto& p, auto& r) {
+         put_f64(p, r.at + kReliableBytes,
+                 std::numeric_limits<double>::quiet_NaN());
+       },
+       [](auto& p, auto& r) {
+         put_f64(p, r.at + kReliableBytes,
+                 std::numeric_limits<double>::infinity());
+       },
+       [](auto& p, auto& r) { put_f64(p, r.at + kReliableBytes, 0.0); },
+       [](auto& p, auto& r) { put_f64(p, r.at + kReliableBytes, -1.0); }},
+      "bytes");
+}
+
+TEST(HostileSnapshot, PendingReliableAttemptsStayWithinTheRetryBudget) {
+  // A negative count re-armed timeouts at now + 0 about 2³¹ times.
+  expect_pending_reliable_rejected(
+      {[](auto& p, auto& r) {
+         put_u64(p, r.at + kReliableAttempts, static_cast<std::uint64_t>(-5));
+       },
+       [](auto& p, auto& r) { put_u64(p, r.at + kReliableAttempts, 0); },
+       [](auto& p, auto& r) {
+         put_u64(p, r.at + kReliableAttempts,
+                 2 + emu::ReliablePolicy{}.max_retries);
+       }},
+      "attempts");
+}
+
+TEST(HostileSnapshot, PendingReliableFirstSentIsAPossibleSendTime) {
+  // Event times are finite and >= 0, and only a send already made can
+  // have been resent. A setup-time send due after the snapshot is pending
+  // with a later first_sent; that is not rejected.
+  expect_pending_reliable_rejected(
+      {[](auto& p, auto& r) {
+         put_f64(p, r.at + kReliableFirstSent,
+                 std::numeric_limits<double>::quiet_NaN());
+       },
+       [](auto& p, auto& r) {
+         put_f64(p, r.at + kReliableFirstSent,
+                 std::numeric_limits<double>::infinity());
+       },
+       [](auto& p, auto& r) {
+         put_f64(p, r.at + kReliableFirstSent, -1.0);
+       },
+       [](auto& p, auto& r) {
+         put_u64(p, r.at + kReliableAttempts, 2);
+         put_f64(p, r.at + kReliableFirstSent, kFormatSnapshotAt + 0.5);
+       }},
+      "first_sent");
+  FormatNet fx;
+  std::vector<unsigned char> due_later =
+      format_snapshot(fx, des::SyncMode::GlobalWindow);
+  const std::vector<ReliableAt> records =
+      pending_reliable_records(due_later, fx.scenario.net.node_count());
+  ASSERT_FALSE(records.empty());
+  put_f64(due_later, records.front().at + kReliableFirstSent,
+          kFormatSnapshotAt + 0.5);
+  FormatNet::Run run;
+  EXPECT_NO_THROW(restore_format(fx, due_later, run));
+}
+
 // ---------------------------------------------------------------------------
 // Seeded mutation test of Emulator::restore
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotMutation, OnlyCheckpointOrArgumentErrorsEscapeRestore) {
-  FormatNet fx;
+/// Calls `visit(m, payload, what)` for each of 900 seeded mutations of the
+/// GlobalWindow FormatNet snapshot: byte flips, truncations and inflated
+/// length fields in turn; `what` describes the mutation.
+void for_each_snapshot_mutation(
+    FormatNet& fx,
+    const std::function<void(int, std::vector<unsigned char>,
+                             const std::string&)>& visit) {
   const std::vector<unsigned char> valid =
       format_snapshot(fx, des::SyncMode::GlobalWindow);
   ASSERT_FALSE(valid.empty());
@@ -1494,8 +1649,6 @@ TEST(SnapshotMutation, OnlyCheckpointOrArgumentErrorsEscapeRestore) {
 
   constexpr int kMutations = 900;
   Rng rng(20261017);
-  int rejected = 0;
-  int accepted = 0;
   for (int m = 0; m < kMutations; ++m) {
     std::vector<unsigned char> payload = valid;
     std::string what;
@@ -1523,24 +1676,62 @@ TEST(SnapshotMutation, OnlyCheckpointOrArgumentErrorsEscapeRestore) {
         break;
       }
     }
-    FormatNet::Run run = fx.make(des::SyncMode::GlobalWindow);
-    rebalance::Controller& controller = *run.controller;
-    ckpt::Reader r(std::move(payload));
-    try {
-      run.emulator->restore(
-          r, [&controller](ckpt::Reader& rr) { controller.load_state(rr); });
-      ++accepted;
-    } catch (const ckpt::CkptError&) {
-      ++rejected;
-    } catch (const std::invalid_argument&) {
-      ++rejected;
-    } catch (const std::exception& e) {
-      ADD_FAILURE() << "mutation " << m << what << " escaped as "
-                    << typeid(e).name() << ": " << e.what();
-    }
+    visit(m, std::move(payload), what);
   }
+}
+
+/// Restores one mutation; returns whether restore accepted it. Only a
+/// CkptError or std::invalid_argument may reject it.
+bool restore_mutation(FormatNet& fx, FormatNet::Run& run,
+                      std::vector<unsigned char> payload, int m,
+                      const std::string& what) {
+  try {
+    restore_format(fx, std::move(payload), run);
+    return true;
+  } catch (const ckpt::CkptError&) {
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "mutation " << m << what << " escaped as "
+                  << typeid(e).name() << ": " << e.what();
+  }
+  return false;
+}
+
+TEST(SnapshotMutation, OnlyCheckpointOrArgumentErrorsEscapeRestore) {
+  FormatNet fx;
+  int rejected = 0;
+  int accepted = 0;
+  for_each_snapshot_mutation(
+      fx, [&](int m, std::vector<unsigned char> payload,
+              const std::string& what) {
+        FormatNet::Run run;
+        if (restore_mutation(fx, run, std::move(payload), m, what))
+          ++accepted;
+        else
+          ++rejected;
+      });
   EXPECT_GT(rejected, 0);
   EXPECT_GT(accepted, 0);  // flips inside doubles restore fine
+}
+
+TEST(SnapshotMutation, AcceptedSnapshotsRunToTheHorizon) {
+  // Whatever restore accepts, the resumed run either reaches the horizon
+  // or stops with a std::exception — never a hang, a crash or UB (the
+  // ckpt-asan/ckpt-ubsan presets run this under the sanitizers).
+  FormatNet fx;
+  int finished = 0;
+  for_each_snapshot_mutation(
+      fx, [&](int m, std::vector<unsigned char> payload,
+              const std::string& what) {
+        FormatNet::Run run;
+        if (!restore_mutation(fx, run, std::move(payload), m, what)) return;
+        try {
+          run.emulator->run(kFormatHorizon);
+          ++finished;
+        } catch (const std::exception&) {
+        }
+      });
+  EXPECT_GT(finished, 0);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Unit tests for the graph substrate: builder, CSR access, traversal,
-// subgraphs and max-flow.
+// subgraphs.
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
-#include "graph/maxflow.hpp"
 
 namespace massf::graph {
 namespace {
@@ -146,50 +145,6 @@ TEST(Algorithms, InducedSubgraph) {
 TEST(Algorithms, InducedSubgraphRejectsDuplicates) {
   const Graph g = path_graph(3);
   EXPECT_THROW(induced_subgraph(g, {0, 0}), std::invalid_argument);
-}
-
-TEST(MaxFlow, SimplePath) {
-  FlowNetwork net(3);
-  net.add_arc(0, 1, 5);
-  net.add_arc(1, 2, 3);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 2), 3.0);
-}
-
-TEST(MaxFlow, ParallelPathsSum) {
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 2);
-  net.add_arc(1, 3, 2);
-  net.add_arc(0, 2, 3);
-  net.add_arc(2, 3, 1);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 3), 3.0);
-}
-
-TEST(MaxFlow, ClassicDiamondWithCross) {
-  FlowNetwork net(4);
-  net.add_arc(0, 1, 10);
-  net.add_arc(0, 2, 10);
-  net.add_arc(1, 2, 1);
-  net.add_arc(1, 3, 10);
-  net.add_arc(2, 3, 10);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 3), 20.0);
-}
-
-TEST(MaxFlow, FlowOnArcAndMinCut) {
-  FlowNetwork net(3);
-  const int a01 = net.add_arc(0, 1, 4);
-  const int a12 = net.add_arc(1, 2, 2);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 2), 2.0);
-  EXPECT_DOUBLE_EQ(net.flow_on(a01), 2.0);
-  EXPECT_DOUBLE_EQ(net.flow_on(a12), 2.0);
-  const auto cut = net.min_cut_source_side();
-  EXPECT_TRUE(cut[0]);
-  EXPECT_TRUE(cut[1]);   // bottleneck is 1->2
-  EXPECT_FALSE(cut[2]);
-}
-
-TEST(MaxFlow, DisconnectedIsZero) {
-  FlowNetwork net(2);
-  EXPECT_DOUBLE_EQ(net.max_flow(0, 1), 0.0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Hostile text inputs: the netdesc and METIS readers must reject malformed
-// files with std::invalid_argument (their documented error) — never with
+// Hostile text inputs: the netdesc reader must reject malformed
+// files with std::invalid_argument (its documented error) — never with
 // another exception, undefined behaviour, or an allocation sized by an
 // unchecked header field. ctest label "hostile"; the ckpt-asan/ckpt-ubsan
 // presets run it under the sanitizers.
@@ -18,58 +18,12 @@
 
 #include "core/mapper.hpp"
 #include "core/weights.hpp"
-#include "graph/graph_io.hpp"
 #include "routing/routing.hpp"
 #include "topology/netdesc.hpp"
 #include "util/rng.hpp"
 
 namespace massf {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Hostile METIS headers and ids
-// ---------------------------------------------------------------------------
-
-TEST(HostileGraph, VertexCountBeyondTheFileIsRejectedBeforeAllocation) {
-  // Three lines declaring 2·10⁹ vertices: rejected from the line count, not
-  // after building two billion vertices.
-  try {
-    graph::read_metis("2000000000 1\n2\n1\n");
-    FAIL() << "accepted a header declaring more vertices than lines";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("2 vertex lines"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(HostileGraph, VertexCountBeyondInt32IsRejected) {
-  // 2³² + 2 would truncate to a valid-looking 2.
-  EXPECT_THROW(graph::read_metis("4294967298 1 010\n1 2\n1 1\n"),
-               std::invalid_argument);
-}
-
-TEST(HostileGraph, ConstraintCountIsBoundedByTheWeightsPresent) {
-  // ncon sizes every vertex's weight vector: 10⁸ constraints over lines
-  // holding one weight each must be rejected, not allocated.
-  EXPECT_THROW(graph::read_metis("2 1 010 100000000\n1 2\n1 1\n"),
-               std::invalid_argument);
-  // Without vertex weights there is nothing to fill extra constraints.
-  EXPECT_THROW(graph::read_metis("2 1 000 5\n2\n1\n"), std::invalid_argument);
-  EXPECT_THROW(graph::read_metis("2 1 010 0\n1 2\n1 1\n"),
-               std::invalid_argument);
-  // Multi-constraint files with the weights present still parse.
-  const graph::Graph g = graph::read_metis("2 1 010 2\n1 5 2\n3 4 1\n");
-  EXPECT_EQ(g.constraint_count(), 2);
-  EXPECT_DOUBLE_EQ(g.vertex_weights(1)[1], 4.0);
-}
-
-TEST(HostileGraph, NeighbourIdBeyondInt32IsRejected) {
-  // 2³² + 2 − 1 would truncate to vertex 1, a valid neighbour.
-  EXPECT_THROW(graph::read_metis("2 1\n4294967298\n1\n"),
-               std::invalid_argument);
-  EXPECT_THROW(graph::read_metis("2 1\n-4294967295\n1\n"),
-               std::invalid_argument);
-}
 
 TEST(HostileNetdesc, OutOfRangeNumbersAreRejected) {
   const std::string nodes = "router r0 as=0\nhost h0 as=0\n";
@@ -208,25 +162,6 @@ TEST(InputMutation, OnlyArgumentErrorsEscapeReadNetdesc) {
       });
   EXPECT_GT(rejected, 0);
   EXPECT_GT(accepted, 0);  // flips inside comments and numbers parse fine
-}
-
-TEST(InputMutation, OnlyArgumentErrorsEscapeReadMetis) {
-  graph::GraphBuilder b(2);
-  for (int i = 0; i < 8; ++i)
-    b.add_vertex(std::vector<double>{1.0 + i, 10.0 + i});
-  for (int i = 0; i < 8; ++i) b.add_edge(i, (i + 1) % 8, 2.0 + i);
-  b.add_edge(0, 4, 9.0);
-  b.add_edge(2, 6, 3.0);
-  const std::string valid =
-      "% an 8-ring with two chords, two constraints\n" +
-      graph::write_metis(b.build());
-  ASSERT_EQ(graph::read_metis(valid).vertex_count(), 8);
-  const auto [rejected, accepted] =
-      mutate_and_parse(valid, 900, 20261019, [](const std::string& text) {
-        (void)graph::read_metis(text);
-      });
-  EXPECT_GT(rejected, 0);
-  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace

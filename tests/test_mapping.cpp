@@ -55,16 +55,6 @@ TEST(Weights, BandwidthWeightIsIncidentSum) {
                      fx.net.total_incident_bandwidth(v) / 1e6);
 }
 
-TEST(Weights, BipartitionFlowIsMinOfSides) {
-  EXPECT_DOUBLE_EQ(bipartition_flow(std::vector<double>{5, 5},
-                                    std::vector<double>{3, 3}),
-                   6.0);
-  EXPECT_DOUBLE_EQ(bipartition_flow(std::vector<double>{1, 1, 1},
-                                    std::vector<double>{10, 0, 0}),
-                   3.0);
-  EXPECT_DOUBLE_EQ(bipartition_flow({}, {}), 0.0);
-}
-
 TEST(Weights, LatencyObjectiveFavorsSlowLinks) {
   Fixture fx;
   const auto structure = fx.net.to_graph();

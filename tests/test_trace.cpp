@@ -127,35 +127,5 @@ TEST(TraceReplay, FasterThanOriginal) {
   EXPECT_LT(replay_emu.kernel_stats().sim_time_reached, original_span / 10);
 }
 
-TEST(Trace, TextRoundTrip) {
-  Fixture fx;
-  const Trace trace = record_chain(fx);
-  const Trace reparsed = Trace::from_text(trace.to_text());
-  ASSERT_EQ(reparsed.sends_by_host.size(), trace.sends_by_host.size());
-  EXPECT_EQ(reparsed.total_messages(), trace.total_messages());
-  EXPECT_DOUBLE_EQ(reparsed.total_bytes(), trace.total_bytes());
-  for (std::size_t h = 0; h < trace.sends_by_host.size(); ++h) {
-    ASSERT_EQ(reparsed.sends_by_host[h].size(), trace.sends_by_host[h].size());
-    for (std::size_t i = 0; i < trace.sends_by_host[h].size(); ++i) {
-      const TraceMessage& x = trace.sends_by_host[h][i];
-      const TraceMessage& y = reparsed.sends_by_host[h][i];
-      EXPECT_EQ(y.src, x.src);
-      EXPECT_EQ(y.dst, x.dst);
-      EXPECT_DOUBLE_EQ(y.bytes, x.bytes);
-      EXPECT_EQ(y.tag, x.tag);
-      EXPECT_EQ(y.required_received, x.required_received);
-    }
-  }
-}
-
-TEST(Trace, FromTextRejectsMalformed) {
-  EXPECT_THROW(Trace::from_text("msg 0 1 100 0 0 0\n"),
-               std::invalid_argument);  // msg before header sizes hosts=0
-  EXPECT_THROW(Trace::from_text("trace hosts=2\nmsg 0 1 100\n"),
-               std::invalid_argument);
-  EXPECT_THROW(Trace::from_text("trace hosts=2\nbogus\n"),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace massf::emu
