@@ -286,26 +286,8 @@ TrafficEstimate Mapper::estimate_profile(
 MappingResult Mapper::map_place(const traffic::Workload& workload,
                                 const MappingOptions& options) const {
   MASSF_REQUIRE(options.engines >= 1, "need at least one engine");
-  partition::PartitionOptions popts = options.partition;
-  popts.parts = options.engines;
-
-  const TrafficEstimate estimate = estimate_place(workload, options);
-  const graph::Graph g = build_mapping_graph(
-      network_, structure_, estimate.node_load, {}, options.memory_priority,
-      latency_arc_weights(network_, structure_));
-  popts.epsilon_per_constraint = constraint_epsilons(options, 0);
-
-  const partition::ObjectiveWeights objectives =
-      make_objectives(network_, structure_, estimate.link_load);
-  return best_of_trials(
-      popts, options.trials, 0x97ACE,
-      [&](const partition::PartitionOptions& trial_opts) {
-        return finish(Approach::Place,
-                      partition::partition_multiobjective(
-                          g, objectives, options.latency_priority, trial_opts)
-                          .partition,
-                      options, &estimate.link_load, 0);
-      });
+  return map_estimate(Approach::Place, estimate_place(workload, options),
+                      options, 0x97ACE);
 }
 
 MappingResult Mapper::map_profile(
@@ -313,30 +295,33 @@ MappingResult Mapper::map_profile(
     const std::vector<std::vector<double>>& engine_series,
     const MappingOptions& options) const {
   MASSF_REQUIRE(options.engines >= 1, "need at least one engine");
+  return map_estimate(Approach::Profile,
+                      estimate_profile(profile, engine_series, options),
+                      options, 0x9120F17E);
+}
+
+MappingResult Mapper::map_estimate(Approach approach,
+                                   const TrafficEstimate& estimate,
+                                   const MappingOptions& options,
+                                   std::uint64_t salt) const {
   partition::PartitionOptions popts = options.partition;
   popts.parts = options.engines;
-
-  std::vector<Segment> segments;
-  const TrafficEstimate estimate =
-      estimate_profile(profile, engine_series, options, &segments);
-
+  const int segments = static_cast<int>(estimate.node_segment_load.size());
   const graph::Graph g = build_mapping_graph(
       network_, structure_, estimate.node_load, estimate.node_segment_load,
       options.memory_priority, latency_arc_weights(network_, structure_));
-  popts.epsilon_per_constraint = constraint_epsilons(
-      options, static_cast<int>(estimate.node_segment_load.size()));
+  popts.epsilon_per_constraint = constraint_epsilons(options, segments);
 
   const partition::ObjectiveWeights objectives =
       make_objectives(network_, structure_, estimate.link_load);
   return best_of_trials(
-      popts, options.trials, 0x9120F17E,
+      popts, options.trials, salt,
       [&](const partition::PartitionOptions& trial_opts) {
-        return finish(Approach::Profile,
+        return finish(approach,
                       partition::partition_multiobjective(
                           g, objectives, options.latency_priority, trial_opts)
                           .partition,
-                      options, &estimate.link_load,
-                      static_cast<int>(estimate.node_segment_load.size()));
+                      options, &estimate.link_load, segments);
       });
 }
 

@@ -13,6 +13,7 @@
 //             constraints (multi-constraint partitioning).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "core/cluster.hpp"
@@ -149,6 +150,15 @@ class Mapper {
                        const MappingOptions& options,
                        const std::vector<double>* link_load,
                        int segments_used) const;
+
+  /// PLACE and PROFILE after their estimates: partition the estimate's
+  /// mapping graph (its segment loads as extra constraints) against the
+  /// latency and traffic objectives, best of options.trials trials seeded
+  /// from `salt`.
+  MappingResult map_estimate(Approach approach,
+                             const TrafficEstimate& estimate,
+                             const MappingOptions& options,
+                             std::uint64_t salt) const;
 
   /// Aggregate flows over routes discovered with emulated traceroute
   /// between subnet representatives.

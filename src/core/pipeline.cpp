@@ -211,7 +211,6 @@ RunMetrics Experiment::collect(emu::Emulator& emulator) const {
   metrics.sync_mode = ks.sync_mode;
   metrics.channel_advances = ks.channel_advances;
   metrics.idle_jumps = ks.idle_jumps;
-  metrics.idle_wait_per_engine = ks.idle_wait_per_lp;
   metrics.handoff_runs = ks.handoff_runs;
   metrics.parks = ks.parks;
   metrics.channels = ks.channels;

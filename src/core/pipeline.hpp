@@ -82,8 +82,6 @@ struct RunMetrics {
   std::uint64_t channel_advances = 0;
   /// ChannelLookahead: rendezvous barriers taken to bridge idle spans.
   std::uint64_t idle_jumps = 0;
-  /// ChannelLookahead + Threaded: measured per-engine idle-wait seconds.
-  std::vector<double> idle_wait_per_engine;
   /// Runtime diagnostics, not metrics: they depend on the exec mode and
   /// worker count (see KernelStats), so no determinism check compares them.
   /// Batched cross-engine outbox runs published (cross-LP handoff cost).

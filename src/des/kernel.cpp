@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <exception>
@@ -284,24 +283,16 @@ struct Kernel::Impl {
     }
   };
 
-  /// Per-destination staging slot for cross-LP sends. Under ChannelLookahead
-  /// events accumulate here until the run is big enough to publish
-  /// (kOutboxFlushEvents) or a flush is forced; min_t tracks the earliest
-  /// held timestamp so the sender's published clock can be capped while it
-  /// hoards (see flush_channels). GlobalWindow publishes every slot when
-  /// the window closes and ignores min_t.
-  struct Outbox {
-    std::vector<Event> events;
-    SimTime min_t = Kernel::never();
-  };
-
   /// alignas(64): each LP's hot state (queue, outboxes, counters) lives on
   /// its own cache lines so one engine's bookkeeping never falsely shares
   /// with a neighbour's in threaded runs.
   struct alignas(64) Lp {
     EventQueue queue;
     std::uint64_t seq_counter = 0;
-    std::vector<Outbox> outbox;  // one slot per destination LP
+    /// Cross-LP sends staged per destination LP until the next publish
+    /// point: the end of this LP's step (ChannelLookahead) or the window
+    /// close (GlobalWindow).
+    std::vector<std::vector<Event>> outbox;
     /// Destinations whose outbox slot is non-empty (what a flush visits).
     std::vector<std::uint32_t> dirty_dsts;
     double window_busy = 0;
@@ -320,15 +311,13 @@ struct Kernel::Impl {
     std::vector<Event> scratch;
     /// ChannelLookahead: advance-loop iterations that executed something.
     std::uint64_t advances = 0;
-    /// ChannelLookahead + Threaded: wall seconds spent stalled.
-    double idle_wait = 0;
     /// Wait slot of the worker that owns this LP: senders ring it after
     /// publishing a run or advancing their clock. Null when one worker
     /// owns every LP (it never waits on anyone) and under GlobalWindow
     /// (its workers wait only at barriers).
     util::WaitSlot* doorbell = nullptr;
     /// Batched outbox runs this LP published (deterministic in Sequential
-    /// mode — the outbox-threshold observable).
+    /// mode).
     std::uint64_t handoff_runs = 0;
     /// Times this LP's worker parked on its wait slot (Threaded only).
     std::uint64_t parks = 0;
@@ -391,11 +380,9 @@ struct Kernel::Impl {
   explicit Impl(int lp_count) : lps(static_cast<std::size_t>(lp_count)) {
     for (Lp& lp : lps) {
       lp.outbox.resize(static_cast<std::size_t>(lp_count));
-      // Pre-size the per-packet-send vectors so the first window pays no
-      // allocations: dirty_dsts holds at most one entry per destination
-      // engine, and each outbox batch publishes at kOutboxFlushEvents.
+      // dirty_dsts holds at most one entry per destination engine, so a
+      // send never grows it.
       lp.dirty_dsts.reserve(static_cast<std::size_t>(lp_count));
-      for (Outbox& box : lp.outbox) box.events.reserve(kOutboxFlushEvents);
     }
     // massf-check: allow(quadratic-reserve) — engine-count², not node-count².
     channel_of.assign(lps.size() * lps.size(), -1);
@@ -531,16 +518,13 @@ struct Kernel::Impl {
 
   /// Publish one outbox slot as a run: a single release store makes the
   /// whole batch visible, then the receiver's doorbell rings. The caller
-  /// publishes its (possibly capped) clock only afterwards, so a receiver
-  /// that observes the new clock is guaranteed to also observe these
-  /// events.
+  /// publishes its clock only afterwards, so a receiver that observes the
+  /// new clock is guaranteed to also observe these events.
   void flush_box(std::size_t src, std::uint32_t dst) {
     Lp& sender = lps[src];
-    Outbox& box = sender.outbox[dst];
     Channel& ch = *channels[static_cast<std::size_t>(channel_index(src, dst))];
     Channel::RunNode* node = take_node(ch);
-    node->events.swap(box.events);  // vector capacity recycles both ways
-    box.min_t = Kernel::never();
+    node->events.swap(sender.outbox[dst]);  // capacity recycles both ways
     node->next.store(nullptr, std::memory_order_relaxed);
     ch.head->next.store(node, std::memory_order_release);
     ch.head = node;
@@ -553,33 +537,11 @@ struct Kernel::Impl {
     if (util::WaitSlot* bell = lps[lp].doorbell) bell->signal();
   }
 
-  /// Sender flush at a publish point. Slots holding at least
-  /// kOutboxFlushEvents events (all of them when `force`, which GlobalWindow
-  /// always passes) are published; smaller runs stay hoarded to amortize
-  /// the cross-core handoff. Returns the hoard cap: min over still-held
-  /// slots of (earliest held event − that channel's lookahead). Capping the
-  /// sender's published clock there keeps hoarding conservative-safe — a
-  /// receiver's bound through a hoarded channel never reaches the earliest
-  /// event the hoard still owes it. Kernel::step force-flushes whenever an advance executes
-  /// nothing (the prelude to every stall, rendezvous, and safepoint), so
-  /// hoards never outlive the sender's attention.
-  SimTime flush_channels(std::size_t src, bool force) {
+  /// Publish every non-empty outbox slot of `src`, one run each.
+  void flush_channels(std::size_t src) {
     Lp& sender = lps[src];
-    SimTime cap = Kernel::never();
-    auto keep = sender.dirty_dsts.begin();
-    for (std::uint32_t dst : sender.dirty_dsts) {
-      Outbox& box = sender.outbox[dst];
-      if (force || box.events.size() >= kOutboxFlushEvents) {
-        flush_box(src, dst);
-      } else {
-        const Channel& ch =
-            *channels[static_cast<std::size_t>(channel_index(src, dst))];
-        cap = std::min(cap, box.min_t - ch.lookahead);
-        *keep++ = dst;
-      }
-    }
-    sender.dirty_dsts.erase(keep, sender.dirty_dsts.end());
-    return cap;
+    for (std::uint32_t dst : sender.dirty_dsts) flush_box(src, dst);
+    sender.dirty_dsts.clear();
   }
 
   /// Receiver side of a channel: consume every published run in publish
@@ -621,16 +583,16 @@ struct Kernel::Impl {
     merge_batch(receiver, receiver.scratch, per_remote_cost);
   }
 
-  /// Force-flush every outbox, then drain every LP, so the whole pending-
-  /// event set sits in LP queues: at each safepoint (for the hook and
-  /// rehome_events) and at the end of a GlobalWindow run. A channel queue
+  /// Drain every LP, so the whole pending-event set sits in LP queues: at
+  /// each safepoint (for the hook and rehome_events) and at the end of a
+  /// GlobalWindow run. Outboxes are empty there (every ChannelLookahead
+  /// step and every GlobalWindow close flushes them), but a channel queue
   /// can legitimately be non-empty at quiescence (a ChannelLookahead
   /// receiver stalls on its bound without polling runs it cannot use yet;
   /// a GlobalWindow receiver drains only at its next step). Runs
   /// single-threaded with every worker parked, so the receive cost is
   /// charged exactly once and identically in Sequential and Threaded mode.
   void drain_all_channels(double per_remote_cost) {
-    for (std::size_t s = 0; s < lps.size(); ++s) flush_channels(s, true);
     for (std::size_t d = 0; d < lps.size(); ++d)
       drain(d, per_remote_cost, [](const Channel&) {});
   }
@@ -756,12 +718,14 @@ void Kernel::schedule_packet_remote(int to_lp, SimTime t, PacketEvent event) {
   MASSF_REQUIRE(sink_ != nullptr,
                 "register an EventSink before scheduling packet events");
   Impl::Lp& sender = impl_->lps[static_cast<std::size_t>(tl_current_lp)];
-  Impl::Outbox& box = sender.outbox[static_cast<std::size_t>(to_lp)];
-  if (box.events.empty())
+  auto& box = sender.outbox[static_cast<std::size_t>(to_lp)];
+  if (box.empty())
     sender.dirty_dsts.push_back(static_cast<std::uint32_t>(to_lp));
-  box.min_t = std::min(box.min_t, t);
-  box.events.push_back({t, static_cast<std::uint32_t>(tl_current_lp), 0,
-                        sender.seq_counter++, event});
+  // massf-check: allow(hot-path-alloc) — a flush swaps the slot with a
+  // recycled run node's vector, so capacity cycles sender → receiver →
+  // sender and growth stops at the largest run.
+  box.push_back({t, static_cast<std::uint32_t>(tl_current_lp), 0,
+                 sender.seq_counter++, event});
   sender.window_busy += cost_.per_remote_message;
   ++sender.remote_sent;
 }
@@ -837,20 +801,26 @@ void Kernel::lower_global_lookahead(double la) {
   lookahead_ = la;
 }
 
-std::uint64_t Kernel::pending_events() const {
-  std::uint64_t n = 0;
+void Kernel::for_each_pending(
+    const std::function<void(const PacketEvent&)>& visit) const {
   for (const Impl::Lp& lp : impl_->lps) {
-    // Counted by walking the heap and its chains, not from the queue's
-    // counters: an event stranded off every chain would never run, and
-    // the emulator's run-end check must see it as lost.
-    lp.queue.for_each([&n](const Impl::Event&) { ++n; });
-    for (const Impl::Outbox& box : lp.outbox) n += box.events.size();
+    // Walks the heap and its chains, not the queue's counters: an event
+    // stranded off every chain would never run, and the emulator's run-end
+    // check must see it as lost.
+    lp.queue.for_each([&visit](const Impl::Event& e) { visit(e.packet); });
+    for (const std::vector<Impl::Event>& box : lp.outbox)
+      for (const Impl::Event& e : box) visit(e.packet);
   }
   for (const auto& ch : impl_->channels)
     for (const Impl::Channel::RunNode* r =
              ch->tail->next.load(std::memory_order_acquire);
          r != nullptr; r = r->next.load(std::memory_order_acquire))
-      n += r->events.size();
+      for (const Impl::Event& e : r->events) visit(e.packet);
+}
+
+std::uint64_t Kernel::pending_events() const {
+  std::uint64_t n = 0;
+  for_each_pending([&n](const PacketEvent&) { ++n; });
   return n;
 }
 
@@ -983,7 +953,10 @@ void Kernel::serialize(Io& io, Self& self, const Payload& payload,
     io.u64(lp.history);
     io.f64(lp.max_time);
     io.u64(lp.advances);
-    io.f64(lp.idle_wait);
+    // Format version 2 slot of a deleted wall-clock diagnostic (0 in every
+    // Sequential run); written as 0 and ignored on load.
+    double unused = 0;
+    io.f64(unused);
     io.u64(lp.handoff_runs);
     io.u64(lp.parks);
     io.f64s(lp.series, "per-engine section");
@@ -1043,8 +1016,8 @@ void Kernel::save_checkpoint(
   for (const Impl::Lp& lp : impl_->lps) {
     MASSF_CHECK(lp.dirty_dsts.empty(),
                 "safepoint quiescence violated: staged cross-LP routing");
-    for (const Impl::Outbox& box : lp.outbox)
-      MASSF_CHECK(box.events.empty(),
+    for (const std::vector<Impl::Event>& box : lp.outbox)
+      MASSF_CHECK(box.empty(),
                   "safepoint quiescence violated: non-empty outbox slot");
   }
   for (const auto& ch : impl_->channels)
@@ -1085,16 +1058,17 @@ void Kernel::run_until(SimTime end_time, ExecutionMode mode) {
 //   * GlobalWindow — one barrier per window. Every LP drains the runs
 //     published when the previous window closed (one merge per receiver)
 //     and executes up to the window end; its cross-LP sends wait in its
-//     outboxes. The barrier's completion closes the window, force-flushes
-//     every outbox and opens the next window, which starts at the globally
+//     outboxes. The barrier's completion closes the window, flushes every
+//     outbox and opens the next window, which starts at the globally
 //     earliest pending event, so idle spans are skipped. A step never
 //     publishes, so no receiver's drain races a sender's flush.
 //   * ChannelLookahead — CMB-style per-channel safe-time advancement. LP i
 //     may execute events with t < bound_i, where bound_i = min over inbound
-//     channels (src → i) of clock_src + lookahead(src → i). A sender's
-//     published clock never exceeds min(its queue head, its own bound), so
-//     everything it executes later — and therefore everything it can still
-//     send — has t >= clock + channel lookahead >= the receiver's bound. A
+//     channels (src → i) of clock_src + lookahead(src → i). Every step ends
+//     by publishing its outboxes, then its clock: min(its queue head, its
+//     own bound). Everything the sender executes later — and therefore
+//     everything it can still send — has t >= clock + channel lookahead >=
+//     the receiver's bound. A
 //     worker whose round executed nothing stalls. Idle spans are the
 //     protocol's weakness (clocks creep by one lookahead per exchange — the
 //     classic null-message avalanche), so once every worker is stalled
@@ -1176,7 +1150,6 @@ void Kernel::run_until(SimTime end_time, std::size_t workers) {
   MASSF_REQUIRE(tl_current_lp < 0, "run_until cannot be nested");
   ran_ = true;
   stats_.sync_mode = sync_mode_;
-  stats_.idle_wait_per_lp.assign(static_cast<std::size_t>(lp_count_), 0.0);
   const bool windows = sync_mode_ == SyncMode::GlobalWindow;
   auto& lps = impl_->lps;
 
@@ -1249,7 +1222,6 @@ void Kernel::run_until(SimTime end_time, std::size_t workers) {
     const Impl::Lp& lp = lps[static_cast<std::size_t>(i)];
     stats_.events_per_lp[static_cast<std::size_t>(i)] = lp.events;
     stats_.busy_per_lp[static_cast<std::size_t>(i)] = lp.busy_total;
-    stats_.idle_wait_per_lp[static_cast<std::size_t>(i)] = lp.idle_wait;
     stats_.remote_messages += lp.remote_received;
     stats_.channel_advances += lp.advances;
     stats_.handoff_runs += lp.handoff_runs;
@@ -1348,17 +1320,13 @@ bool Kernel::step(Run& run, std::size_t i) {
     ++limiter->throttled;
     limiter->max_lag = std::max(limiter->max_lag, lp.queue.top().t - bound);
   }
-  // Flush before the release publish (see the drain comment above); the
-  // flush is forced when nothing ran — the worker may be about to stall,
-  // and a parked receiver must never wait on a hoarded run.
-  const SimTime cap = impl_->flush_channels(i, /*force=*/!executed);
+  // Flush before the release publish (see the drain comment above).
+  impl_->flush_channels(i);
   lp.fold_busy();
   // Publish: nothing this LP will ever execute — hence send — precedes
-  // min(queue head, bound); hoarded runs additionally cap the promise at
-  // (earliest hoarded event − that channel's lookahead). Clocks are
-  // monotone.
+  // min(queue head, bound). Clocks are monotone.
   const SimTime next = lp.queue.empty() ? never() : lp.queue.top().t;
-  const SimTime published = std::min({next, bound, cap});
+  const SimTime published = std::min(next, bound);
   if (published > run.clocks[i].v.load(std::memory_order_relaxed)) {
     run.clocks[i].v.store(published, std::memory_order_release);
     // Doorbell every receiver whose bound may have grown.
@@ -1408,7 +1376,6 @@ void Kernel::stall(Run& run, std::size_t worker,
 
   util::WaitSlot& bell = run.doorbells[worker];
   util::SpinWait spin(kSpinIterationsBeforePark);
-  const auto wait_start = std::chrono::steady_clock::now();
   while (true) {
     if (run.stalled.load(std::memory_order_acquire) == run.workers) {
       run.quiescent.arrive_and_wait();  // consumes our stall token
@@ -1432,10 +1399,6 @@ void Kernel::stall(Run& run, std::size_t worker,
       spin.reset();
     }
   }
-  const double waited = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wait_start)
-                            .count();
-  for (std::size_t i = lo; i < hi; ++i) impl_->lps[i].idle_wait += waited;
 }
 
 // massf-check: hot-path-root (GlobalWindow close: per-window outbox flush)
@@ -1456,7 +1419,7 @@ void Kernel::close_window(Run& run) {
   // pair with traffic, drained by each receiver's next step.
   for (std::size_t s = 0; s < lps.size(); ++s) {
     lps[s].fold_busy();
-    impl_->flush_channels(s, /*force=*/true);
+    impl_->flush_channels(s);
   }
 }
 
@@ -1464,9 +1427,9 @@ SimTime Kernel::earliest_pending() const {
   SimTime m = never();
   for (const Impl::Lp& lp : impl_->lps)
     if (!lp.queue.empty()) m = std::min(m, lp.queue.top().t);
-  // Outboxes need no scan: the GlobalWindow close force-flushes every
-  // outbox, and a ChannelLookahead worker stalls only after force-flushing
-  // its own. Channel runs are quiescent while every worker is parked.
+  // Outboxes need no scan: the GlobalWindow close flushes every outbox,
+  // and every ChannelLookahead step ends by flushing its own. Channel runs
+  // are quiescent while every worker is parked.
   for (const auto& ch : impl_->channels)
     for (const Impl::Channel::RunNode* n =
              ch->tail->next.load(std::memory_order_acquire);
@@ -1490,11 +1453,10 @@ void Kernel::quiesce(Run& run, bool window_open) noexcept {
     while (!run.failure.failed.load(std::memory_order_relaxed) &&
            next_safepoint() < run.end_time && gvt >= next_safepoint()) {
       const SimTime sp = next_safepoint();
-      // Flush the hoards and drain the in-flight runs so the hook (and
-      // rehome_events) sees the whole pending set in LP queues.
-      // ChannelLookahead keeps busy time folded at every step boundary; a
-      // GlobalWindow receive cost belongs to the next window (and is saved
-      // with it).
+      // Drain the in-flight runs so the hook (and rehome_events) sees the
+      // whole pending set in LP queues. ChannelLookahead keeps busy time
+      // folded at every step boundary; a GlobalWindow receive cost belongs
+      // to the next window (and is saved with it).
       impl_->drain_all_channels(cost_.per_remote_message);
       if (!windows)
         for (Impl::Lp& lp : impl_->lps) lp.fold_busy();

@@ -121,19 +121,6 @@ enum class SyncMode { GlobalWindow, ChannelLookahead };
 /// Stable display name ("global-window" / "channel-lookahead").
 const char* to_string(SyncMode mode);
 
-/// Under SyncMode::ChannelLookahead a sender's per-destination outbox is
-/// published to the channel mailbox as one batched run (a single
-/// release-store) only once it holds at least this many events; smaller
-/// runs are held across advance iterations — with the sender's published
-/// clock capped so the hold is conservative-safe — and force-flushed at
-/// every stall, rendezvous, and safepoint. 16 amortizes the cross-core
-/// cache handoff over a run while keeping a receiver's bound moving: a run
-/// is invisible to the receiver until it is published. Exposed so tests can
-/// pin both sides of the threshold (KernelStats::handoff_runs is the
-/// observable). GlobalWindow publishes every non-empty outbox when the
-/// window closes and ignores it.
-inline constexpr std::uint32_t kOutboxFlushEvents = 16;
-
 /// Iterations a threaded worker spends in the cpu_relax() spin loop —
 /// waiting for an inbound clock, mail, or a barrier phase — before parking
 /// on its futex-backed wait slot. ~2k pause iterations is on the order of
@@ -190,17 +177,13 @@ struct KernelStats {
   std::uint64_t idle_jumps = 0;
   /// Batched outbox runs published to channel mailboxes (one release-store
   /// each). GlobalWindow: one per (sender, receiver) pair with traffic per
-  /// window, in every mode. ChannelLookahead: deterministic in Sequential
-  /// mode (the kOutboxFlushEvents observable); in Threaded mode a
-  /// diagnostic (stall-forced flushes depend on timing).
+  /// window, in every mode. ChannelLookahead: one per (sender step that
+  /// sent, receiver) pair — deterministic in Sequential mode; in Threaded
+  /// mode a diagnostic (how events group into steps depends on timing).
   std::uint64_t handoff_runs = 0;
   /// Threaded only: times a worker exhausted its spin budget and parked on
-  /// its wait slot (futex). Timing-dependent diagnostic, like idle_wait.
+  /// its wait slot (futex). Timing-dependent diagnostic.
   std::uint64_t parks = 0;
-  /// ChannelLookahead + Threaded only: measured wall-clock seconds each LP
-  /// spent spinning with nothing safely executable (per-engine idle wait).
-  /// Zeros in Sequential mode, where waiting has no meaning.
-  std::vector<double> idle_wait_per_lp;
   /// Per-directed-channel delivery/throttle stats, ordered by (src, dst);
   /// Σ delivered == remote_messages under both protocols.
   std::vector<ChannelStat> channels;
@@ -319,8 +302,8 @@ class Kernel {
   // A safepoint is a globally quiescent pause at simulation time `sp`:
   // the worker loop (both SyncModes × both ExecutionModes) clips event
   // execution strictly below the next pending safepoint, and once every
-  // event with t < sp has executed — and every held outbox and in-flight
-  // channel run has been force-drained into its receiver's queue — the
+  // event with t < sp has executed — and every outbox and in-flight
+  // channel run has been drained into its receiver's queue — the
   // hook runs single-threaded with all workers parked. Inside the hook
   // (and only there) the kernel permits rehome_events,
   // lower_global_lookahead, and mid-run set_channel_lookahead: together
@@ -356,9 +339,13 @@ class Kernel {
   /// preserved. Hook-only.
   void lower_global_lookahead(double la);
 
-  /// Events scheduled and not yet executed: LP queues, held outboxes and
-  /// unconsumed channel runs. Exact only while the kernel is not executing
-  /// events (before or after run_until, or from a safepoint hook).
+  /// Visit every event scheduled and not yet executed, in no particular
+  /// order: LP queues, outboxes and unconsumed channel runs. Exact only
+  /// while the kernel is not executing events (before or after run_until,
+  /// or from a safepoint hook).
+  void for_each_pending(
+      const std::function<void(const PacketEvent&)>& visit) const;
+  /// The number of events for_each_pending visits.
   std::uint64_t pending_events() const;
 
   /// Events executed so far by one LP. Stable only while the kernel is not
@@ -438,8 +425,8 @@ class Kernel {
   /// ChannelLookahead: wait until an owned LP may have work, or join the
   /// rendezvous once every worker is stalled.
   void stall(Run& run, std::size_t worker, std::vector<SimTime>& snapshot);
-  /// GlobalWindow: account the window that just ended, then force-flush
-  /// every outbox (the receivers drain the runs at their next step).
+  /// GlobalWindow: account the window that just ended, then flush every
+  /// outbox (the receivers drain the runs at their next step).
   void close_window(Run& run);
   /// Completion step of the quiescent barrier (every worker parked): close
   /// the open GlobalWindow window, fire due safepoints, then stop, open the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -797,18 +798,9 @@ void Emulator::run(SimTime until, des::ExecutionMode mode) {
                   << pending << " pending events but " << live
                   << " packets are live in the pool — a kernel event was "
                      "lost or duplicated");
-  final_stats_ = fold_stats();  // checks reliable conservation per host
-  const EmulatorStats& s = *final_stats_;
-  const std::uint64_t settled = s.trains_delivered + s.trains_dropped +
-                                s.trains_dropped_fault +
-                                s.trains_dropped_unreachable +
-                                s.trains_expired;
-  MASSF_CHECK(settled <= s.trains_injected,
-              "run end: " << settled
-                          << " trains were delivered, dropped or expired but "
-                             "only "
-                          << s.trains_injected
-                          << " were injected — train conservation is broken");
+  const std::string fault = conservation_fault();
+  MASSF_CHECK(fault.empty(), "run end: " << fault);
+  final_stats_ = fold_stats();
 }
 
 void Emulator::set_checkpoint_schedule(const CheckpointConfig& cfg,
@@ -1124,6 +1116,11 @@ SimTime Emulator::restore(
   MASSF_REQUIRE(!ran_, "restore() must run before run()");
   SimTime t = 0;
   serialize(r, *this, t, load_extra);
+  // Counters no run can produce would otherwise surface only at run end,
+  // as an InternalError blaming the program.
+  const std::string fault = conservation_fault();
+  if (!fault.empty())
+    r.fail("snapshot counters: " + fault + " — the snapshot is corrupt");
   return t;
 }
 
@@ -1140,22 +1137,6 @@ EmulatorStats Emulator::stats() const {
 EmulatorStats Emulator::fold_stats() const {
   EmulatorStats out;
   for (const HostState& s : host_state_) {
-    // Reliable-layer conservation: every send is ACKed, failed or still
-    // pending, and a receiver delivers each message id once.
-    MASSF_CHECK(s.reliable_sent ==
-                    s.reliable_acked + s.reliable_failed + s.pending.size(),
-                "host " << (&s - host_state_.data()) << " sent "
-                        << s.reliable_sent << " reliable messages but "
-                        << s.reliable_acked << " were acked, "
-                        << s.reliable_failed << " failed and "
-                        << s.pending.size()
-                        << " are pending — a reliable message was lost or "
-                           "settled twice");
-    MASSF_CHECK(s.reliable_seen.size() == s.reliable_delivered,
-                "host " << (&s - host_state_.data()) << " delivered "
-                        << s.reliable_delivered << " reliable messages but "
-                        << "has seen " << s.reliable_seen.size()
-                        << " message ids — exactly-once delivery is broken");
     out.trains_injected += s.trains_injected;
     out.trains_delivered += s.trains_delivered;
     out.trains_dropped_fault += s.trains_dropped_fault;
@@ -1172,20 +1153,72 @@ EmulatorStats Emulator::fold_stats() const {
     out.duplicate_deliveries += s.duplicate_deliveries;
     out.bytes_delivered += s.bytes_delivered;
   }
-  MASSF_CHECK(out.reliable_messages_acked <= out.reliable_messages_delivered &&
-                  out.reliable_messages_delivered <=
-                      out.reliable_messages_sent,
-              "reliable messages: " << out.reliable_messages_acked
-                                    << " acked, "
-                                    << out.reliable_messages_delivered
-                                    << " delivered, "
-                                    << out.reliable_messages_sent
-                                    << " sent — an ACK without a delivery or "
-                                       "a delivery without a send");
   // trains_dropped is *defined* as the drop-tail ledger: the sum of the
   // per-direction link_drops_ slots, nothing else folded in.
   for (std::uint64_t d : link_drops_) out.trains_dropped += d;
   return out;
+}
+
+std::string Emulator::conservation_fault() const {
+  std::ostringstream os;
+  // `total` minus each part, or false once the parts exceed it (the
+  // subtraction form cannot wrap around, whatever a snapshot holds).
+  const auto take = [](std::uint64_t& total,
+                       std::initializer_list<std::uint64_t> parts) {
+    for (const std::uint64_t part : parts) {
+      if (part > total) return false;
+      total -= part;
+    }
+    return true;
+  };
+  for (const HostState& s : host_state_) {
+    const auto host = &s - host_state_.data();
+    std::uint64_t unsettled = s.reliable_sent;
+    if (!take(unsettled, {s.reliable_acked, s.reliable_failed}) ||
+        unsettled != s.pending.size()) {
+      os << "host " << host << " sent " << s.reliable_sent
+         << " reliable messages but " << s.reliable_acked << " were acked, "
+         << s.reliable_failed << " failed and " << s.pending.size()
+         << " are pending — a reliable message was lost or settled twice";
+      return os.str();
+    }
+    if (s.reliable_seen.size() != s.reliable_delivered) {
+      os << "host " << host << " delivered " << s.reliable_delivered
+         << " reliable messages but has seen " << s.reliable_seen.size()
+         << " message ids — exactly-once delivery is broken";
+      return os.str();
+    }
+  }
+  const EmulatorStats s = fold_stats();
+  if (s.reliable_messages_acked > s.reliable_messages_delivered ||
+      s.reliable_messages_delivered > s.reliable_messages_sent) {
+    os << "reliable messages: " << s.reliable_messages_acked << " acked, "
+       << s.reliable_messages_delivered << " delivered, "
+       << s.reliable_messages_sent
+       << " sent — an ACK without a delivery or a delivery without a send";
+    return os.str();
+  }
+  // Every wire packet (train, probe or reply) rides exactly one pending
+  // kernel event until it settles; control events carry none.
+  std::uint64_t in_flight = 0;
+  kernel_->for_each_pending([&in_flight](const des::PacketEvent& e) {
+    if (!is_control(static_cast<const Packet*>(e.payload)->kind))
+      ++in_flight;
+  });
+  std::uint64_t unsettled = s.trains_injected;
+  if (!take(unsettled, {s.trains_delivered, s.trains_dropped,
+                        s.trains_dropped_fault, s.trains_dropped_unreachable,
+                        s.trains_expired}) ||
+      unsettled != in_flight) {
+    os << s.trains_injected << " trains were injected but "
+       << s.trains_delivered << " delivered, " << s.trains_dropped
+       << " dropped by queues, " << s.trains_dropped_fault
+       << " by faults, " << s.trains_dropped_unreachable
+       << " unreachable, " << s.trains_expired << " expired and "
+       << in_flight << " are in flight — train conservation is broken";
+    return os.str();
+  }
+  return {};
 }
 
 std::vector<EpochStats> Emulator::epoch_stats() const {

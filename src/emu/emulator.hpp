@@ -85,7 +85,7 @@ struct EmulatorConfig {
 /// Aggregate emulator counters (folded from per-node slots after a run).
 /// Train conservation: trains_injected == trains_delivered + trains_dropped
 /// (queue overflow) + trains_dropped_fault + trains_dropped_unreachable +
-/// trains_expired.
+/// trains_expired + the trains still in flight (pending kernel events).
 struct EmulatorStats {
   std::uint64_t trains_injected = 0;
   std::uint64_t trains_delivered = 0;
@@ -542,9 +542,15 @@ class Emulator : private des::EventSink {
   /// engine during a run, shard 0 during single-threaded setup.
   int pool_shard() const;
 
-  /// Sum every host's counters (one pass over host_state_), checking the
-  /// reliable layer's conservation on the way.
+  /// Sum every host's counters (one pass over host_state_).
   EmulatorStats fold_stats() const;
+
+  /// The first conservation law the counters break, or "" when they all
+  /// hold. Per host, every reliable send is ACKed, failed or pending, and
+  /// each delivery has one seen id. Across hosts, acked <= delivered <=
+  /// sent, and every injected train is settled or still rides a pending
+  /// kernel event. Checked at run end and by restore().
+  std::string conservation_fault() const;
 
   /// The global lookahead: the minimum cut-link latency, or the minimum
   /// link latency (at least 0.1 ms) when no link is cut.

@@ -1003,10 +1003,11 @@ TEST(SnapshotFormat, GoldenPayloadSizeAndCrcPerSyncMode) {
   };
   // Version 2: ACKs key on their data flow, so the NetFlow section holds
   // one ACK record per stream instead of one per message (155807 bytes at
-  // version 1).
+  // version 1). The ChannelLookahead CRC also pins that protocol's step
+  // schedule: the snapshot carries per-engine advance and handoff counters.
   const Golden golden[] = {
       {des::SyncMode::GlobalWindow, 39767, 0x85be0cefu},
-      {des::SyncMode::ChannelLookahead, 39767, 0x3d8b1decu},
+      {des::SyncMode::ChannelLookahead, 39767, 0x0dbc95e4u},
   };
   FormatNet fx;
   for (const Golden& g : golden) {
@@ -1717,7 +1718,8 @@ TEST(SnapshotMutation, OnlyCheckpointOrArgumentErrorsEscapeRestore) {
 TEST(SnapshotMutation, AcceptedSnapshotsRunToTheHorizon) {
   // Whatever restore accepts, the resumed run either reaches the horizon
   // or stops with a std::exception — never a hang, a crash or UB (the
-  // ckpt-asan/ckpt-ubsan presets run this under the sanitizers).
+  // ckpt-asan/ckpt-ubsan presets run this under the sanitizers), and never
+  // an InternalError: counters no run can produce are restore's to reject.
   FormatNet fx;
   int finished = 0;
   for_each_snapshot_mutation(
@@ -1728,6 +1730,10 @@ TEST(SnapshotMutation, AcceptedSnapshotsRunToTheHorizon) {
         try {
           run.emulator->run(kFormatHorizon);
           ++finished;
+        } catch (const InternalError& e) {
+          ADD_FAILURE() << "mutation " << m << what
+                        << " passed restore but broke an invariant: "
+                        << e.what();
         } catch (const std::exception&) {
         }
       });

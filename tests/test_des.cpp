@@ -260,9 +260,8 @@ class ForwardingSink : public EventSink {
 };
 
 /// Two 40-hop chains per LP forwarded around the LP ring by the sink.
-/// `fanout` 0 is sparse cross-LP traffic (outbox runs stay below
-/// kOutboxFlushEvents); fanout >= kOutboxFlushEvents sends bursts that
-/// reach the flush threshold within one advance.
+/// `fanout` 0 is sparse cross-LP traffic (short outbox runs);
+/// fanout kBurst sends a burst of that many fillers with every hop.
 KernelStats pingpong(int lps, std::size_t workers,
                      SyncMode sync = SyncMode::GlobalWindow, int fanout = 0) {
   Kernel kernel(lps, 1.0);
@@ -284,7 +283,7 @@ KernelStats pingpong(int lps, std::size_t workers,
 /// The single worker of a Sequential run.
 constexpr std::size_t kSequential = 1;
 
-constexpr int kBurst = static_cast<int>(kOutboxFlushEvents);
+constexpr int kBurst = 16;
 
 std::uint64_t bits_of(double value) {
   std::uint64_t bits;
@@ -293,7 +292,7 @@ std::uint64_t bits_of(double value) {
 }
 
 /// Exact Sequential counters of the ping-pong. Any drift in the window
-/// schedule, round order, flush branch or cost accounting shows up here
+/// schedule, round order, flush schedule or cost accounting shows up here
 /// even when the history hash survives.
 struct GoldenRun {
   int lps;
@@ -314,7 +313,8 @@ constexpr SyncMode kCL = SyncMode::ChannelLookahead;
 // GlobalWindow publishes one run per (sender, receiver) pair with traffic
 // per window: an LP's two chains hop in the same window, so its runs
 // carry two hops (sparse: remote_messages / 2) or two hops plus their
-// fillers (burst: remote_messages / 34).
+// fillers (burst: remote_messages / 34). ChannelLookahead publishes one
+// run per (step that sent, receiver) pair.
 const GoldenRun kGolden[] = {
     {1, kGW, 0, 40u, 0u, 0u, 0u, 0u,
      0x898fd43d4213b2cull, 0x3f82007dd4413552ull},
@@ -322,20 +322,20 @@ const GoldenRun kGolden[] = {
      0x898fd43d4213b2cull, 0x3f50385c67dfe332ull},
     {2, kGW, 0, 40u, 0u, 0u, 78u, 156u,
      0x6f7031151845ac59ull, 0x3f88644523f67f4dull},
-    {2, kCL, 0, 0u, 20u, 42u, 40u, 156u,
-     0x6f7031151845ac59ull, 0x3f809bf9c62a1b5eull},
+    {2, kCL, 0, 0u, 0u, 41u, 40u, 156u,
+     0x6f7031151845ac59ull, 0x3f70d5a5b9628cbfull},
     {3, kGW, 0, 40u, 0u, 0u, 117u, 234u,
      0x7db58848b3d15af6ull, 0x3f88644523f67f4dull},
-    {3, kCL, 0, 0u, 12u, 119u, 42u, 234u,
-     0x7db58848b3d15af6ull, 0x3f7aaa3ad18d25f2ull},
+    {3, kCL, 0, 0u, 0u, 81u, 79u, 234u,
+     0x7db58848b3d15af6ull, 0x3f70d5a5b9628cbcull},
     {4, kGW, 0, 40u, 0u, 0u, 156u, 312u,
      0x3e8c864ecb30e096ull, 0x3f88644523f67f4dull},
-    {4, kCL, 0, 0u, 10u, 195u, 80u, 312u,
-     0x3e8c864ecb30e096ull, 0x3f7906cca2db61beull},
+    {4, kCL, 0, 0u, 0u, 121u, 118u, 312u,
+     0x3e8c864ecb30e096ull, 0x3f70d5a5b9628cbcull},
     {8, kGW, 0, 40u, 0u, 0u, 312u, 624u,
      0x49c188ac6a673258ull, 0x3f88ca8198f1d3eaull},
-    {8, kCL, 0, 0u, 4u, 393u, 215u, 624u,
-     0x49c188ac6a673258ull, 0x3f741c8216c61525ull},
+    {8, kCL, 0, 0u, 0u, 281u, 274u, 624u,
+     0x49c188ac6a673258ull, 0x3f70d5a5b9628cbcull},
     {4, kGW, kBurst, 40u, 0u, 0u, 156u, 5304u,
      0xb936aa5b0dfacdfeull, 0x3fb16d0917d6b665ull},
     {4, kCL, kBurst, 0u, 0u, 121u, 118u, 5304u,
@@ -361,20 +361,6 @@ TEST(GoldenSequential, PingPongCountersArePinned) {
     EXPECT_EQ(got.history_hash, g.history_hash);
     EXPECT_EQ(bits_of(got.modeled_time), g.modeled_time_bits);
   }
-}
-
-// Both outbox flush branches stay covered: the sparse ping-pong publishes
-// runs shorter than kOutboxFlushEvents (hoarded until a forced flush), the
-// burst variant publishes runs at or above it.
-TEST(GoldenSequential, SparseAndBurstTakeBothFlushBranches) {
-  const KernelStats sparse =
-      pingpong(4, kSequential, kCL, /*fanout=*/0);
-  const KernelStats burst =
-      pingpong(4, kSequential, kCL, kBurst);
-  ASSERT_GT(sparse.handoff_runs, 0u);
-  ASSERT_GT(burst.handoff_runs, 0u);
-  EXPECT_LT(sparse.remote_messages, kOutboxFlushEvents * sparse.handoff_runs);
-  EXPECT_GE(burst.remote_messages, kOutboxFlushEvents * burst.handoff_runs);
 }
 
 /// One 40-hop token per LP passed around the LP ring by inline ScriptSink
@@ -649,7 +635,7 @@ TEST_P(PacketChannelModeEquivalence, HistoryIdenticalAcrossProtocolsAndModes) {
 INSTANTIATE_TEST_SUITE_P(LpCounts, PacketChannelModeEquivalence,
                          ::testing::Values(1, 2, 3, 4, 8));
 
-// ---- Outbox flush threshold (branch-pinning) -------------------------------
+// ---- Outbox batching ----------------------------------------------------
 //
 // In Sequential ChannelLookahead the flush schedule is deterministic, so
 // stats().handoff_runs is an exact observable for flush_channels (the
@@ -663,9 +649,9 @@ TEST(OutboxTuning, FlushScheduleIsDeterministic) {
 }
 
 // Batching changes how events travel, never which events exist: the sparse
-// workload (every run hoarded until a forced flush) and the burst workload
-// (every run published at the threshold) each reproduce their
-// GlobalWindow/Sequential hash in both sync modes at every worker count.
+// workload (short runs) and the burst workload (long runs) each reproduce
+// their GlobalWindow/Sequential hash in both sync modes at every worker
+// count.
 TEST(OutboxTuning, HistoryInvariantAcrossTuningExtremes) {
   const int lps = 4;
   for (const int fanout : {0, kBurst}) {

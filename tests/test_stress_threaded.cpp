@@ -89,8 +89,8 @@ struct StormResult {
   std::vector<double> safepoints_seen;
 };
 
-/// `burst_floor` is the smallest remote burst: 2 keeps every outbox run
-/// below kOutboxFlushEvents, kOutboxFlushEvents makes every burst reach it.
+/// `burst_floor` is the smallest remote burst: 2 keeps outbox runs short,
+/// 16 makes every burst a long one.
 StormResult run_storm(int lps, std::size_t workers, SyncMode sync,
                       int burst_floor = 2) {
   Kernel kernel(lps, kLookahead);
@@ -156,13 +156,12 @@ TEST_P(ThreadedStress, StormHistoryIdenticalAcrossSyncAndExecModes) {
   }
 }
 
-// The other batching extreme: every remote burst reaches
-// kOutboxFlushEvents, so ChannelLookahead senders publish at the threshold
-// instead of hoarding until a forced flush. Every sync × exec combination
-// still reproduces the sequential GlobalWindow history of that storm.
+// The other batching extreme: every remote burst carries at least 16
+// events, so every outbox run is long. Every sync × exec combination still
+// reproduces the sequential GlobalWindow history of that storm.
 TEST_P(ThreadedStress, StormHistoryInvariantUnderTuningExtremes) {
   const int lps = GetParam();
-  const int burst = static_cast<int>(kOutboxFlushEvents);
+  const int burst = 16;
   const StormResult base = run_storm(lps, 1, SyncMode::GlobalWindow, burst);
 
   for (auto sync : {SyncMode::GlobalWindow, SyncMode::ChannelLookahead}) {
