@@ -263,7 +263,7 @@ TrafficEstimate Mapper::estimate_place(const traffic::Workload& workload,
 TrafficEstimate Mapper::estimate_profile(
     const emu::NetFlowCollector& profile,
     const std::vector<std::vector<double>>& engine_series,
-    const MappingOptions& options, std::vector<Segment>* segments_out) const {
+    const MappingOptions& options) const {
   TrafficEstimate estimate;
   estimate.link_load = profile.link_packets();
   estimate.node_load = profile.node_packets();
@@ -278,7 +278,6 @@ TrafficEstimate Mapper::estimate_profile(
       estimate.node_segment_load =
           segment_node_weights(profile.node_series(), segments);
     }
-    if (segments_out != nullptr) *segments_out = segments;
   }
   return estimate;
 }

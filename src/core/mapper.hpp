@@ -136,9 +136,7 @@ class Mapper {
   TrafficEstimate estimate_profile(const emu::NetFlowCollector& profile,
                                    const std::vector<std::vector<double>>&
                                        engine_series,
-                                   const MappingOptions& options,
-                                   std::vector<Segment>* segments_out =
-                                       nullptr) const;
+                                   const MappingOptions& options) const;
 
   /// The injection-point foreground heuristic by itself.
   std::vector<routing::Flow> foreground_flows(

@@ -798,9 +798,10 @@ void Emulator::run(SimTime until, des::ExecutionMode mode) {
                   << pending << " pending events but " << live
                   << " packets are live in the pool — a kernel event was "
                      "lost or duplicated");
-  const std::string fault = conservation_fault();
+  EmulatorStats folded = fold_stats();
+  const std::string fault = conservation_fault(folded);
   MASSF_CHECK(fault.empty(), "run end: " << fault);
-  final_stats_ = fold_stats();
+  final_stats_ = folded;
 }
 
 void Emulator::set_checkpoint_schedule(const CheckpointConfig& cfg,
@@ -1118,7 +1119,7 @@ SimTime Emulator::restore(
   serialize(r, *this, t, load_extra);
   // Counters no run can produce would otherwise surface only at run end,
   // as an InternalError blaming the program.
-  const std::string fault = conservation_fault();
+  const std::string fault = conservation_fault(fold_stats());
   if (!fault.empty())
     r.fail("snapshot counters: " + fault + " — the snapshot is corrupt");
   return t;
@@ -1159,7 +1160,7 @@ EmulatorStats Emulator::fold_stats() const {
   return out;
 }
 
-std::string Emulator::conservation_fault() const {
+std::string Emulator::conservation_fault(const EmulatorStats& folded) const {
   std::ostringstream os;
   // `total` minus each part, or false once the parts exceed it (the
   // subtraction form cannot wrap around, whatever a snapshot holds).
@@ -1189,12 +1190,11 @@ std::string Emulator::conservation_fault() const {
       return os.str();
     }
   }
-  const EmulatorStats s = fold_stats();
-  if (s.reliable_messages_acked > s.reliable_messages_delivered ||
-      s.reliable_messages_delivered > s.reliable_messages_sent) {
-    os << "reliable messages: " << s.reliable_messages_acked << " acked, "
-       << s.reliable_messages_delivered << " delivered, "
-       << s.reliable_messages_sent
+  if (folded.reliable_messages_acked > folded.reliable_messages_delivered ||
+      folded.reliable_messages_delivered > folded.reliable_messages_sent) {
+    os << "reliable messages: " << folded.reliable_messages_acked
+       << " acked, " << folded.reliable_messages_delivered << " delivered, "
+       << folded.reliable_messages_sent
        << " sent — an ACK without a delivery or a delivery without a send";
     return os.str();
   }
@@ -1205,16 +1205,17 @@ std::string Emulator::conservation_fault() const {
     if (!is_control(static_cast<const Packet*>(e.payload)->kind))
       ++in_flight;
   });
-  std::uint64_t unsettled = s.trains_injected;
-  if (!take(unsettled, {s.trains_delivered, s.trains_dropped,
-                        s.trains_dropped_fault, s.trains_dropped_unreachable,
-                        s.trains_expired}) ||
+  std::uint64_t unsettled = folded.trains_injected;
+  if (!take(unsettled,
+            {folded.trains_delivered, folded.trains_dropped,
+             folded.trains_dropped_fault, folded.trains_dropped_unreachable,
+             folded.trains_expired}) ||
       unsettled != in_flight) {
-    os << s.trains_injected << " trains were injected but "
-       << s.trains_delivered << " delivered, " << s.trains_dropped
-       << " dropped by queues, " << s.trains_dropped_fault
-       << " by faults, " << s.trains_dropped_unreachable
-       << " unreachable, " << s.trains_expired << " expired and "
+    os << folded.trains_injected << " trains were injected but "
+       << folded.trains_delivered << " delivered, " << folded.trains_dropped
+       << " dropped by queues, " << folded.trains_dropped_fault
+       << " by faults, " << folded.trains_dropped_unreachable
+       << " unreachable, " << folded.trains_expired << " expired and "
        << in_flight << " are in flight — train conservation is broken";
     return os.str();
   }

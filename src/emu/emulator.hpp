@@ -547,10 +547,11 @@ class Emulator : private des::EventSink {
 
   /// The first conservation law the counters break, or "" when they all
   /// hold. Per host, every reliable send is ACKed, failed or pending, and
-  /// each delivery has one seen id. Across hosts, acked <= delivered <=
-  /// sent, and every injected train is settled or still rides a pending
-  /// kernel event. Checked at run end and by restore().
-  std::string conservation_fault() const;
+  /// each delivery has one seen id. Across hosts (`folded`, this
+  /// emulator's fold_stats()), acked <= delivered <= sent, and every
+  /// injected train is settled or still rides a pending kernel event.
+  /// Checked at run end and by restore().
+  std::string conservation_fault(const EmulatorStats& folded) const;
 
   /// The global lookahead: the minimum cut-link latency, or the minimum
   /// link latency (at least 0.1 ms) when no link is cut.

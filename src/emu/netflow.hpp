@@ -12,9 +12,12 @@
 // the LP owning the node, and per-link counters are split by direction
 // (updated by the transmitting endpoint's LP), so no locks are needed.
 //
-// Flow records live in one util::U64Table per node, keyed by flow id:
-// recording a train is a probe and an in-place update. Every view and the
-// checkpoint stream present the records sorted by flow id.
+// Flow records live in one flat table per node: a dense record vector in
+// first-seen order plus an open-addressing index of 32-bit slots (record
+// index + 1, 0 = empty; power-of-two size, load factor <= 1/2, Fibonacci
+// hash of the flow id). Recording a train is a probe and an in-place
+// update; a new flow appends one record. Every view and the checkpoint
+// stream present the records sorted by flow id.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +25,6 @@
 
 #include "ckpt/ckpt.hpp"
 #include "emu/packet.hpp"
-#include "util/u64_table.hpp"
 
 namespace massf::emu {
 
@@ -79,11 +81,26 @@ class NetFlowCollector {
   template <class Io, class Self>
   static void serialize(Io& io, Self& self);
 
+  /// One node's flow records and their hash index.
+  struct FlowTable {
+    std::vector<FlowRecord> records;   // first-seen order
+    std::vector<std::uint32_t> index;  // record index + 1; 0 = empty slot
+    int shift = 64;                    // 64 - log2(index.size())
+
+    /// The record for `flow`, appended with `first_seen = t` if new.
+    FlowRecord& find_or_insert(std::uint64_t flow, SimTime t);
+    /// Index position holding `flow`, or the empty slot where it belongs.
+    std::size_t probe(std::uint64_t flow) const;
+    /// Resize the index to `size` slots (a power of two above twice the
+    /// record count) and re-insert every record.
+    void rehash(std::size_t size);
+  };
+
   double bucket_width_;
   std::vector<double> node_packets_;
   std::vector<double> link_packets_by_dir_;          // 2 per link
   std::vector<std::vector<double>> node_buckets_;    // ragged rows
-  std::vector<util::U64Table<FlowRecord>> node_flow_tables_;
+  std::vector<FlowTable> node_flow_tables_;
 };
 
 }  // namespace massf::emu

@@ -2,13 +2,13 @@
 //
 // The reliable layer and the RPC endpoints keep one small side table per
 // host or endpoint, touched once or twice per message: pending sends,
-// delivered ids, server jobs, LB flights, client requests; NetFlow keeps
-// one flow table per node, touched once per hop. A node-based
+// delivered ids, server jobs, LB flights, client requests. A node-based
 // std::unordered_* pays an allocation and a free per message for that, and
 // its teardown walks one node per id ever seen. This table is one flat slot
-// array instead: Fibonacci hashing (the multiply carries every key bit into
-// the high bits the slot is taken from, so sequential job numbers spread as
-// well as mixed message ids), linear probing, backward-shift erase (no tombstones, so probes stay
+// array instead, the scheme of NetFlowCollector::FlowTable: Fibonacci
+// hashing (the multiply carries every key bit into the high bits the slot
+// is taken from, so sequential job numbers spread as well as mixed message
+// ids), linear probing, backward-shift erase (no tombstones, so probes stay
 // short however many keys come and go), and power-of-two doubling at load
 // ½. Nothing is allocated but the doublings, and the table never shrinks.
 //
